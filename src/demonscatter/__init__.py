@@ -44,7 +44,7 @@ from .local_solver import (
     convergence_sweep,
     solve_local,
 )
-from .nonlocal_solver import NonlocalKernel, solve_nonlocal, symmetrize_checks
+from .nonlocal_solver import NonlocalKernel, solve_nonlocal
 from .optimize import (
     DeviceTarget,
     OptimizationResult,
@@ -64,7 +64,6 @@ from .symmetry import (
 from .units import (
     Grid,
     RabiProfile,
-    UnitSystem,
     default_grid,
     make_grid,
     rabi_eval,

@@ -24,14 +24,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-#: Unitarity tolerance for analytically constructed S-matrices.
-TOL_CONSTRUCTED = 1e-12
-
-#: Unitarity tolerance for solver-produced S-matrices (discretization error
-#: dominates).
-TOL_SOLVER = 1e-8
-
-
 @dataclass(frozen=True)
 class ChannelSet:
     """Asymptotic channels with internal-state thresholds eps_j.

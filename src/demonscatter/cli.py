@@ -34,6 +34,7 @@ from .errors import (  # noqa: E402
     DemonScatterError,
     GridError,
     NegativeVelocityError,
+    NonPositiveEnergyError,
 )
 from .kernels import OpticalParameters, build_kernel  # noqa: E402
 from .local_solver import build_two_level_model, solve_local  # noqa: E402
@@ -107,21 +108,31 @@ def _model_from(cfg: dict):
     )
 
 
-def _out_path(cfg: dict, default: str) -> str:
-    return cfg.get("out", default)
+def _energy_from(cfg: dict) -> float:
+    """E if given, else the ground-channel energy of v (default 8)."""
+    if "E" in cfg:
+        return float(cfg["E"])
+    return velocity_to_energy(float(cfg.get("v", 8.0)))
 
 
-def cmd_scatter(args) -> int:
-    keys = ("model", "b", "c", "x0", "w", "delta", "gamma", "v", "n", "box",
-            "out", "report")
-    cfg = _merge_config(args, keys)
+def _kernel_from(cfg: dict, E: float):
+    params = OpticalParameters(
+        delta=float(cfg.get("delta", 0.0)),
+        gamma=float(cfg.get("gamma", 0.0)),
+        profile=_profile_from(cfg),
+        E=E,
+    )
+    return build_kernel(params, _grid_from(cfg))
+
+
+def cmd_scatter(cfg: dict) -> int:
     model = _model_from(cfg)
     v = float(cfg.get("v", 8.0))
     sol = solve_local(model, velocity_to_energy(v))
     amps = extract_channel(sol.S, 0)
     rep = DemonReport.from_amplitudes(amps)
     serialize.write_smatrix(
-        _out_path(cfg, "smatrix.json"),
+        cfg.get("out", "smatrix.json"),
         sol.S,
         diagnostics={"unitarity_defect": sol.unitarity_defect},
     )
@@ -130,46 +141,26 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def cmd_scatter_nonlocal(args) -> int:
-    keys = ("b", "c", "x0", "w", "delta", "gamma", "v", "n", "box", "out")
-    cfg = _merge_config(args, keys)
+def cmd_scatter_nonlocal(cfg: dict) -> int:
     v = float(cfg.get("v", 8.0))
-    params = OpticalParameters(
-        delta=float(cfg.get("delta", 0.0)),
-        gamma=float(cfg.get("gamma", 0.0)),
-        profile=_profile_from(cfg),
-        E=velocity_to_energy(v),
-    )
-    kernel = build_kernel(params, _grid_from(cfg))
-    amps = solve_nonlocal(kernel, v)
+    amps = solve_nonlocal(_kernel_from(cfg, _energy_from(cfg)), v)
     rep = DemonReport.from_amplitudes(amps)
-    serialize.write_sweep_csv(_out_path(cfg, "demon_report.csv"), [(v, rep)])
+    serialize.write_sweep_csv(cfg.get("out", "demon_report.csv"), [(v, rep)])
     print(f"v={v} D={rep.D:.6f} code={rep.code}")
     return EXIT_OK
 
 
-def cmd_kernel(args) -> int:
-    keys = ("b", "c", "x0", "w", "delta", "gamma", "v", "E", "n", "box",
-            "out", "cartesian")
-    cfg = _merge_config(args, keys)
-    E = float(cfg["E"]) if "E" in cfg else velocity_to_energy(float(cfg.get("v", 8.0)))
-    params = OpticalParameters(
-        delta=float(cfg.get("delta", 0.0)),
-        gamma=float(cfg.get("gamma", 0.0)),
-        profile=_profile_from(cfg),
-        E=E,
-    )
-    kernel = build_kernel(params, _grid_from(cfg))
+def cmd_kernel(cfg: dict) -> int:
+    E = _energy_from(cfg)
+    kernel = _kernel_from(cfg, E)
     serialize.write_kernel_csv(
-        _out_path(cfg, "kernel.csv"), kernel, polar=not cfg.get("cartesian", False)
+        cfg.get("out", "kernel.csv"), kernel, polar=not cfg.get("cartesian", False)
     )
     print(f"E={E} max|K|={float(np.max(np.abs(kernel.K))):.6g}")
     return EXIT_OK
 
 
-def cmd_regions(args) -> int:
-    keys = ("resolution", "out")
-    cfg = _merge_config(args, keys)
+def cmd_regions(cfg: dict) -> int:
     res = int(cfg.get("resolution", 101))
     if res < 2:
         raise ConfigError(f"resolution must be >= 2, got {res}")
@@ -180,33 +171,23 @@ def cmd_regions(args) -> int:
             if rt2 > 1.0 - t2 + 1e-12:
                 continue
             rows.append((t2, rt2, dzero_bounds(t2, rt2)))
-    serialize.write_regions_csv(_out_path(cfg, "regions.csv"), rows)
+    serialize.write_regions_csv(cfg.get("out", "regions.csv"), rows)
     print(f"{len(rows)} feasible points at resolution {res}")
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    keys = ("b", "c", "x0", "w", "delta", "gamma", "v", "E", "n", "box",
-            "tol", "verify", "out")
-    cfg = _merge_config(args, keys)
+def cmd_classify(cfg: dict) -> int:
     v = float(cfg.get("v", 8.0))
-    E = float(cfg["E"]) if "E" in cfg else velocity_to_energy(v)
-    params = OpticalParameters(
-        delta=float(cfg.get("delta", 0.0)),
-        gamma=float(cfg.get("gamma", 0.0)),
-        profile=_profile_from(cfg),
-        E=E,
-    )
-    kernel = build_kernel(params, _grid_from(cfg))
+    kernel = _kernel_from(cfg, _energy_from(cfg))
     rel_tol = float(cfg.get("tol", 1e-8))
     report = classify(kernel, rel_tol)
     verification = None
     if cfg.get("verify", False):
         verification = verify_predictions(kernel, v, rel_tol, report=report)
-    doc = serialize.symmetry_report_to_dict(report, verification)
-    with open(_out_path(cfg, "symmetry.json"), "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    serialize.write_json(
+        cfg.get("out", "symmetry.json"),
+        serialize.symmetry_report_to_dict(report, verification),
+    )
     satisfied = sorted(n for n, ok in report.verdicts.items() if ok)
     print("satisfied:", " ".join(satisfied))
     if report.trivial_only:
@@ -214,10 +195,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    keys = ("model", "b", "c", "x0", "w", "delta", "gamma", "velocities",
-            "vmin", "vmax", "nv", "n", "box", "out")
-    cfg = _merge_config(args, keys)
+def cmd_sweep(cfg: dict) -> int:
     model = _model_from(cfg)
     if "velocities" in cfg:
         velocities = [float(v) for v in cfg["velocities"]]
@@ -230,15 +208,12 @@ def cmd_sweep(args) -> int:
             )
         )
     reports = sweep_demon(model, velocities)
-    serialize.write_sweep_csv(_out_path(cfg, "sweep.csv"), reports)
+    serialize.write_sweep_csv(cfg.get("out", "sweep.csv"), reports)
     print(f"{len(reports)} velocities swept")
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    keys = ("target", "probabilities", "weights", "v0", "w", "seed", "budget",
-            "restarts", "n", "box", "out", "log")
-    cfg = _merge_config(args, keys)
+def cmd_optimize(cfg: dict) -> int:
     if "probabilities" in cfg:
         target = DeviceTarget(
             probabilities=tuple(cfg["probabilities"]),
@@ -255,9 +230,9 @@ def cmd_optimize(args) -> int:
         restarts=int(cfg.get("restarts", 8)),
         grid=_grid_from(cfg),
     )
-    with open(_out_path(cfg, "optimize.json"), "w") as fh:
-        json.dump(serialize.optimization_result_to_dict(result), fh, indent=1)
-        fh.write("\n")
+    serialize.write_json(
+        cfg.get("out", "optimize.json"), serialize.optimization_result_to_dict(result)
+    )
     if "log" in cfg:
         serialize.write_optimization_log_csv(cfg["log"], result.log)
     print(
@@ -267,17 +242,15 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_refine_paper(args) -> int:
-    keys = ("v0", "budget", "n", "box", "out")
-    cfg = _merge_config(args, keys)
+def cmd_refine_paper(cfg: dict) -> int:
     result = refine_paper_point(
         v0=float(cfg.get("v0", 8.0)),
         budget=int(cfg.get("budget", 2000)),
         grid=_grid_from(cfg),
     )
-    with open(_out_path(cfg, "refine.json"), "w") as fh:
-        json.dump(serialize.optimization_result_to_dict(result), fh, indent=1)
-        fh.write("\n")
+    serialize.write_json(
+        cfg.get("out", "refine.json"), serialize.optimization_result_to_dict(result)
+    )
     print(
         f"initial_cost={result.initial_cost:.6g} final_cost={result.cost:.6g} "
         f"converged={result.converged}"
@@ -285,15 +258,22 @@ def cmd_refine_paper(args) -> int:
     return EXIT_OK
 
 
+_PROFILE = ("b", "c", "x0", "w", "delta", "gamma")
+
+#: Subcommand -> (handler, config keys); each key is also a --flag.
 _COMMANDS = {
-    "scatter": cmd_scatter,
-    "scatter-nonlocal": cmd_scatter_nonlocal,
-    "kernel": cmd_kernel,
-    "regions": cmd_regions,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-    "optimize": cmd_optimize,
-    "refine-paper": cmd_refine_paper,
+    "scatter": (cmd_scatter, ("model", *_PROFILE, "v", "n", "box", "out", "report")),
+    "scatter-nonlocal": (cmd_scatter_nonlocal, (*_PROFILE, "v", "n", "box", "out")),
+    "kernel": (cmd_kernel, (*_PROFILE, "v", "E", "n", "box", "out", "cartesian")),
+    "regions": (cmd_regions, ("resolution", "out")),
+    "classify": (cmd_classify,
+                 (*_PROFILE, "v", "E", "n", "box", "tol", "verify", "out")),
+    "sweep": (cmd_sweep, ("model", *_PROFILE, "velocities", "vmin", "vmax", "nv",
+                          "n", "box", "out")),
+    "optimize": (cmd_optimize, ("target", "probabilities", "weights", "v0", "w",
+                                "seed", "budget", "restarts", "n", "box", "out",
+                                "log")),
+    "refine-paper": (cmd_refine_paper, ("v0", "budget", "n", "box", "out")),
 }
 
 _FLAG_TYPES = {
@@ -311,23 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D multichannel scattering and Maxwell-demon analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flag_sets = {
-        "scatter": ("model", "b", "c", "x0", "w", "delta", "gamma", "v", "n",
-                    "box", "out", "report"),
-        "scatter-nonlocal": ("b", "c", "x0", "w", "delta", "gamma", "v", "n",
-                             "box", "out"),
-        "kernel": ("b", "c", "x0", "w", "delta", "gamma", "v", "E", "n",
-                   "box", "out", "cartesian"),
-        "regions": ("resolution", "out"),
-        "classify": ("b", "c", "x0", "w", "delta", "gamma", "v", "E", "n",
-                     "box", "tol", "verify", "out"),
-        "sweep": ("model", "b", "c", "x0", "w", "delta", "gamma",
-                  "velocities", "vmin", "vmax", "nv", "n", "box", "out"),
-        "optimize": ("target", "probabilities", "weights", "v0", "w", "seed",
-                     "budget", "restarts", "n", "box", "out", "log"),
-        "refine-paper": ("v0", "budget", "n", "box", "out"),
-    }
-    for name, keys in flag_sets.items():
+    for name, (_handler, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         for key in keys:
@@ -339,18 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, type=float, nargs="+")
             else:
                 p.add_argument(flag, type=kind)
-        p.set_defaults(keys=keys)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, keys = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, GridError, NegativeVelocityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        return handler(_merge_config(args, keys))
+    except (ConfigError, GridError, NegativeVelocityError,
+            NonPositiveEnergyError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DemonScatterError as exc:

@@ -17,6 +17,8 @@ import numpy as np
 
 from .channels import ChannelAmplitudes, SMatrix, extract_channel
 from .errors import InconsistentBoundaryError, InfeasiblePairError
+from .local_solver import LocalPotentialModel, solve_local
+from .units import velocity_to_energy
 
 #: Default tolerance for device-code / boundary classification.
 CODE_TOL = 0.02
@@ -253,35 +255,18 @@ def construct_boundary_smatrix(kind: str) -> SMatrix:
     return SMatrix.from_full(cols)
 
 
-def sweep_demon(system, velocities, i0: int = 0, tol: float = CODE_TOL):
-    """One DemonReport per velocity for a model, kernel or amplitude source.
+def sweep_demon(
+    system: LocalPotentialModel, velocities, i0: int = 0, tol: float = CODE_TOL
+):
+    """One (v, DemonReport) pair per velocity for a local model.
 
-    Accepts a LocalPotentialModel (ground channel reported), a
-    NonlocalKernel with a descriptor (regenerated at each energy; a bare
-    kernel is solved as-is, energy-independent), or a callable v ->
-    ChannelAmplitudes.
+    Each positive velocity v is solved at E = v^2/2 and channel i0 reported.
     """
-    from .local_solver import LocalPotentialModel, solve_local
-    from .nonlocal_solver import NonlocalKernel, solve_nonlocal
-    from .units import velocity_to_energy
-
     reports = []
     for v in velocities:
         if v <= 0:
             raise ValueError(f"velocities must be positive, got {v}")
-        if isinstance(system, LocalPotentialModel):
-            sol = solve_local(system, velocity_to_energy(v))
-            amps = extract_channel(sol.S, i0)
-        elif isinstance(system, NonlocalKernel):
-            ker = system
-            if ker.descriptor is not None:
-                from .kernels import regenerate_kernel
-
-                ker = regenerate_kernel(ker, E=velocity_to_energy(v))
-            amps = solve_nonlocal(ker, v)
-        elif callable(system):
-            amps = system(v)
-        else:
-            raise TypeError(f"cannot sweep a {type(system).__name__}")
+        sol = solve_local(system, velocity_to_energy(v))
+        amps = extract_channel(sol.S, i0)
         reports.append((v, DemonReport.from_amplitudes(amps, tol)))
     return reports

@@ -38,6 +38,9 @@ class OpticalParameters:
     E: float
 
     def __post_init__(self):
+        for name in ("delta", "gamma", "E"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 0:
             raise ValueError(f"decay rate must be >= 0, got gamma={self.gamma}")
         if self.E <= 0:

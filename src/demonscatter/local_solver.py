@@ -28,11 +28,12 @@ from .channels import (
     ChannelKinematics,
     ChannelSet,
     SMatrix,
+    branch_sqrt,
     kinematics,
     unitarity_defect,
 )
 from .errors import ModelError, ResolutionWarning, SolverError
-from .units import Grid, RabiProfile, make_grid, rabi_eval
+from .units import Grid, RabiProfile, default_grid, make_grid, rabi_eval
 
 #: Minimum points per shortest open wavelength before a ResolutionWarning.
 MIN_POINTS_PER_WAVELENGTH = 20
@@ -140,8 +141,6 @@ def build_two_level_model(
     if gamma < 0:
         raise ValueError(f"decay rate must be >= 0, got gamma={gamma}")
     if grid is None:
-        from .units import default_grid
-
         grid = default_grid()
     eps2 = -(2.0 * delta + 1j * gamma) / 2.0
     channels = ChannelSet(thresholds=(0.0, eps2), labels=("ground", "excited"))
@@ -185,18 +184,12 @@ def _assemble(model: LocalPotentialModel, E: float):
     h = grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
 
-    W = 2.0 * model.V + (2.0 * eps.real + 2j * eps.imag - 2.0 * E)[None, :, None] * np.eye(nch)[None, :, :]
+    W = 2.0 * model.V + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
     eye = np.eye(nch, dtype=complex)
     P = eye[None, :, :] - (h * h / 12.0) * W        # multiplies neighbours
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)  # multiplies centre
 
-    kin_all = np.sqrt(2.0 * (E - eps).astype(complex))
-    kin_all = np.where(
-        (kin_all.imag < 0) | ((kin_all.imag == 0) & (kin_all.real < 0)),
-        -kin_all,
-        kin_all,
-    )
-    lam = _bloch_factors(kin_all, h)
+    lam = _bloch_factors(branch_sqrt(2.0 * (E - eps)), h)
 
     rows, cols, data = [], [], []
     m = np.arange(1, n - 1)

@@ -127,20 +127,3 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
     Tt = 1.0 + pref * np.sum(e_plus * v_psi[:, 1])
     Rt = pref * np.sum(e_minus * v_psi[:, 1])
     return ChannelAmplitudes(T=complex(T), R=complex(R), Tt=complex(Tt), Rt=complex(Rt))
-
-
-def symmetrize_checks(kernel: NonlocalKernel) -> dict:
-    """Residuals of the kernel against every symmetry transform.
-
-    Returns a mapping from symmetry-class name to the max-norm of
-    K minus its transformed image; feeds the symmetry classifier.
-    """
-    from .symmetry import SymmetryClass, residual
-
-    out = {}
-    for cls in SymmetryClass:
-        try:
-            out[cls.name] = residual(kernel, cls)
-        except Exception:
-            out[cls.name] = float("nan")   # parity transforms on asymmetric grids
-    return out

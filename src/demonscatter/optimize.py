@@ -85,6 +85,21 @@ def _evaluate(params, v0: float, w: float, grid: Grid):
     return extract_channel(sol.S, 0)
 
 
+def _result(params, cost_: float, v0: float, w: float, grid: Grid,
+            evaluations: int, **extra) -> OptimizationResult:
+    """Result at params, with the probabilities and D re-evaluated there."""
+    amps = _evaluate(params, v0, w, grid)
+    return OptimizationResult(
+        parameters=params,
+        cost=cost_,
+        probabilities=amps.probabilities,
+        D=demon_parameter(amps),
+        evaluations=evaluations,
+        converged=cost_ < CONVERGED_COST,
+        **extra,
+    )
+
+
 def cost(params, target: DeviceTarget, v0: float, w: float = DEFAULT_WIDTH,
          grid: Optional[Grid] = None) -> float:
     """Weighted squared deviation of achieved from target probabilities."""
@@ -173,18 +188,8 @@ def optimize(
             break
     if best[0] >= CONVERGED_COST and budget - n_eval > 0:
         run(best[1], budget - n_eval)  # spend the reserve polishing the best
-    best = (best[0], tuple(float(v) for v in lo + best[1] * span))
-
-    amps = _evaluate(best[1], v0, w, grid)
-    return OptimizationResult(
-        parameters=best[1],
-        cost=best[0],
-        probabilities=amps.probabilities,
-        D=demon_parameter(amps),
-        evaluations=n_eval,
-        converged=best[0] < CONVERGED_COST,
-        log=log,
-    )
+    params = tuple(float(v) for v in lo + best[1] * span)
+    return _result(params, best[0], v0, w, grid, n_eval, log=log)
 
 
 def refine_paper_point(
@@ -204,16 +209,8 @@ def refine_paper_point(
     target = DeviceTarget.named("half-demon")
     initial_cost = cost(PAPER_POINT, target, v0, grid=grid)
     if budget <= 0:
-        amps = _evaluate(PAPER_POINT, v0, DEFAULT_WIDTH, grid)
-        return OptimizationResult(
-            parameters=PAPER_POINT,
-            cost=initial_cost,
-            probabilities=amps.probabilities,
-            D=demon_parameter(amps),
-            evaluations=1,
-            converged=initial_cost < CONVERGED_COST,
-            initial_cost=initial_cost,
-        )
+        return _result(PAPER_POINT, initial_cost, v0, DEFAULT_WIDTH, grid, 1,
+                       initial_cost=initial_cost)
     result = optimize(
         target,
         v0=v0,

@@ -55,13 +55,18 @@ def smatrix_from_dict(d: dict) -> SMatrix:
     return SMatrix(**blocks)
 
 
+def write_json(path, doc: dict):
+    """Write doc as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def write_smatrix(path, S: SMatrix, diagnostics: dict = None):
     doc = smatrix_to_dict(S)
     if diagnostics:
         doc["diagnostics"] = diagnostics
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def model_from_dict(d: dict) -> LocalPotentialModel:

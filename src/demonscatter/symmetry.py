@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .demon import demon_parameter
 from .errors import AsymmetricGridError
 from .nonlocal_solver import NonlocalKernel, solve_nonlocal
 
@@ -78,6 +79,9 @@ def predicted_relations(classes) -> set:
     "D=(|Rt|^2-|R|^2)/2" and "D=(|T|^2-|Tt|^2)/2"; the trivial class alone
     forces nothing.  The D forms follow from substituting the moduli
     equality into the defining formula D = (|T|^2-|R|^2+|Rt|^2-|Tt|^2)/2.
+    ParityPseudohermiticity forces nothing either: flip+transpose+conjugate
+    maps left incidence onto itself, so it constrains phases, not the four
+    moduli.
     """
     classes = set(classes)
     rel = set()
@@ -93,12 +97,6 @@ def predicted_relations(classes) -> set:
         SymmetryClass.PTPseudohermiticity,
     }:
         rel |= {"|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"}
-    if classes & {
-        SymmetryClass.ParityPseudohermiticity,
-    }:
-        # flip+transpose+conjugate maps left incidence onto itself; it
-        # constrains phases, not the four moduli, so no relation is forced
-        pass
     return rel
 
 
@@ -126,6 +124,8 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
     The verdict tolerance is rel_tol times the kernel max-norm.  Parity
     classes on an asymmetric grid get residual NaN and verdict False.
     """
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     kmax = float(np.max(np.abs(kernel.K)))
     tol = rel_tol * kmax if kmax > 0 else rel_tol
     residuals, verdicts = {}, {}
@@ -145,7 +145,7 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
 
 def _relation_violation(relation: str, a) -> float:
     t2, r2, tt2, rt2 = a.probabilities
-    D = 0.5 * ((t2 + rt2) - (r2 + tt2))
+    D = demon_parameter(a)
     if relation == "|T|=|Tt|":
         return abs(abs(a.T) - abs(a.Tt))
     if relation == "|R|=|Rt|":

@@ -2,12 +2,13 @@
 
 Everything downstream works in reduced units hbar = m = d = 1: velocities in
 v_d = hbar/(m d), times in tau = m d^2/hbar, energies in hbar^2/(m d^2),
-lengths in d. The UnitSystem record documents the mapping; it carries no
-conversion logic because all public I/O is already expressed in these units.
+lengths in d.  All public I/O is already in these units, so nothing here
+converts; grids, profiles and velocities reject non-finite values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,36 +27,6 @@ DEFAULT_WIDTH = np.sqrt(2.0) / 10.0
 
 
 @dataclass(frozen=True)
-class UnitSystem:
-    """Reduced unit system with hbar = m = d = 1.
-
-    d is the length unit, v_d = hbar/(m d) the velocity unit,
-    tau = m d^2/hbar the time unit and V0 = hbar^2/(m d^3) the potential
-    density unit.  V0 is retained for completeness but unused numerically.
-    """
-
-    hbar: float = 1.0
-    m: float = 1.0
-    d: float = 1.0
-
-    @property
-    def v_d(self) -> float:
-        return self.hbar / (self.m * self.d)
-
-    @property
-    def tau(self) -> float:
-        return self.m * self.d**2 / self.hbar
-
-    @property
-    def energy_unit(self) -> float:
-        return self.hbar**2 / (self.m * self.d**2)
-
-    @property
-    def V0(self) -> float:
-        return self.hbar**2 / (self.m * self.d**3)
-
-
-@dataclass(frozen=True)
 class Grid:
     """Uniform grid of n points on [x_min, x_max]."""
 
@@ -65,6 +36,8 @@ class Grid:
     points: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise GridError(f"grid ends must be finite: [{self.x_min}, {self.x_max}]")
         if self.x_min >= self.x_max:
             raise GridError(
                 f"invalid range: x_min={self.x_min} must be < x_max={self.x_max}"
@@ -121,6 +94,9 @@ class RabiProfile:
     cutoff: float = DEFAULT_BOX_HALF
 
     def __post_init__(self):
+        for name in ("b", "c", "x0", "w"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.w <= 0:
             raise ValueError(f"Gaussian width must be positive, got w={self.w}")
 
@@ -143,6 +119,8 @@ def rabi_eval(profile: RabiProfile, x):
 
 def velocity_to_energy(v: float) -> float:
     """E = v^2/2 in reduced units; for the ground channel k = v."""
+    if not math.isfinite(v):
+        raise ValueError(f"velocity must be finite, got {v}")
     if v < 0:
         raise NegativeVelocityError(f"velocity must be >= 0, got {v}")
     return 0.5 * v * v

@@ -1,10 +1,14 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from demonscatter.cli import main
+from demonscatter.local_solver import build_two_level_model
+from demonscatter.serialize import write_model
+from demonscatter.units import RabiProfile, make_grid
 
 PAPER_FLAGS = [
     "--b", "165.874", "--c", "103.876", "--x0", "0.16455", "--delta", "91.211",
@@ -143,3 +147,95 @@ def test_optimize_cli_small_budget(tmp_path, monkeypatch):
     assert doc["evaluations"] <= 150
     log_rows = read_csv(tmp_path / "log.csv")
     assert len(log_rows) == doc["evaluations"]
+
+
+def test_scatter_nonlocal_matches_scatter(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["scatter"] + PAPER_FLAGS + ["--v", "8", "--report", "local.csv"]) == 0
+    assert run(["scatter-nonlocal"] + PAPER_FLAGS + ["--v", "8",
+               "--out", "nonlocal.csv"]) == 0
+    (local,), (nonlocal_,) = read_csv("local.csv"), read_csv("nonlocal.csv")
+    for key in ("T2", "R2", "Tt2", "Rt2"):
+        assert float(nonlocal_[key]) == pytest.approx(float(local[key]), abs=1e-4)
+    assert nonlocal_["code"] == local["code"] == "½T/R(0.48)"
+
+
+def _with(key, value):
+    """PAPER_FLAGS with --key set to value (appended if absent)."""
+    out = list(PAPER_FLAGS)
+    if f"--{key}" in out:
+        out[out.index(f"--{key}") + 1] = value
+    else:
+        out += [f"--{key}", value]
+    return out
+
+
+BAD_INPUT = {
+    "scatter-b-nan": ["scatter"] + _with("b", "nan") + ["--v", "8"],
+    "scatter-x0-nan": ["scatter"] + _with("x0", "nan") + ["--v", "8"],
+    "scatter-box-nan": ["scatter"] + _with("box", "nan") + ["--v", "8"],
+    "scatter-w-inf": ["scatter"] + _with("w", "inf") + ["--v", "8"],
+    "kernel-E-nan": ["kernel"] + _with("E", "nan") + ["--n", "41"],
+    "kernel-E-negative": ["kernel"] + _with("E", "-1") + ["--n", "41"],
+    "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
+    "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
+    "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any numerics run
+        assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+PROFILE_CFG = {"b": 50.0, "c": 40.0, "x0": 0.1, "w": 0.14, "delta": 20.0,
+               "gamma": 0.0}
+
+#: Every config key of every subcommand, with a value that runs quickly.
+FULL_CONFIGS = {
+    "scatter": {"model": "model.json", **PROFILE_CFG, "v": 4.0, "n": 201,
+                "box": 1.5, "out": "s.json", "report": "r.csv"},
+    "scatter-nonlocal": {**PROFILE_CFG, "v": 4.0, "n": 201, "box": 1.5,
+                         "out": "r.csv"},
+    "kernel": {**PROFILE_CFG, "v": 4.0, "E": 8.0, "n": 41, "box": 1.5,
+               "out": "k.csv", "cartesian": True},
+    "regions": {"resolution": 5, "out": "regions.csv"},
+    "classify": {**PROFILE_CFG, "v": 4.0, "E": 8.0, "n": 101, "box": 1.5,
+                 "tol": 1e-8, "verify": True, "out": "sym.json"},
+    "sweep": {"model": "model.json", **PROFILE_CFG, "velocities": [2.0, 3.0],
+              "vmin": 2.0, "vmax": 3.0, "nv": 2, "n": 201, "box": 1.5,
+              "out": "sweep.csv"},
+    "optimize": {"target": "half-demon", "probabilities": [0.5, 0.0, 0.0, 0.5],
+                 "weights": [1.0, 1.0, 1.0, 1.0], "v0": 8.0, "w": 0.14,
+                 "seed": 1, "budget": 100, "restarts": 1, "n": 401, "box": 1.5,
+                 "out": "opt.json", "log": "log.csv"},
+    "refine-paper": {"v0": 8.0, "budget": 0, "n": 201, "box": 1.5,
+                     "out": "refine.json"},
+}
+ALL_KEYS = set().union(*FULL_CONFIGS.values())
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+def test_config_with_every_key_is_accepted(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    model = build_two_level_model(RabiProfile(b=50.0, c=40.0, x0=0.1), 20.0,
+                                  grid=make_grid(-1.5, 1.5, 201))
+    write_model("model.json", model)
+    (tmp_path / "cfg.json").write_text(json.dumps(FULL_CONFIGS[command]))
+    assert run([command, "--config", "cfg.json"]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+def test_config_keys_of_other_commands_rejected(command, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    foreign = sorted(ALL_KEYS - set(FULL_CONFIGS[command]))
+    cfg = {**FULL_CONFIGS[command], **{key: 1 for key in foreign}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run([command, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config keys: {foreign}\n"

@@ -3,6 +3,7 @@ import pytest
 
 from demonscatter.channels import (
     ChannelAmplitudes,
+    ChannelSet,
     SMatrix,
     extract_channel,
     haar_unitary,
@@ -19,8 +20,8 @@ from demonscatter.demon import (
     sweep_demon,
 )
 from demonscatter.errors import InconsistentBoundaryError, InfeasiblePairError
-from demonscatter.local_solver import build_two_level_model
-from demonscatter.units import RabiProfile
+from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
+from demonscatter.units import RabiProfile, make_grid
 
 
 def amps(t2, r2, tt2, rt2):
@@ -195,8 +196,13 @@ def test_sweep_paper_model_peaks_near_design_velocity():
 
 
 def test_sweep_rejects_nonpositive_velocity():
+    grid = make_grid(-1.5, 1.5, 301)
+    model = LocalPotentialModel(
+        grid=grid, channels=ChannelSet(thresholds=(0.0,)),
+        V=np.zeros((301, 1, 1)),
+    )
     with pytest.raises(ValueError):
-        sweep_demon(lambda v: amps(1, 0, 1, 0), [0.0])
+        sweep_demon(model, [0.0])
 
 
 def test_demon_report_fields():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demonscatter.errors import (
     NonPositiveEnergyError,
@@ -158,3 +162,23 @@ def test_optical_parameters_validation():
         OpticalParameters(delta=0.0, gamma=-1.0, profile=PAPER_PROFILE, E=32.0)
     with pytest.raises(NonPositiveEnergyError):
         OpticalParameters(delta=0.0, gamma=0.0, profile=PAPER_PROFILE, E=0.0)
+
+
+DELTA = st.floats(min_value=-1e4, max_value=1e4)
+GAMMA = st.floats(min_value=0.0, max_value=1e4)
+ENERGY = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@given(delta=DELTA, gamma=GAMMA, E=ENERGY)
+def test_optical_parameters_accept_finite_fields(delta, gamma, E):
+    params = OpticalParameters(delta=delta, gamma=gamma, profile=PAPER_PROFILE, E=E)
+    assert (params.delta, params.gamma, params.E) == (delta, gamma, E)
+
+
+@given(delta=DELTA, gamma=GAMMA, E=ENERGY,
+       field=st.sampled_from(["delta", "gamma", "E"]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_optical_parameters_reject_non_finite_field(delta, gamma, E, field, bad):
+    fields = {"delta": delta, "gamma": gamma, "E": E, field: bad}
+    with pytest.raises(ValueError):
+        OpticalParameters(profile=PAPER_PROFILE, **fields)

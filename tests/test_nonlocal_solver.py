@@ -5,11 +5,7 @@ from demonscatter.channels import ChannelSet, extract_channel
 from demonscatter.errors import ModelError, ResolutionWarning
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
-from demonscatter.nonlocal_solver import (
-    NonlocalKernel,
-    solve_nonlocal,
-    symmetrize_checks,
-)
+from demonscatter.nonlocal_solver import NonlocalKernel, solve_nonlocal
 from demonscatter.units import RabiProfile, make_grid
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
@@ -134,13 +130,3 @@ def test_wavenumber_must_be_positive():
     with pytest.raises(ValueError):
         solve_nonlocal(kernel, 0.0)
 
-
-def test_symmetrize_checks_real_symmetric():
-    grid = make_grid(-1.5, 1.5, 301)
-    A = gaussian_kernel(grid, 2.0, 0.0, 0.0, 0.3).real
-    K = A + A.T
-    K = 0.5 * (K + K[::-1, ::-1])  # also parity-even
-    out = symmetrize_checks(NonlocalKernel(grid=grid, K=K))
-    assert out["Hermiticity"] < 1e-12
-    assert out["TimeReversal"] < 1e-12
-    assert out["Parity"] < 1e-12

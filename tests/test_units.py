@@ -1,25 +1,20 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demonscatter.errors import GridError, NegativeVelocityError
 from demonscatter.units import (
     DEFAULT_WIDTH,
     RabiProfile,
-    UnitSystem,
     default_grid,
     make_grid,
     rabi_eval,
     velocity_to_energy,
 )
-
-
-def test_unit_system_reduced():
-    u = UnitSystem()
-    assert u.v_d == 1.0
-    assert u.tau == 1.0
-    assert u.energy_unit == 1.0
-    assert u.V0 == 1.0
 
 
 def test_make_grid_four_points():
@@ -108,3 +103,45 @@ def test_default_grid_symmetric():
     g = default_grid()
     assert g.symmetric
     assert g.n == 2001
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(x_min=FINITE, width=st.floats(min_value=1e-3, max_value=1e3),
+       n=st.integers(min_value=3, max_value=50))
+def test_grid_accepts_finite_range(x_min, width, n):
+    g = make_grid(x_min, x_min + width, n)
+    assert len(g.points) == n and np.all(np.isfinite(g.points))
+
+
+@given(end=FINITE, bad=NON_FINITE, bad_is_min=st.booleans())
+def test_grid_rejects_non_finite_end(end, bad, bad_is_min):
+    ends = (bad, end) if bad_is_min else (end, bad)
+    with pytest.raises(GridError):
+        make_grid(*ends, 11)
+
+
+@given(b=FINITE, c=FINITE, x0=FINITE, w=st.floats(min_value=1e-3, max_value=10.0))
+def test_rabi_profile_accepts_finite_fields(b, c, x0, w):
+    assert RabiProfile(b=b, c=c, x0=x0, w=w).w == w
+
+
+@given(b=FINITE, c=FINITE, x0=FINITE, w=st.floats(min_value=1e-3, max_value=10.0),
+       field=st.sampled_from(["b", "c", "x0", "w"]), bad=NON_FINITE)
+def test_rabi_profile_rejects_non_finite_field(b, c, x0, w, field, bad):
+    fields = {"b": b, "c": c, "x0": x0, "w": w, field: bad}
+    with pytest.raises(ValueError):
+        RabiProfile(**fields)
+
+
+@given(v=st.floats(min_value=0.0, max_value=1e100))
+def test_velocity_to_energy_finite(v):
+    assert velocity_to_energy(v) == 0.5 * v * v
+
+
+@given(bad=NON_FINITE)
+def test_velocity_to_energy_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        velocity_to_energy(bad)
