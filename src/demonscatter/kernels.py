@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .channels import branch_sqrt
 from .errors import (
@@ -70,6 +71,16 @@ def compute_q(E: float, mu: complex) -> BranchedWavenumber:
     return BranchedWavenumber(q=q, mu=complex(mu))
 
 
+def _green_phase(grid: Grid, q: complex) -> np.ndarray:
+    """e^{i q |x_i - x_j|} on the uniform grid, from n exponentials.
+
+    It depends only on |i - j|: the symmetric Toeplitz matrix of its first
+    column (toeplitz(e) alone would conjugate the first row).
+    """
+    e = np.exp(1j * q * (grid.points - grid.points[0]))
+    return toeplitz(e, e)
+
+
 def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
     """Closed-form effective kernel of the design on the given grid."""
     bw = compute_q(params.E, compute_mu(params.delta, params.gamma, params.E))
@@ -77,11 +88,11 @@ def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
         raise ThresholdSingularityError(
             "effective wavenumber q = 0: kernel singular at threshold"
         )
-    x = grid.points
     # same incidence-axis orientation as the two-channel model builder
-    omega = rabi_eval(params.profile, -x)
-    phase = np.exp(1j * bw.q * np.abs(x[:, None] - x[None, :]))
-    K = 0.25 * phase / (1j * bw.q) * omega[:, None] * np.conj(omega)[None, :]
+    omega = rabi_eval(params.profile, -grid.points)
+    K = _green_phase(grid, bw.q)
+    K *= 0.25 / (1j * bw.q) * omega[:, None]
+    K *= np.conj(omega)[None, :]
     return NonlocalKernel(grid=grid, K=K, descriptor=params)
 
 
@@ -127,7 +138,7 @@ def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> Non
         raise ThresholdSingularityError(
             "eliminated channel exactly at threshold: Green's function singular"
         )
-    x = model.grid.points
-    green = np.exp(1j * q * np.abs(x[:, None] - x[None, :])) / (1j * q)
-    K = model.V[:, i0, other][:, None] * green * model.V[:, other, i0][None, :]
+    K = _green_phase(model.grid, q)
+    K *= (model.V[:, i0, other] / (1j * q))[:, None]
+    K *= model.V[:, other, i0][None, :]
     return NonlocalKernel(grid=model.grid, K=K, descriptor=None)

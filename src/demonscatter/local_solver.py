@@ -8,8 +8,9 @@ with a Numerov-class boundary-value discretization: fourth-order interior
 stencil plus radiation boundary conditions built from the *discrete* free
 dispersion relation, so incoming/outgoing plane waves (and decaying closed
 channel exponentials) are exact solutions of the discrete equations at the
-grid ends.  One sparse LU factorization per (model, E) serves all incidence
-directions and channels; a boundary-value solve cannot overflow on strongly
+grid ends.  The system is block tridiagonal, so it is assembled straight
+into LAPACK band storage; one banded LU per (model, E) serves all incidence
+directions and channels.  A boundary-value solve cannot overflow on strongly
 closed channels, unlike naive marching.
 """
 
@@ -21,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded
 
 from .channels import (
     ChannelKinematics,
@@ -69,6 +69,8 @@ class LocalPotentialModel:
             )
         self.V = V
         vmax = np.max(np.abs(V))
+        if not np.isfinite(vmax):
+            raise ModelError("potential samples must be finite")
         if vmax > 0:
             end_mag = max(np.max(np.abs(V[0])), np.max(np.abs(V[-1])))
             if end_mag > END_DECAY_REL * vmax:
@@ -178,7 +180,11 @@ def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
 
 
 def _assemble(model: LocalPotentialModel, E: float):
-    """Sparse Numerov system matrix and the per-channel Bloch factors."""
+    """Numerov system in LAPACK band storage, and the per-channel Bloch factors.
+
+    Returns (u, ab, lam): the system has u = 2 nch - 1 sub- and
+    super-diagonals, and ab[u + i - j, j] holds its entry A[i, j].
+    """
     grid, channels = model.grid, model.channels
     n, nch = grid.n, channels.n_channels
     h = grid.spacing
@@ -191,39 +197,23 @@ def _assemble(model: LocalPotentialModel, E: float):
 
     lam = _bloch_factors(branch_sqrt(2.0 * (E - eps)), h)
 
-    rows, cols, data = [], [], []
-    m = np.arange(1, n - 1)
-    a_idx, b_idx = np.meshgrid(np.arange(nch), np.arange(nch), indexing="ij")
-    for shift, blocks in ((-1, P[m - 1]), (0, Q[m]), (1, P[m + 1])):
-        r = (m[:, None, None] * nch + a_idx[None, :, :]).ravel()
-        c = ((m + shift)[:, None, None] * nch + b_idx[None, :, :]).ravel()
-        rows.append(r)
-        cols.append(c)
-        data.append(blocks.ravel())
+    # interior row m*nch + a couples to column (m + s)*nch + b through the
+    # block entry (a, b) of P, Q, P at shift s = -1, 0, +1
+    u = 2 * nch - 1
+    ab = np.zeros((2 * u + 1, n * nch), dtype=complex)
+    for s, blocks in ((-1, P[:-2]), (0, Q[1:-1]), (1, P[2:])):
+        for a in range(nch):
+            for b in range(nch):
+                start = (1 + s) * nch + b
+                ab[u + a - b - s * nch, start:start + (n - 2) * nch:nch] = blocks[:, a, b]
 
     # boundary rows: psi_j(1) - lam_j^-1 psi_j(0) and
     #                psi_j(n-2) - lam_j^-1 psi_j(n-1)
-    j = np.arange(nch)
-    inv_lam = 1.0 / lam
-    rows.append(j)
-    cols.append(nch + j)
-    data.append(np.ones(nch, dtype=complex))
-    rows.append(j)
-    cols.append(j)
-    data.append(-inv_lam)
     top = (n - 1) * nch
-    rows.append(top + j)
-    cols.append(top - nch + j)
-    data.append(np.ones(nch, dtype=complex))
-    rows.append(top + j)
-    cols.append(top + j)
-    data.append(-inv_lam)
-
-    A = csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * nch, n * nch),
-    )
-    return A, lam
+    ab[u - nch, nch:2 * nch] = 1.0
+    ab[u + nch, top - nch:top] = 1.0
+    ab[u, :nch] = ab[u, top:] = -1.0 / lam
+    return u, ab, lam
 
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
@@ -243,47 +233,34 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
             ResolutionWarning,
         )
 
-    A, lam = _assemble(model, E)
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:  # pragma: no cover - singular discretization
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-
+    u, ab, lam = _assemble(model, E)
     n_open = len(open_idx)
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
     src = (lam[open_idx] - 1.0 / lam[open_idx]) / np.sqrt(k_open)
     for col, (i, s) in enumerate(zip(open_idx, src)):
         B[i, col] = s                       # left incidence, bottom BC row
         B[(n - 1) * nch + i, n_open + col] = s  # right incidence, top BC row
-    psi = lu.solve(B)
+    try:
+        psi = solve_banded((u, u), ab, B, overwrite_ab=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular linear system: {exc}") from exc
     if not np.all(np.isfinite(psi)):
         raise SolverError("non-finite solution; near-singular linear system")
     psi = psi.reshape(n, nch, 2 * n_open)
 
-    # raw outgoing coefficients at the ends, open channels only
-    inv_sqrt_k = 1.0 / np.sqrt(k_open)
-    left_vals = psi[0][open_idx]        # (n_open, 2*n_open)
-    right_vals = psi[n - 1][open_idx]
-
-    T_raw = right_vals[:, :n_open]
-    R_raw = left_vals[:, :n_open] - np.diag(inv_sqrt_k)
-    Tt_raw = left_vals[:, n_open:]
-    Rt_raw = right_vals[:, n_open:] - np.diag(inv_sqrt_k)
-
-    # flux normalization and reference-phase conversion to e^{+-ikx} waves
-    x_min, x_max = grid.x_min, grid.x_max
-    sqrt_k = np.sqrt(k_open)
-    ph_in_left = np.exp(1j * k_open * x_min)     # incident from the left
-    ph_in_right = np.exp(-1j * k_open * x_max)   # incident from the right
-    ph_out_right = np.exp(-1j * k_open * x_max)[:, None]
-    ph_out_left = np.exp(1j * k_open * x_min)[:, None]
-
-    T = T_raw * sqrt_k[:, None] * ph_out_right * ph_in_left[None, :]
-    R = R_raw * sqrt_k[:, None] * ph_out_left * ph_in_left[None, :]
-    Tt = Tt_raw * sqrt_k[:, None] * ph_out_left * ph_in_right[None, :]
-    Rt = Rt_raw * sqrt_k[:, None] * ph_out_right * ph_in_right[None, :]
-
-    S = SMatrix(T=T, R=R, Tt=Tt, Rt=Rt)
+    # outgoing coefficients at the ends (incident wave removed), flux
+    # normalized and converted to e^{+-ikx} waves
+    left, right = psi[0][open_idx], psi[n - 1][open_idx]
+    incident = np.diag(1.0 / np.sqrt(k_open))
+    sqrt_k = np.sqrt(k_open)[:, None]
+    ph_left = np.exp(1j * k_open * grid.x_min)     # e^{+ikx} at the left end
+    ph_right = np.exp(-1j * k_open * grid.x_max)   # e^{-ikx} at the right end
+    S = SMatrix(
+        T=right[:, :n_open] * sqrt_k * ph_right[:, None] * ph_left[None, :],
+        R=(left[:, :n_open] - incident) * sqrt_k * ph_left[:, None] * ph_left[None, :],
+        Tt=left[:, n_open:] * sqrt_k * ph_left[:, None] * ph_right[None, :],
+        Rt=(right[:, n_open:] - incident) * sqrt_k * ph_right[:, None] * ph_right[None, :],
+    )
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, kinematics=kin, unitarity_defect=defect)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, toeplitz
+from scipy.fft import fft, ifft, next_fast_len
+from scipy.linalg import lu_factor, lu_solve
 
 from .channels import ChannelAmplitudes
 from .errors import ModelError, ResolutionWarning, SolverError
@@ -78,6 +79,25 @@ def _green_weights(k: float, h: float, n: int) -> np.ndarray:
     return w / (2j * k)
 
 
+def _toeplitz_product(g: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """toeplitz(g, g) @ A by circulant embedding, without forming the matrix.
+
+    The symmetric Toeplitz matrix of first column g is the leading n x n
+    block of the circulant of c = [g, 0..., g[:0:-1]], which FFTs
+    diagonalize.  A is transformed 128 columns at a time, so no padded
+    temporary exceeds 128 x len(c).  The result is Fortran-ordered.
+    """
+    n, block = len(g), 128
+    L = next_fast_len(2 * n - 1)
+    fc = fft(np.concatenate([g, np.zeros(L - 2 * n + 1), g[:0:-1]]))
+    out = np.empty((A.shape[1], n), dtype=complex)
+    for j in range(0, A.shape[1], block):
+        fa = fft(A[:, j:j + block].T, n=L, axis=1)
+        fa *= fc
+        out[j:j + block] = ifft(fa, axis=1, overwrite_x=True)[:, :n]
+    return out.T
+
+
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
@@ -100,26 +120,27 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
 
     wy = _trapezoid_weights(n, h)
     action = 2.0 * kernel.K * wy[None, :]          # psi -> 2 (V psi) samples
-    g_col = _green_weights(k, h, n)
-    G = toeplitz(g_col, g_col)   # symmetric, not Hermitian
-    M = np.eye(n, dtype=complex) - G @ action
+    # M = I - G @ action, G the symmetric (not Hermitian) Toeplitz matrix
+    # of the Green's function weights
+    M = _toeplitz_product(_green_weights(k, h, n), action)
+    M *= -1.0
+    M.flat[::n + 1] += 1.0
 
     sqrt_k = np.sqrt(k)
     phi = np.empty((n, 2), dtype=complex)
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
     try:
-        lu = lu_factor(M)
+        lu = lu_factor(M, overwrite_a=True)
         psi = lu_solve(lu, phi)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular linear system: {exc}") from exc
     if not np.all(np.isfinite(psi)):
         raise SolverError("non-finite solution; near-singular linear system")
 
-    v_psi = (kernel.K * wy[None, :]) @ psi          # (V psi)(x_l), both waves
-    wx = wy                                          # smooth integrand
-    e_minus = wx * np.exp(-1j * k * x)
-    e_plus = wx * np.exp(1j * k * x)
+    v_psi = (action @ psi) / 2.0                    # (V psi)(x_l), both waves
+    e_minus = wy * np.exp(-1j * k * x)               # smooth integrand
+    e_plus = wy * np.exp(1j * k * x)
     pref = sqrt_k / (1j * k)
 
     T = 1.0 + pref * np.sum(e_minus * v_psi[:, 0])

@@ -77,18 +77,22 @@ class OptimizationResult:
     log: list = field(default_factory=list, repr=False)
 
 
-def _evaluate(params, v0: float, w: float, grid: Grid):
+def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid):
+    """Cost at params and the channel-0 amplitudes it was computed from."""
+    if v0 <= 0:
+        raise ValueError(f"design velocity must be positive, got {v0}")
+    if w <= 0:
+        raise ValueError(f"profile width must be positive, got {w}")
     b, c, x0, delta = (float(p) for p in params)
     profile = RabiProfile(b=b, c=c, x0=x0, w=w)
     model = build_two_level_model(profile, delta, grid=grid)
-    sol = solve_local(model, velocity_to_energy(v0))
-    return extract_channel(sol.S, 0)
+    amps = extract_channel(solve_local(model, velocity_to_energy(v0)).S, 0)
+    deviations = zip(target.weights, amps.probabilities, target.probabilities)
+    return float(sum(wt * (a - t) ** 2 for wt, a, t in deviations)), amps
 
 
-def _result(params, cost_: float, v0: float, w: float, grid: Grid,
-            evaluations: int, **extra) -> OptimizationResult:
-    """Result at params, with the probabilities and D re-evaluated there."""
-    amps = _evaluate(params, v0, w, grid)
+def _result(params, cost_: float, amps, evaluations: int, **extra) -> OptimizationResult:
+    """Result at params from the cost and amplitudes already computed there."""
     return OptimizationResult(
         parameters=params,
         cost=cost_,
@@ -103,18 +107,7 @@ def _result(params, cost_: float, v0: float, w: float, grid: Grid,
 def cost(params, target: DeviceTarget, v0: float, w: float = DEFAULT_WIDTH,
          grid: Optional[Grid] = None) -> float:
     """Weighted squared deviation of achieved from target probabilities."""
-    if v0 <= 0:
-        raise ValueError(f"design velocity must be positive, got {v0}")
-    if w <= 0:
-        raise ValueError(f"profile width must be positive, got {w}")
-    amps = _evaluate(params, v0, w, grid if grid is not None else default_grid())
-    achieved = amps.probabilities
-    return float(
-        sum(
-            wt * (a - t) ** 2
-            for wt, a, t in zip(target.weights, achieved, target.probabilities)
-        )
-    )
+    return _evaluate(params, target, v0, w, grid if grid is not None else default_grid())[0]
 
 
 def optimize(
@@ -144,7 +137,7 @@ def optimize(
 
     n_eval = 0
     log = []
-    best = (np.inf, None)
+    best = (np.inf, None, None)   # cost, normalized point, amplitudes
 
     # Nelder-Mead runs in box-normalized coordinates so all four parameters
     # carry comparable step sizes
@@ -152,10 +145,10 @@ def optimize(
         nonlocal n_eval, best
         n_eval += 1
         p = lo + u * span
-        c = cost(p, target, v0, w, grid)
+        c, amps = _evaluate(p, target, v0, w, grid)
         log.append((n_eval, tuple(float(v) for v in p), c))
         if c < best[0]:
-            best = (float(c), np.array(u, dtype=float))
+            best = (c, np.array(u, dtype=float), amps)
         return c
 
     def run(u0, maxfev):
@@ -189,7 +182,7 @@ def optimize(
     if best[0] >= CONVERGED_COST and budget - n_eval > 0:
         run(best[1], budget - n_eval)  # spend the reserve polishing the best
     params = tuple(float(v) for v in lo + best[1] * span)
-    return _result(params, best[0], v0, w, grid, n_eval, log=log)
+    return _result(params, best[0], best[2], n_eval, log=log)
 
 
 def refine_paper_point(
@@ -202,15 +195,12 @@ def refine_paper_point(
     Reports the cost at the published parameters and the polished result;
     budget 0 returns the initial point unchanged.
     """
-    if v0 <= 0:
-        raise ValueError(f"design velocity must be positive, got {v0}")
     if grid is None:
         grid = default_grid()
     target = DeviceTarget.named("half-demon")
-    initial_cost = cost(PAPER_POINT, target, v0, grid=grid)
+    initial_cost, amps = _evaluate(PAPER_POINT, target, v0, DEFAULT_WIDTH, grid)
     if budget <= 0:
-        return _result(PAPER_POINT, initial_cost, v0, DEFAULT_WIDTH, grid, 1,
-                       initial_cost=initial_cost)
+        return _result(PAPER_POINT, initial_cost, amps, 1, initial_cost=initial_cost)
     result = optimize(
         target,
         v0=v0,

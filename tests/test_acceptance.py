@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from demonscatter.channels import (
-    ChannelSet,
     SMatrix,
     extract_channel,
     haar_unitary,
@@ -33,7 +32,7 @@ from demonscatter.optimize import DeviceTarget, PAPER_POINT, optimize, refine_pa
 from demonscatter.symmetry import SymmetryClass, classify, transform, verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
-from test_local_solver import barrier_model, barrier_t2_exact
+from test_local_solver import barrier_model, barrier_t2_exact, random_hermitian_model
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 PAPER_DELTA = 91.211
@@ -142,27 +141,6 @@ def test_criterion_3_analytic_barrier_oracle():
 
 
 # ---------------------------------------------------------------- criterion 4
-
-
-def random_hermitian_model(rng, grid):
-    x = grid.points
-    env = np.exp(-((x / 0.6) ** 6))
-    env[np.abs(x) > 1.45] = 0.0
-    nch = int(rng.integers(2, 4))
-    V = np.zeros((grid.n, nch, nch), dtype=complex)
-    for a in range(nch):
-        for b in range(a, nch):
-            cx = rng.uniform(-0.5, 0.5)
-            w = rng.uniform(0.2, 0.5)
-            amp = rng.normal() * 5 + (1j * rng.normal() * 5 if b != a else 0)
-            bump = amp * np.exp(-(((x - cx) / w) ** 2)) * env
-            V[:, a, b] += bump
-            if b != a:
-                V[:, b, a] += np.conj(bump)
-    thresholds = tuple(sorted(rng.uniform(-5.0, 5.0, nch)))
-    return LocalPotentialModel(
-        grid=grid, channels=ChannelSet(thresholds=thresholds), V=V
-    )
 
 
 def test_criterion_4_unitarity():

@@ -19,7 +19,7 @@ from demonscatter.kernels import (
     regenerate_kernel,
 )
 from demonscatter.local_solver import build_two_level_model
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.units import RabiProfile, make_grid, rabi_eval
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
@@ -120,6 +120,39 @@ def test_feshbach_matches_closed_form():
         K = build_kernel(params, grid).K
         rel = np.max(np.abs(ref.K - K)) / np.max(np.abs(K))
         assert rel < 1e-8
+
+
+def test_kernels_match_elementwise_formula():
+    # criterion-2 draws (on a coarser grid): the Toeplitz phase equals
+    # e^{iq|x_i - x_j|} to rounding
+    rng = np.random.default_rng(5)
+    grid = make_grid(-1.5, 1.5, 1001)
+    x, E = grid.points, 32.0
+    for _ in range(20):
+        profile = RabiProfile(
+            b=rng.uniform(20.0, 180.0),
+            c=rng.uniform(20.0, 120.0),
+            x0=rng.uniform(0.0, 0.35),
+        )
+        delta = rng.uniform(10.0, 140.0)
+        q = compute_q(E, compute_mu(delta, 0.0, E)).q
+        green = np.exp(1j * q * np.abs(x[:, None] - x[None, :])) / (1j * q)
+        omega = rabi_eval(profile, -x)
+        model = build_two_level_model(profile, delta, grid=grid)
+        expected = {
+            "build_kernel": 0.25 * green * omega[:, None] * np.conj(omega)[None, :],
+            "feshbach_reference": (
+                model.V[:, 0, 1][:, None] * green * model.V[:, 1, 0][None, :]
+            ),
+        }
+        params = OpticalParameters(delta=delta, gamma=0.0, profile=profile, E=E)
+        got = {
+            "build_kernel": build_kernel(params, grid).K,
+            "feshbach_reference": feshbach_reference(model, E).K,
+        }
+        for name, K in got.items():
+            ref = expected[name]
+            assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_feshbach_zero_coupling():

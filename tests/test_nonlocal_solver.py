@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from demonscatter.channels import ChannelSet, extract_channel
 from demonscatter.errors import ModelError, ResolutionWarning
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
-from demonscatter.nonlocal_solver import NonlocalKernel, solve_nonlocal
+from demonscatter.nonlocal_solver import (
+    NonlocalKernel,
+    _green_weights,
+    _toeplitz_product,
+    solve_nonlocal,
+)
 from demonscatter.units import RabiProfile, make_grid
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
@@ -130,3 +136,11 @@ def test_wavenumber_must_be_positive():
     with pytest.raises(ValueError):
         solve_nonlocal(kernel, 0.0)
 
+
+@pytest.mark.parametrize("n", [61, 1201])
+def test_toeplitz_product_matches_dense(n):
+    rng = np.random.default_rng(n)
+    g = _green_weights(8.0, 3.0 / (n - 1), n)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ref = toeplitz(g, g) @ A
+    assert np.max(np.abs(_toeplitz_product(g, A) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
+from demonscatter.channels import extract_channel
+from demonscatter.demon import demon_parameter
+from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
     DeviceTarget,
@@ -8,7 +13,7 @@ from demonscatter.optimize import (
     optimize,
     refine_paper_point,
 )
-from demonscatter.units import make_grid
+from demonscatter.units import RabiProfile, make_grid
 
 COARSE = make_grid(-1.5, 1.5, 1001)
 
@@ -25,10 +30,6 @@ def test_target_validation():
 
 
 def test_cost_self_consistency():
-    from demonscatter.channels import extract_channel
-    from demonscatter.local_solver import build_two_level_model, solve_local
-    from demonscatter.units import RabiProfile
-
     params = (100.0, 80.0, 0.2, 50.0)
     model = build_two_level_model(
         RabiProfile(b=params[0], c=params[1], x0=params[2]), params[3],
@@ -124,3 +125,44 @@ def test_refine_off_design_velocity_costs_more():
     c8 = refine_paper_point(8.0, budget=0).initial_cost
     c4 = refine_paper_point(4.0, budget=0).initial_cost
     assert c4 > c8
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count solve_local calls made by the optimize module.
+
+    The package re-exports the function optimize under the submodule's
+    name, so the module itself is reachable only through sys.modules.
+    """
+    calls = []
+
+    def counting(model, E):
+        calls.append(E)
+        return solve_local(model, E)
+
+    monkeypatch.setattr(sys.modules["demonscatter.optimize"], "solve_local", counting)
+    return calls
+
+
+def _amplitudes_at(params, grid=None):
+    b, c, x0, delta = params
+    model = build_two_level_model(RabiProfile(b=b, c=c, x0=x0), delta, grid=grid)
+    return extract_channel(solve_local(model, 32.0).S, 0)
+
+
+def test_refine_zero_budget_solves_once(solve_calls):
+    r = refine_paper_point(8.0, budget=0)
+    assert len(solve_calls) == 1
+    amps = _amplitudes_at(PAPER_POINT)
+    assert r.probabilities == amps.probabilities
+    assert r.D == demon_parameter(amps)
+
+
+def test_optimize_solves_once_per_evaluation(solve_calls):
+    r = optimize(DeviceTarget.named("half-demon"), budget=150, restarts=1, grid=COARSE)
+    assert len(solve_calls) == r.evaluations
+    # the reported point is the best evaluated one, not a re-solve of it
+    amps = _amplitudes_at(r.parameters, COARSE)
+    assert r.probabilities == amps.probabilities
+    assert r.D == demon_parameter(amps)
+    assert r.cost == min(c for _, _, c in r.log)
