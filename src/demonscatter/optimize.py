@@ -5,6 +5,12 @@ probabilities (|T|^2, |R|^2, |Tt|^2, |Rt|^2) from a target device, at a
 single design velocity v0 with gamma = 0.  Nelder-Mead with seeded random
 restarts over a documented box; every evaluation builds the two-level
 model and solves it with the coupled-channel solver.
+
+The search runs on a design grid derived from the physics (`design_grid`):
+the caller's box, with only as many points as the shortest local wavelength
+over PARAM_BOX needs.  The search log holds design-grid costs.  The returned
+point is solved once more on the caller's grid, so a result's cost,
+probabilities, D and converged flag are those of the caller's grid.
 """
 
 from __future__ import annotations
@@ -18,10 +24,16 @@ from scipy.optimize import minimize
 from .channels import extract_channel
 from .demon import demon_parameter
 from .local_solver import build_two_level_model, solve_local
-from .units import DEFAULT_WIDTH, Grid, RabiProfile, default_grid, velocity_to_energy
+from .units import DEFAULT_WIDTH, Grid, RabiProfile, default_grid, make_grid, velocity_to_energy
 
 #: Search box for (b, c, x0, Delta); covers the reference optimum.
 PARAM_BOX = np.array([(0.0, 400.0), (0.0, 400.0), (0.0, 0.5), (0.0, 200.0)])
+
+#: Design-grid points per shortest local wavelength (see design_grid).  The
+#: probabilities at PAPER_POINT and at the 16 corners of PARAM_BOX then lie
+#: within 5e-7 of their n = 16001 values at v0 = 8, and within 1e-6 for v0
+#: from 4 to 16 and widths w down to 0.02.
+DESIGN_POINTS_PER_WAVELENGTH = 50
 
 #: Cost below which a run counts as converged.
 CONVERGED_COST = 1e-3
@@ -74,15 +86,41 @@ class OptimizationResult:
     evaluations: int
     converged: bool
     initial_cost: Optional[float] = None
-    log: list = field(default_factory=list, repr=False)
+    log: list = field(default_factory=list, repr=False)  # design-grid costs
 
 
-def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid):
-    """Cost at params and the channel-0 amplitudes it was computed from."""
+def _check_design(v0: float, w: float):
+    """Reject a non-positive design velocity or profile width."""
     if v0 <= 0:
         raise ValueError(f"design velocity must be positive, got {v0}")
     if w <= 0:
         raise ValueError(f"profile width must be positive, got {w}")
+
+
+def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:
+    """The grid one search runs on: grid's box, n set by the worst case of PARAM_BOX.
+
+    The shortest local wavelength belongs to the lower eigenvalue of
+    V + diag(0, -Delta), -(Delta + sqrt(Delta^2 + |Omega|^2))/2, and
+    |Omega|^2 <= b^2 + c^2, so over the box
+    k_max^2 = 2 E + Delta_max + sqrt(Delta_max^2 + b_max^2 + c_max^2).
+    The profile's power spectrum has rms wavenumber 1/w, so the grid gives
+    DESIGN_POINTS_PER_WAVELENGTH points to the wavelength of
+    hypot(k_max, 1/w).  n depends on v0 and w only, never on a candidate,
+    so the cost landscape does not jump with Delta.  A grid that is no
+    finer than that is returned itself.
+    """
+    _check_design(v0, w)
+    b, c, _x0, delta = PARAM_BOX[:, 1]
+    k_max = np.sqrt(v0 * v0 + delta + np.hypot(delta, np.hypot(b, c)))
+    h = 2.0 * np.pi / (DESIGN_POINTS_PER_WAVELENGTH * np.hypot(k_max, 1.0 / w))
+    n = int(np.ceil((grid.x_max - grid.x_min) / h)) + 1
+    return grid if n >= grid.n else make_grid(grid.x_min, grid.x_max, n)
+
+
+def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid):
+    """Cost at params and the channel-0 amplitudes it was computed from."""
+    _check_design(v0, w)
     b, c, x0, delta = (float(p) for p in params)
     profile = RabiProfile(b=b, c=c, x0=x0, w=w)
     model = build_two_level_model(profile, delta, grid=grid)
@@ -122,6 +160,12 @@ def optimize(
 ) -> OptimizationResult:
     """Nelder-Mead with random restarts over the parameter box.
 
+    The search runs on design_grid(grid, v0, w) and its log holds the
+    costs found there; the best point is then solved once more on `grid`
+    (default_grid() if None), which the result's cost, probabilities, D
+    and converged flag refer to.  A grid no finer than the design grid is
+    searched itself, with no extra solve.
+
     `init` may be an explicit (b, c, x0, Delta) start used for the first
     restart; remaining starts are drawn uniformly from PARAM_BOX with the
     seeded generator.  `budget` caps total cost evaluations across all
@@ -130,8 +174,8 @@ def optimize(
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
-    if grid is None:
-        grid = default_grid()
+    caller = grid if grid is not None else default_grid()
+    grid = design_grid(caller, v0, w)
     rng = np.random.default_rng(seed)
     lo, span = PARAM_BOX[:, 0], PARAM_BOX[:, 1] - PARAM_BOX[:, 0]
 
@@ -182,7 +226,10 @@ def optimize(
     if best[0] >= CONVERGED_COST and budget - n_eval > 0:
         run(best[1], budget - n_eval)  # spend the reserve polishing the best
     params = tuple(float(v) for v in lo + best[1] * span)
-    return _result(params, best[0], best[2], n_eval, log=log)
+    cost_, amps = best[0], best[2]
+    if grid is not caller:
+        cost_, amps = _evaluate(params, target, v0, w, caller)
+    return _result(params, cost_, amps, n_eval, log=log)
 
 
 def refine_paper_point(
@@ -192,8 +239,9 @@ def refine_paper_point(
 ) -> OptimizationResult:
     """Polish the published design point against the half-demon target.
 
-    Reports the cost at the published parameters and the polished result;
-    budget 0 returns the initial point unchanged.
+    Reports the cost at the published parameters on `grid` and the result
+    of optimize (searched on the design grid, reported on `grid`); budget 0
+    returns the initial point unchanged.
     """
     if grid is None:
         grid = default_grid()

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -8,14 +9,20 @@ from demonscatter.demon import demon_parameter
 from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
+    PARAM_BOX,
     DeviceTarget,
     cost,
+    design_grid,
     optimize,
     refine_paper_point,
 )
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.units import RabiProfile, default_grid, make_grid
 
 COARSE = make_grid(-1.5, 1.5, 1001)
+
+#: Largest gap of any probability between the design grid and the default
+#: grid that the design-grid rule allows at v0 = 8.
+DESIGN_GRID_ERROR = 1e-6
 
 
 def test_target_validation():
@@ -158,11 +165,58 @@ def test_refine_zero_budget_solves_once(solve_calls):
     assert r.D == demon_parameter(amps)
 
 
-def test_optimize_solves_once_per_evaluation(solve_calls):
-    r = optimize(DeviceTarget.named("half-demon"), budget=150, restarts=1, grid=COARSE)
-    assert len(solve_calls) == r.evaluations
-    # the reported point is the best evaluated one, not a re-solve of it
+def test_optimize_reports_on_callers_grid(solve_calls):
+    target = DeviceTarget.named("half-demon")
+    r = optimize(target, budget=150, restarts=1, grid=COARSE)
+    assert design_grid(COARSE, 8.0).n < COARSE.n
+    # every evaluation solves on the design grid, then the result once on COARSE
+    assert len(solve_calls) == r.evaluations + 1
     amps = _amplitudes_at(r.parameters, COARSE)
     assert r.probabilities == amps.probabilities
     assert r.D == demon_parameter(amps)
+    deviations = [a - t for a, t in zip(amps.probabilities, target.probabilities)]
+    assert r.cost == pytest.approx(sum(d * d for d in deviations), rel=1e-12)
+    # the log holds design-grid costs: within the design grid's error of cost
+    slack = sum(2 * abs(d) * DESIGN_GRID_ERROR + DESIGN_GRID_ERROR**2
+                for d in deviations)
+    assert abs(min(c for _, _, c in r.log) - r.cost) <= slack
+
+
+def test_optimize_solves_once_per_evaluation(solve_calls):
+    """On a grid no finer than the design grid the search runs on it."""
+    grid = make_grid(-1.5, 1.5, 401)
+    assert design_grid(grid, 8.0) is grid
+    r = optimize(DeviceTarget.named("half-demon"), budget=150, restarts=1, grid=grid)
+    assert len(solve_calls) == r.evaluations
+    # the reported point is the best evaluated one, not a re-solve of it
+    amps = _amplitudes_at(r.parameters, grid)
+    assert r.probabilities == amps.probabilities
+    assert r.D == demon_parameter(amps)
     assert r.cost == min(c for _, _, c in r.log)
+
+
+def test_design_grid_keeps_box_and_grows_with_velocity_and_narrow_width():
+    for grid in (default_grid(), COARSE, make_grid(-3.0, 2.0, 4001),
+                 make_grid(-1.5, 1.5, 201)):
+        d = design_grid(grid, 8.0)
+        assert d.n <= grid.n
+        assert (d.x_min, d.x_max) == (grid.x_min, grid.x_max)
+    fine = make_grid(-1.5, 1.5, 100001)
+    by_v0 = [design_grid(fine, v0).n for v0 in (0.5, 1, 2, 4, 8, 16, 32, 64)]
+    assert by_v0 == sorted(by_v0)
+    by_w = [design_grid(fine, 8.0, w).n for w in (0.4, 0.2, 0.1, 0.05, 0.02)]
+    assert by_w == sorted(by_w)
+    assert design_grid(default_grid(), 8.0).n < default_grid().n
+    with pytest.raises(ValueError):
+        design_grid(default_grid(), 0.0)
+    with pytest.raises(ValueError):
+        design_grid(default_grid(), 8.0, w=0.0)
+
+
+def test_design_grid_error_over_param_box():
+    grid = default_grid()
+    coarse = design_grid(grid, 8.0)
+    for params in [PAPER_POINT, *itertools.product(*PARAM_BOX)]:
+        gap = np.subtract(_amplitudes_at(params, coarse).probabilities,
+                          _amplitudes_at(params, grid).probabilities)
+        assert np.max(np.abs(gap)) <= DESIGN_GRID_ERROR, params
