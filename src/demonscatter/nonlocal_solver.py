@@ -50,6 +50,8 @@ class NonlocalKernel:
             raise ModelError(f"kernel must be {n}x{n}, got {K.shape}")
         self.K = K
         kmax = np.max(np.abs(K))
+        if not np.isfinite(kmax):
+            raise ModelError("kernel samples must be finite")
         if kmax > 0:
             edge = max(
                 np.max(np.abs(K[0, :])),

@@ -5,6 +5,14 @@ transposition (x <-> y), argument flip (x -> -x) and complex conjugation.
 Any class other than the trivial one forces relations among the four
 scattering amplitudes; in particular Hermiticity or parity forces D = 0, so
 a device with D != 0 can satisfy no symmetry but the trivial one.
+
+The residuals max |K - gK| of all classes, and the kernel max-norm, come from
+one pass over slabs of SLAB rows of K.  Each transform g is an involution: an
+index permutation plus an exact conjugation.  Float subtraction is exactly
+antisymmetric, so |K - gK| is equal at an index p and at its image g(p), and
+the pass reduces each class over one representative of every orbit of g's
+index map only.  Its maxima are bit-identical to max |K - transform(K, g)|,
+and no temporary is larger than SLAB x n.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ REL_TOL = 1e-8
 
 #: Tolerance for amplitude relations checked against solver output.
 RELATION_TOL = 1e-4
+
+#: Rows of K per slab of the residual pass.
+SLAB = 16
 
 
 class SymmetryClass(Enum):
@@ -60,6 +71,55 @@ def transform(K: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     return M
 
 
+def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int):
+    """Orbit representatives in rows a:b of K, and their images.
+
+    Returns (P, Q): P is the part of rows a:b that holds one representative
+    of every orbit of the index map (flip, transpose) that meets those rows,
+    and Q is K at the images of those indices, as a contiguous copy.
+    Returns None when no row of the slab holds a representative.
+    """
+    n = len(K)
+    rows = K[a:b]
+    if flip and transpose:  # (i, j) -> (n-1-j, n-1-i): take i + j <= n - 1
+        P, Q = rows[:, : n - a], K[a:, n - b : n - a][::-1, ::-1].T
+    elif transpose:  # (i, j) -> (j, i): take i <= j
+        P, Q = rows[:, a:], K[a:, a:b].T
+    elif flip:  # (i, j) -> (n-1-i, n-1-j): take i <= (n - 1) / 2
+        if 2 * a > n - 1:
+            return None
+        P, Q = rows, K[n - b : n - a][::-1, ::-1]
+    else:  # the identity: every index is its own orbit
+        P, Q = rows, rows
+    return P, np.ascontiguousarray(Q)
+
+
+def _blocked_maxima(K: np.ndarray, classes, norm: bool):
+    """max |K| (0.0 unless norm) and max |K - transform(K, cls)| per class.
+
+    One pass over slabs of SLAB rows; classes that share an index map share
+    its slab pair.  The kernel must be finite, because a NaN would lose
+    every comparison of the running maximum.
+    """
+    by_map = {}
+    for cls in classes:
+        by_map.setdefault(cls.value[:2], []).append(cls)
+    kmax, found = 0.0, dict.fromkeys(classes, 0.0)
+    for a in range(0, len(K), SLAB):
+        b = min(a + SLAB, len(K))
+        if norm:
+            kmax = max(kmax, float(np.max(np.abs(K[a:b]))))
+        for (flip, transpose), group in by_map.items():
+            pair = _representatives(K, flip, transpose, a, b)
+            if pair is None:
+                continue
+            P, Q = pair
+            for cls in group:
+                d = P - np.conj(Q) if cls.value[2] else P - Q
+                found[cls] = max(found[cls], float(np.max(np.abs(d))))
+    return kmax, found
+
+
 def residual(kernel: NonlocalKernel, cls: SymmetryClass) -> float:
     """Max-norm of K minus its transformed image; 0 means the symmetry holds."""
     if cls.involves_parity and not kernel.grid.symmetric:
@@ -69,7 +129,7 @@ def residual(kernel: NonlocalKernel, cls: SymmetryClass) -> float:
         )
     if cls is SymmetryClass.Trivial:
         return 0.0
-    return float(np.max(np.abs(kernel.K - transform(kernel.K, cls))))
+    return _blocked_maxima(kernel.K, [cls], norm=False)[1][cls]
 
 
 def predicted_relations(classes) -> set:
@@ -126,16 +186,17 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
     """
     if not 0.0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-    kmax = float(np.max(np.abs(kernel.K)))
+    classes = [
+        cls
+        for cls in SymmetryClass
+        if cls is not SymmetryClass.Trivial
+        and (kernel.grid.symmetric or not cls.involves_parity)
+    ]
+    kmax, found = _blocked_maxima(kernel.K, classes, norm=True)
     tol = rel_tol * kmax if kmax > 0 else rel_tol
     residuals, verdicts = {}, {}
     for cls in SymmetryClass:
-        try:
-            r = residual(kernel, cls)
-        except AsymmetricGridError:
-            residuals[cls.name] = float("nan")
-            verdicts[cls.name] = False
-            continue
+        r = 0.0 if cls is SymmetryClass.Trivial else found.get(cls, float("nan"))
         residuals[cls.name] = r
         verdicts[cls.name] = r <= tol
     report = SymmetryReport(residuals=residuals, verdicts=verdicts, tol=tol)

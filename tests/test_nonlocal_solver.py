@@ -124,6 +124,15 @@ def test_kernel_edge_decay_validation():
         NonlocalKernel(grid=grid, K=np.ones((101, 101)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_kernel_rejected(bad):
+    grid = make_grid(-1.5, 1.5, 101)
+    K = np.zeros((101, 101), dtype=complex)
+    K[50, 40] = bad
+    with pytest.raises(ModelError, match="finite"):
+        NonlocalKernel(grid=grid, K=K)
+
+
 def test_resolution_warning():
     grid = make_grid(-1.5, 1.5, 101)
     with pytest.warns(ResolutionWarning):

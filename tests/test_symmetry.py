@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demonscatter import symmetry
 from demonscatter.errors import AsymmetricGridError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
 from demonscatter.symmetry import (
+    REL_TOL,
+    SLAB,
     SymmetryClass,
     classify,
     predicted_relations,
@@ -164,3 +171,125 @@ def test_verify_predictions_paper_kernel():
     t2, r2, tt2, rt2 = rep.amplitudes.probabilities
     D = 0.5 * (t2 - r2 + rt2 - tt2)
     assert D == pytest.approx(0.5, abs=0.02)
+
+
+# ------------------------------------------------- blocked residual pass
+
+
+def reference_residual(K, cls):
+    """The unblocked formula: max |K - gK| over every entry."""
+    return float(np.max(np.abs(K - transform(K, cls))))
+
+
+def random_bordered(n, rng):
+    """Random complex kernel with a zero border, so NonlocalKernel takes it."""
+    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    K[[0, -1], :] = 0.0
+    K[:, [0, -1]] = 0.0
+    return K
+
+
+def paper_kernel(n):
+    params = OpticalParameters(
+        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+    )
+    return build_kernel(params, make_grid(-1.5, 1.5, n))
+
+
+def assert_matches_reference(kernel):
+    """classify and residual equal the unblocked formula bit for bit."""
+    report = classify(kernel)
+    assert report.tol == REL_TOL * float(np.max(np.abs(kernel.K)))
+    for cls in SymmetryClass:
+        ref = reference_residual(kernel.K, cls)
+        assert report.residuals[cls.name] == ref, cls
+        assert residual(kernel, cls) == ref, cls
+        assert report.verdicts[cls.name] == (ref <= report.tol), cls
+
+
+@pytest.mark.parametrize("n", [3, 4, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB + 1, 1201])
+def test_blocked_residuals_match_reference(n):
+    grid = make_grid(-1.5, 1.5, n)
+    K = random_bordered(n, np.random.default_rng(n))
+    assert_matches_reference(NonlocalKernel(grid=grid, K=K))
+
+
+@pytest.mark.parametrize("slab", [1, 3, 64])
+@pytest.mark.parametrize("n", [5, 6, 7, 64, 65])
+def test_blocked_residuals_match_reference_at_other_slab_sizes(
+    monkeypatch, slab, n
+):
+    monkeypatch.setattr(symmetry, "SLAB", slab)
+    grid = make_grid(-1.5, 1.5, n)
+    K = random_bordered(n, np.random.default_rng(100 + n))
+    assert_matches_reference(NonlocalKernel(grid=grid, K=K))
+
+
+def test_blocked_residuals_match_reference_on_symmetrized_kernels():
+    for cls in SymmetryClass:
+        assert_matches_reference(
+            NonlocalKernel(grid=GRID, K=symmetrized(BASE, cls))
+        )
+
+
+def test_blocked_residuals_match_reference_paper_kernel():
+    assert_matches_reference(paper_kernel(2001))
+
+
+def test_blocked_residuals_match_reference_asymmetric_grid():
+    grid = make_grid(-1.0, 2.0, 2 * SLAB + 1)
+    kernel = NonlocalKernel(grid=grid, K=random_bordered(grid.n, RNG))
+    report = classify(kernel)
+    for cls in SymmetryClass:
+        if cls.involves_parity:
+            assert np.isnan(report.residuals[cls.name])
+            assert report.verdicts[cls.name] is False
+        else:
+            ref = reference_residual(kernel.K, cls)
+            assert report.residuals[cls.name] == ref
+            assert residual(kernel, cls) == ref
+
+
+@pytest.mark.parametrize("slab", [1, 2, 3, SLAB])
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_pass_reduces_every_orbit(monkeypatch, slab, n):
+    # a g-symmetric kernel with one entry changed differs from its image
+    # only on that entry's orbit, so a pass that skips an orbit misses it
+    monkeypatch.setattr(symmetry, "SLAB", slab)
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for cls in SymmetryClass:
+        S = symmetrized(A, cls)
+        for i in range(n):
+            for j in range(n):
+                K = S.copy()
+                K[i, j] += 1.0 + 1.0j
+                kmax, found = symmetry._blocked_maxima(K, [cls], norm=True)
+                assert kmax == np.max(np.abs(K))
+                assert found[cls] == reference_residual(K, cls), (cls, i, j)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 2 * SLAB + 2),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]),
+    symmetrize=st.sampled_from(list(SymmetryClass)),
+)
+def test_blocked_residuals_match_reference_property(n, seed, scale, symmetrize):
+    K = scale * random_bordered(n, np.random.default_rng(seed))
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=symmetrized(K, symmetrize))
+    assert_matches_reference(kernel)
+
+
+def test_classify_makes_no_full_size_temporary():
+    # one complex n x n array is 64 MB at n = 2001; the blocked pass holds
+    # only slabs of SLAB rows
+    kernel = paper_kernel(2001)
+    tracemalloc.start()
+    try:
+        classify(kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"classify peak {peak / 1e6:.1f} MB"
