@@ -7,13 +7,21 @@ integration of e^{ik|s|} against piecewise-linear hats); the smooth kernel
 integral uses trapezoidal weights.  One dense LU factorization serves both
 incidence directions; right incidence is a mirrored incident wave, not a
 kernel transposition.
+
+The system is built and solved on the kernel's support only: the node
+interval [lo, hi) outside which every row and column of K is at most
+SUPPORT_REL times its max-norm.  With those entries set to zero the full
+system is block-triangular, and the unknowns outside the support feed
+neither V psi nor the amplitudes, so the m x m solve (m = hi - lo) is the
+full solve of that kernel, not an approximation.  A kernel whose support is
+the whole grid runs the full n x n solve.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -29,6 +37,14 @@ MIN_POINTS_PER_WAVELENGTH = 20
 #: Relative magnitude allowed for the kernel at the grid ends.
 END_DECAY_REL = 1e-12
 
+#: Relative magnitude below which a row or column of K lies off the
+#: kernel's support: float64 rounding of the largest entry, so dropping it
+#: is within the dense LU's own backward error.
+SUPPORT_REL = np.finfo(float).eps
+
+#: Rows of K per slab of the max-modulus pass.
+SLAB = 16
+
 
 @dataclass
 class NonlocalKernel:
@@ -42,6 +58,8 @@ class NonlocalKernel:
     grid: Grid
     K: np.ndarray
     descriptor: Optional[object] = field(default=None, repr=False)
+    #: Node interval (lo, hi) of the kernel's support, derived from K.
+    support: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=complex)
@@ -49,21 +67,26 @@ class NonlocalKernel:
         if K.shape != (n, n):
             raise ModelError(f"kernel must be {n}x{n}, got {K.shape}")
         self.K = K
-        kmax = np.max(np.abs(K))
-        if not np.isfinite(kmax):
+        # row and column max-moduli, SLAB rows at a time: no n x n temporary
+        row_max, col_max = np.empty(n), np.zeros(n)
+        for a in range(0, n, SLAB):
+            slab = np.abs(K[a:a + SLAB])
+            row_max[a:a + SLAB] = np.max(slab, axis=1)
+            np.maximum(col_max, np.max(slab, axis=0), out=col_max)
+        if not np.all(np.isfinite(row_max)):  # np.max propagates NaN
             raise ModelError("kernel samples must be finite")
+        kmax = np.max(row_max)
         if kmax > 0:
-            edge = max(
-                np.max(np.abs(K[0, :])),
-                np.max(np.abs(K[-1, :])),
-                np.max(np.abs(K[:, 0])),
-                np.max(np.abs(K[:, -1])),
-            )
+            edge = max(row_max[0], row_max[-1], col_max[0], col_max[-1])
             if edge > END_DECAY_REL * kmax:
                 raise ModelError(
                     f"kernel not negligible at grid ends "
                     f"(edge/max = {edge / kmax:.3e})"
                 )
+        # the hull of the row and column supports; a zero kernel keeps one
+        # node, so its solve still runs
+        nodes = np.flatnonzero(np.maximum(row_max, col_max) > SUPPORT_REL * kmax)
+        self.support = (int(nodes[0]), int(nodes[-1]) + 1) if len(nodes) else (0, 1)
 
 
 def _green_weights(k: float, h: float, n: int) -> np.ndarray:
@@ -108,10 +131,10 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
     """Flux-normalized amplitudes T, R, Tt, Rt at wavenumber k > 0."""
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got k={k}")
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"wavenumber must be positive and finite, got k={k}")
     grid = kernel.grid
-    n, h, x = grid.n, grid.spacing, grid.points
+    h = grid.spacing
     ppw = (2.0 * np.pi / k) / h
     if ppw < MIN_POINTS_PER_WAVELENGTH:
         warnings.warn(
@@ -120,16 +143,18 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
             ResolutionWarning,
         )
 
-    wy = _trapezoid_weights(n, h)
-    action = 2.0 * kernel.K * wy[None, :]          # psi -> 2 (V psi) samples
+    lo, hi = kernel.support
+    m, x = hi - lo, grid.points[lo:hi]
+    wy = _trapezoid_weights(grid.n, h)[lo:hi]
+    action = 2.0 * kernel.K[lo:hi, lo:hi] * wy[None, :]  # psi -> 2 (V psi)
     # M = I - G @ action, G the symmetric (not Hermitian) Toeplitz matrix
     # of the Green's function weights
-    M = _toeplitz_product(_green_weights(k, h, n), action)
+    M = _toeplitz_product(_green_weights(k, h, m), action)
     M *= -1.0
-    M.flat[::n + 1] += 1.0
+    M.flat[::m + 1] += 1.0
 
     sqrt_k = np.sqrt(k)
-    phi = np.empty((n, 2), dtype=complex)
+    phi = np.empty((m, 2), dtype=complex)
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
     try:

@@ -1,18 +1,27 @@
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from demonscatter.channels import ChannelSet, extract_channel
 from demonscatter.errors import ModelError, ResolutionWarning
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
 from demonscatter.nonlocal_solver import (
+    SUPPORT_REL,
     NonlocalKernel,
     _green_weights,
     _toeplitz_product,
+    _trapezoid_weights,
     solve_nonlocal,
 )
+from demonscatter.symmetry import SymmetryClass
 from demonscatter.units import RabiProfile, make_grid
+
+from test_symmetry import random_smooth, symmetrized
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
@@ -34,7 +43,9 @@ def gaussian_kernel(grid, amp, cx, cy, w):
 
 def test_zero_kernel_free():
     grid = make_grid(-1.5, 1.5, 401)
-    a = solve_nonlocal(NonlocalKernel(grid=grid, K=np.zeros((401, 401))), 5.0)
+    kernel = NonlocalKernel(grid=grid, K=np.zeros((401, 401)))
+    assert kernel.support == (0, 1)  # one node kept, so the solve still runs
+    a = solve_nonlocal(kernel, 5.0)
     assert a.T == 1.0 and a.Tt == 1.0
     assert a.R == 0.0 and a.Rt == 0.0
 
@@ -153,3 +164,186 @@ def test_toeplitz_product_matches_dense(n):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     ref = toeplitz(g, g) @ A
     assert np.max(np.abs(_toeplitz_product(g, A) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ------------------------------------------- solve on the kernel's support
+
+
+def full_grid_solve(kernel, k):
+    """The n x n Nystroem solve on the whole grid: the oracle for the solve
+    on the kernel's support."""
+    grid = kernel.grid
+    n, h, x = grid.n, grid.spacing, grid.points
+    wy = _trapezoid_weights(n, h)
+    action = 2.0 * kernel.K * wy[None, :]
+    M = _toeplitz_product(_green_weights(k, h, n), action)
+    M *= -1.0
+    M.flat[::n + 1] += 1.0
+    sqrt_k = np.sqrt(k)
+    phi = np.empty((n, 2), dtype=complex)
+    phi[:, 0] = np.exp(1j * k * x) / sqrt_k
+    phi[:, 1] = np.exp(-1j * k * x) / sqrt_k
+    psi = lu_solve(lu_factor(M, overwrite_a=True), phi)
+    v_psi = (action @ psi) / 2.0
+    e_minus = wy * np.exp(-1j * k * x)
+    e_plus = wy * np.exp(1j * k * x)
+    pref = sqrt_k / (1j * k)
+    return (
+        1.0 + pref * np.sum(e_minus * v_psi[:, 0]),
+        pref * np.sum(e_plus * v_psi[:, 0]),
+        1.0 + pref * np.sum(e_plus * v_psi[:, 1]),
+        pref * np.sum(e_minus * v_psi[:, 1]),
+    )
+
+
+def amplitude_gap(kernel, k):
+    a = solve_nonlocal(kernel, k)
+    ref = full_grid_solve(kernel, k)
+    return max(abs(x - y) for x, y in zip((a.T, a.R, a.Tt, a.Rt), ref))
+
+
+def criterion_2_kernels(count, grid):
+    """The first draws of the criterion-2 cross-check (same rng, same order)."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        profile = RabiProfile(
+            b=rng.uniform(20.0, 180.0),
+            c=rng.uniform(20.0, 120.0),
+            x0=rng.uniform(0.0, 0.35),
+        )
+        delta = rng.uniform(10.0, 140.0)
+        yield build_kernel(
+            OpticalParameters(delta=delta, gamma=0.0, profile=profile, E=32.0),
+            grid,
+        )
+
+
+def window(x, a, b):
+    """Smooth bump that is exactly zero outside [a, b]."""
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    s = np.clip((x - c) / r, -1.0, 1.0)
+    return np.where(np.abs(s) < 1.0, np.cos(0.5 * np.pi * s) ** 4, 0.0)
+
+
+def two_lobe_kernel(grid):
+    """Two lobes coupled across an exactly zero gap |x| < 0.2."""
+    x = grid.points
+    u, v = window(x, -1.1, -0.2), window(x, 0.2, 0.9)
+    return (
+        (3.0 + 1.0j) * np.outer(u, u)
+        + (1.0 - 2.0j) * np.outer(v, v)
+        + 1.5j * np.outer(u, v)
+    )
+
+
+def rank_one_kernel(grid):
+    """u v^T whose row support [-1.1, 0.3] and column support [-0.4, 1.2]
+    differ; the solve's support is their hull."""
+    x = grid.points
+    u = window(x, -1.1, 0.3) * np.exp(2.0j * x)
+    v = window(x, -0.4, 1.2) * (2.0 - x)
+    return np.outer(u, v)
+
+
+def test_whole_grid_support_is_bit_identical_to_full_solve():
+    # end rows at 1e-13 kmax pass the 1e-12 edge rule but exceed eps kmax,
+    # so the support is the whole grid and the solve is the n x n one
+    n = 601
+    grid = make_grid(-1.5, 1.5, n)
+    K = gaussian_kernel(grid, 3.0 + 2.0j, 0.2, -0.1, 0.3)
+    kmax = np.max(np.abs(K))
+    K[0, :] = K[-1, :] = 1e-13 * kmax
+    kernel = NonlocalKernel(grid=grid, K=K)
+    assert kernel.support == (0, n)
+    a = solve_nonlocal(kernel, 6.0)
+    assert (a.T, a.R, a.Tt, a.Rt) == full_grid_solve(kernel, 6.0)
+
+
+def test_support_solve_matches_full_solve_on_criterion_2_draws():
+    grid = make_grid(-1.5, 1.5, 2001)
+    for kernel in criterion_2_kernels(4, grid):
+        assert kernel.support[1] - kernel.support[0] < grid.n
+        assert amplitude_gap(kernel, 8.0) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_support_solve_matches_full_solve_on_paper_kernel(gamma):
+    grid = make_grid(-1.5, 1.5, 2001)
+    params = OpticalParameters(
+        delta=91.211, gamma=gamma, profile=PAPER_PROFILE, E=32.0
+    )
+    assert amplitude_gap(build_kernel(params, grid), 8.0) <= 1e-14
+
+
+def test_support_solve_matches_full_solve_on_symmetrized_kernels():
+    grid = make_grid(-1.5, 1.5, 601)
+    base = random_smooth(grid, np.random.default_rng(7))
+    for cls in SymmetryClass:
+        if cls is SymmetryClass.Trivial:
+            continue
+        kernel = NonlocalKernel(grid=grid, K=symmetrized(base, cls))
+        assert kernel.support[1] - kernel.support[0] < grid.n
+        assert amplitude_gap(kernel, 6.0) <= 1e-14
+
+
+@pytest.mark.parametrize("make", [two_lobe_kernel, rank_one_kernel])
+def test_support_solve_matches_full_solve_on_split_supports(make):
+    grid = make_grid(-1.5, 1.5, 601)
+    assert amplitude_gap(NonlocalKernel(grid=grid, K=make(grid)), 6.0) <= 1e-14
+
+
+def test_support_is_hull_of_row_and_column_supports():
+    grid = make_grid(-1.5, 1.5, 601)
+    x = grid.points
+    K = rank_one_kernel(grid)
+    kernel = NonlocalKernel(grid=grid, K=K)
+    lo, hi = kernel.support
+    # row support from the u window, column support from the v window
+    assert (x[lo], x[hi - 1]) == (x[x > -1.1][0], x[x < 1.2][-1])
+    A = np.abs(K)
+    cut = SUPPORT_REL * np.max(A)
+    node_max = np.maximum(A.max(axis=1), A.max(axis=0))
+    assert np.all(node_max[:lo] <= cut) and np.all(node_max[hi:] <= cut)
+    assert node_max[lo] > cut and node_max[hi - 1] > cut
+
+
+def test_paper_kernel_factors_only_its_support(monkeypatch):
+    module = sys.modules["demonscatter.nonlocal_solver"]
+    shapes = []
+
+    def recording(a, **kwargs):
+        shapes.append(a.shape)
+        return lu_factor(a, **kwargs)
+
+    monkeypatch.setattr(module, "lu_factor", recording)
+    grid = make_grid(-1.5, 1.5, 2001)
+    params = OpticalParameters(
+        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+    )
+    solve_nonlocal(build_kernel(params, grid), 8.0)
+    assert shapes == [(1348, 1348)]
+
+
+def test_kernel_construction_makes_no_n_by_n_temporary():
+    grid = make_grid(-1.5, 1.5, 2001)
+    params = OpticalParameters(
+        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+    )
+    K = build_kernel(params, grid).K
+    tracemalloc.start()
+    try:
+        NonlocalKernel(grid=grid, K=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6  # one complex n x n array is 64 MB at n = 2001
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_wavenumber_must_be_finite(k):
+    grid = make_grid(-1.5, 1.5, 101)
+    kernel = NonlocalKernel(grid=grid, K=np.zeros((101, 101)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            solve_nonlocal(kernel, k)
