@@ -29,7 +29,6 @@ from .demon import (
     sweep_demon,
 )
 from .kernels import (
-    BranchedWavenumber,
     OpticalParameters,
     build_kernel,
     compute_mu,

@@ -156,7 +156,7 @@ def cmd_kernel(cfg: dict) -> int:
     serialize.write_kernel_csv(
         cfg.get("out", "kernel.csv"), kernel, polar=not cfg.get("cartesian", False)
     )
-    print(f"E={E} max|K|={float(np.max(np.abs(kernel.K))):.6g}")
+    print(f"E={E} max|K|={kernel.kmax:.6g}")
     return EXIT_OK
 
 
@@ -215,12 +215,13 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_optimize(cfg: dict) -> int:
     if "probabilities" in cfg:
-        target = DeviceTarget(
-            probabilities=tuple(cfg["probabilities"]),
-            weights=tuple(cfg.get("weights", (1.0, 1.0, 1.0, 1.0))),
-        )
+        probabilities = cfg["probabilities"]
     else:
-        target = DeviceTarget.named(cfg.get("target", "half-demon"))
+        probabilities = DeviceTarget.named(cfg.get("target", "half-demon")).probabilities
+    target = DeviceTarget(
+        probabilities=tuple(probabilities),
+        weights=tuple(cfg.get("weights", (1.0, 1.0, 1.0, 1.0))),
+    )
     result = optimize(
         target,
         v0=float(cfg.get("v0", 8.0)),

@@ -55,7 +55,6 @@ class BoundaryClassification:
     """Which D = +-1/2 boundary (if any) the amplitudes sit on."""
 
     boundary: Optional[str]        # "+1/2", "-1/2" or None
-    structure_ok: bool
     details: dict
 
 
@@ -65,50 +64,36 @@ def classify_boundary(
     """Check the necessary structure at the D = +-1/2 boundaries.
 
     At D = +1/2 unitarity forces |Tt| = |R| = 0 and |T|^2 + |Rt|^2 = 1;
-    at D = -1/2 the mirrored statement.  Amplitudes at a boundary without
-    that structure cannot come from a unitary S-matrix and raise
-    InconsistentBoundaryError.
+    at D = -1/2 the mirrored statement, with the incidence sides swapped.
+    Amplitudes at a boundary without that structure cannot come from a
+    unitary S-matrix and raise InconsistentBoundaryError.
     """
     D = demon_parameter(a)
-    t2, r2, tt2, rt2 = a.probabilities
     if D > 0.5 + tol or D < -0.5 - tol:
         raise InconsistentBoundaryError(
             f"D = {D:.6f} outside [-1/2, 1/2]: not from a unitary S-matrix"
         )
+    # the boundary, the two amplitudes that must vanish there and the two
+    # whose squares must sum to 1
     if abs(D - 0.5) <= tol:
-        details = {
-            "|Tt|": abs(a.Tt),
-            "|R|": abs(a.R),
-            "sum_defect": abs(t2 + rt2 - 1.0),
-        }
-        ok = abs(a.Tt) <= np.sqrt(tol) and abs(a.R) <= np.sqrt(tol) and \
-            details["sum_defect"] <= tol
-        if not ok:
-            # near the boundary but structurally distinguishable: possible
-            # for a unitary S-matrix (then simply not on the boundary),
-            # impossible otherwise
-            if check_bounds(a, tol)[1]:
-                raise InconsistentBoundaryError(
-                    f"D = +1/2 but boundary structure violated: {details}"
-                )
-            return BoundaryClassification(None, True, details)
-        return BoundaryClassification("+1/2", True, details)
-    if abs(D + 0.5) <= tol:
-        details = {
-            "|T|": abs(a.T),
-            "|Rt|": abs(a.Rt),
-            "sum_defect": abs(tt2 + r2 - 1.0),
-        }
-        ok = abs(a.T) <= np.sqrt(tol) and abs(a.Rt) <= np.sqrt(tol) and \
-            details["sum_defect"] <= tol
-        if not ok:
-            if check_bounds(a, tol)[1]:
-                raise InconsistentBoundaryError(
-                    f"D = -1/2 but boundary structure violated: {details}"
-                )
-            return BoundaryClassification(None, True, details)
-        return BoundaryClassification("-1/2", True, details)
-    return BoundaryClassification(None, True, {})
+        side, zero, full = "+1/2", ("Tt", "R"), ("T", "Rt")
+    elif abs(D + 0.5) <= tol:
+        side, zero, full = "-1/2", ("T", "Rt"), ("Tt", "R")
+    else:
+        return BoundaryClassification(None, {})
+    details = {f"|{name}|": abs(getattr(a, name)) for name in zero}
+    details["sum_defect"] = abs(sum(abs(getattr(a, name)) ** 2 for name in full) - 1.0)
+    ok = all(details[f"|{name}|"] <= np.sqrt(tol) for name in zero) and \
+        details["sum_defect"] <= tol
+    if ok:
+        return BoundaryClassification(side, details)
+    # near the boundary but structurally distinguishable: possible for a
+    # unitary S-matrix (then simply not on the boundary), impossible otherwise
+    if check_bounds(a, tol)[1]:
+        raise InconsistentBoundaryError(
+            f"D = {side} but boundary structure violated: {details}"
+        )
+    return BoundaryClassification(None, details)
 
 
 def _side_code(p_t: float, p_r: float, tol: float) -> str:

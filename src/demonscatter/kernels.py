@@ -48,14 +48,6 @@ class OpticalParameters:
             raise NonPositiveEnergyError(f"energy must be > 0, got E={self.E}")
 
 
-@dataclass(frozen=True)
-class BranchedWavenumber:
-    """Effective wavenumber q with its dimensionless shift mu, Im q >= 0."""
-
-    q: complex
-    mu: complex
-
-
 def compute_mu(delta: float, gamma: float, E: float) -> complex:
     """mu = (2 delta + i gamma) / (2 E) in reduced units."""
     if E <= 0:
@@ -63,12 +55,11 @@ def compute_mu(delta: float, gamma: float, E: float) -> complex:
     return (2.0 * delta + 1j * gamma) / (2.0 * E)
 
 
-def compute_q(E: float, mu: complex) -> BranchedWavenumber:
+def compute_q(E: float, mu: complex) -> complex:
     """q = sqrt(2E) (1 + mu)^{1/2} on the branch with Im q >= 0."""
     if E <= 0:
         raise NonPositiveEnergyError(f"energy must be > 0, got E={E}")
-    q = complex(branch_sqrt(2.0 * E * (1.0 + complex(mu))))
-    return BranchedWavenumber(q=q, mu=complex(mu))
+    return complex(branch_sqrt(2.0 * E * (1.0 + complex(mu))))
 
 
 def _green_phase(grid: Grid, q: complex) -> np.ndarray:
@@ -83,15 +74,15 @@ def _green_phase(grid: Grid, q: complex) -> np.ndarray:
 
 def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
     """Closed-form effective kernel of the design on the given grid."""
-    bw = compute_q(params.E, compute_mu(params.delta, params.gamma, params.E))
-    if bw.q == 0:
+    q = compute_q(params.E, compute_mu(params.delta, params.gamma, params.E))
+    if q == 0:
         raise ThresholdSingularityError(
             "effective wavenumber q = 0: kernel singular at threshold"
         )
     # same incidence-axis orientation as the two-channel model builder
     omega = rabi_eval(params.profile, -grid.points)
-    K = _green_phase(grid, bw.q)
-    K *= 0.25 / (1j * bw.q) * omega[:, None]
+    K = _green_phase(grid, q)
+    K *= 0.25 / (1j * q) * omega[:, None]
     K *= np.conj(omega)[None, :]
     return NonlocalKernel(grid=grid, K=K, descriptor=params)
 

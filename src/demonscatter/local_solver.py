@@ -16,7 +16,6 @@ closed channels, unlike naive marching.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,14 +31,16 @@ from .channels import (
     kinematics,
     unitarity_defect,
 )
-from .errors import ModelError, ResolutionWarning, SolverError
-from .units import Grid, RabiProfile, default_grid, make_grid, rabi_eval
-
-#: Minimum points per shortest open wavelength before a ResolutionWarning.
-MIN_POINTS_PER_WAVELENGTH = 20
-
-#: Relative magnitude allowed for the potential at the grid ends.
-END_DECAY_REL = 1e-12
+from .errors import ModelError, SolverError
+from .units import (
+    END_DECAY_REL,
+    Grid,
+    RabiProfile,
+    check_resolution,
+    default_grid,
+    make_grid,
+    rabi_eval,
+)
 
 
 @dataclass
@@ -49,13 +50,14 @@ class LocalPotentialModel:
     V has shape (n, N, N).  The potential must be negligible at both grid
     ends (radiation boundary conditions are imposed there).  An optional
     rebuild callback regenerates the model on a different grid for
-    convergence studies.
+    convergence studies.  hermitian_flag is derived from the samples: real
+    thresholds and V = V^H within 1e-12 of the max-norm.
     """
 
     grid: Grid
     channels: ChannelSet
     V: np.ndarray
-    hermitian_flag: Optional[bool] = None
+    hermitian_flag: bool = field(init=False)
     rebuild: Optional[Callable[[Grid], "LocalPotentialModel"]] = field(
         default=None, repr=False
     )
@@ -78,16 +80,10 @@ class LocalPotentialModel:
                     f"potential not negligible at grid ends "
                     f"(|V_end|/|V|_max = {end_mag / vmax:.3e})"
                 )
-        herm_defect = float(np.max(np.abs(V - V.conj().transpose(0, 2, 1)))) if vmax else 0.0
         eps_real = all(e.imag == 0 for e in self.channels.thresholds)
-        is_herm = eps_real and (vmax == 0 or herm_defect <= 1e-12 * vmax)
-        if self.hermitian_flag is None:
-            self.hermitian_flag = is_herm
-        elif self.hermitian_flag and not is_herm:
-            raise ModelError(
-                f"declared Hermitian but defect {herm_defect:.3e} "
-                f"(thresholds real: {eps_real})"
-            )
+        self.hermitian_flag = bool(eps_real and (
+            vmax == 0 or np.max(np.abs(V - V.conj().transpose(0, 2, 1))) <= 1e-12 * vmax
+        ))
 
     def regenerated(self, grid: Grid) -> "LocalPotentialModel":
         """Model resampled on another grid over the same interval."""
@@ -95,12 +91,7 @@ class LocalPotentialModel:
             return self.rebuild(grid)
         # fall back to componentwise spline interpolation of the samples
         spline = CubicSpline(self.grid.points, self.V, axis=0)
-        return LocalPotentialModel(
-            grid=grid,
-            channels=self.channels,
-            V=spline(grid.points),
-            hermitian_flag=None,
-        )
+        return LocalPotentialModel(grid=grid, channels=self.channels, V=spline(grid.points))
 
 
 @dataclass
@@ -156,7 +147,6 @@ def build_two_level_model(
         grid=grid,
         channels=channels,
         V=V,
-        hermitian_flag=(gamma == 0.0),
         rebuild=lambda g: build_two_level_model(profile, delta, gamma, g),
     )
 
@@ -220,18 +210,10 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix of the model at total energy E."""
     grid, channels = model.grid, model.channels
     n, nch = grid.n, channels.n_channels
-    h = grid.spacing
     kin = kinematics(channels, E)
     open_idx = kin.open_indices
     k_open = kin.k_open
-
-    ppw = (2.0 * np.pi / np.max(k_open)) / h
-    if ppw < MIN_POINTS_PER_WAVELENGTH:
-        warnings.warn(
-            f"only {ppw:.1f} points per shortest open wavelength "
-            f"(< {MIN_POINTS_PER_WAVELENGTH}); refine the grid",
-            ResolutionWarning,
-        )
+    check_resolution(np.max(k_open), grid.spacing)
 
     u, ab, lam = _assemble(model, E)
     n_open = len(open_idx)

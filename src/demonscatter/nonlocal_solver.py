@@ -19,7 +19,6 @@ the whole grid runs the full n x n solve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -28,21 +27,15 @@ from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import lu_factor, lu_solve
 
 from .channels import ChannelAmplitudes
-from .errors import ModelError, ResolutionWarning, SolverError
-from .units import Grid
-
-#: Minimum points per wavelength before a ResolutionWarning.
-MIN_POINTS_PER_WAVELENGTH = 20
-
-#: Relative magnitude allowed for the kernel at the grid ends.
-END_DECAY_REL = 1e-12
+from .errors import ModelError, SolverError
+from .units import END_DECAY_REL, Grid, check_resolution
 
 #: Relative magnitude below which a row or column of K lies off the
 #: kernel's support: float64 rounding of the largest entry, so dropping it
 #: is within the dense LU's own backward error.
 SUPPORT_REL = np.finfo(float).eps
 
-#: Rows of K per slab of the max-modulus pass.
+#: Rows of K per slab of the max-modulus pass (and of symmetry's residual pass).
 SLAB = 16
 
 
@@ -60,6 +53,8 @@ class NonlocalKernel:
     descriptor: Optional[object] = field(default=None, repr=False)
     #: Node interval (lo, hi) of the kernel's support, derived from K.
     support: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    #: Max-norm max |K|, derived from K.
+    kmax: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=complex)
@@ -75,7 +70,7 @@ class NonlocalKernel:
             np.maximum(col_max, np.max(slab, axis=0), out=col_max)
         if not np.all(np.isfinite(row_max)):  # np.max propagates NaN
             raise ModelError("kernel samples must be finite")
-        kmax = np.max(row_max)
+        self.kmax = kmax = float(np.max(row_max))
         if kmax > 0:
             edge = max(row_max[0], row_max[-1], col_max[0], col_max[-1])
             if edge > END_DECAY_REL * kmax:
@@ -135,13 +130,7 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
         raise ValueError(f"wavenumber must be positive and finite, got k={k}")
     grid = kernel.grid
     h = grid.spacing
-    ppw = (2.0 * np.pi / k) / h
-    if ppw < MIN_POINTS_PER_WAVELENGTH:
-        warnings.warn(
-            f"only {ppw:.1f} points per wavelength "
-            f"(< {MIN_POINTS_PER_WAVELENGTH}); refine the grid",
-            ResolutionWarning,
-        )
+    check_resolution(k, h)
 
     lo, hi = kernel.support
     m, x = hi - lo, grid.points[lo:hi]

@@ -63,8 +63,8 @@ class DeviceTarget:
             raise ValueError("need exactly four targets and four weights")
         if not all(0.0 <= v <= 1.0 for v in p):
             raise ValueError(f"targets must lie in [0, 1], got {p}")
-        if any(v < 0 for v in w) or not any(v > 0 for v in w):
-            raise ValueError("weights must be >= 0 and not all zero")
+        if not all(0.0 <= v < np.inf for v in w) or not any(v > 0 for v in w):
+            raise ValueError(f"weights must be finite, >= 0 and not all zero, got {w}")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "weights", w)
 
@@ -90,11 +90,11 @@ class OptimizationResult:
 
 
 def _check_design(v0: float, w: float):
-    """Reject a non-positive design velocity or profile width."""
-    if v0 <= 0:
-        raise ValueError(f"design velocity must be positive, got {v0}")
-    if w <= 0:
-        raise ValueError(f"profile width must be positive, got {w}")
+    """Reject a design velocity or profile width that is not finite and positive."""
+    if not 0.0 < v0 < np.inf:
+        raise ValueError(f"design velocity must be finite and positive, got {v0}")
+    if not 0.0 < w < np.inf:
+        raise ValueError(f"profile width must be finite and positive, got {w}")
 
 
 def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:
@@ -174,6 +174,8 @@ def optimize(
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     caller = grid if grid is not None else default_grid()
     grid = design_grid(caller, v0, w)
     rng = np.random.default_rng(seed)

@@ -6,13 +6,14 @@ Any class other than the trivial one forces relations among the four
 scattering amplitudes; in particular Hermiticity or parity forces D = 0, so
 a device with D != 0 can satisfy no symmetry but the trivial one.
 
-The residuals max |K - gK| of all classes, and the kernel max-norm, come from
-one pass over slabs of SLAB rows of K.  Each transform g is an involution: an
-index permutation plus an exact conjugation.  Float subtraction is exactly
-antisymmetric, so |K - gK| is equal at an index p and at its image g(p), and
-the pass reduces each class over one representative of every orbit of g's
-index map only.  Its maxima are bit-identical to max |K - transform(K, g)|,
-and no temporary is larger than SLAB x n.
+The residuals max |K - gK| of all classes come from one pass over slabs of
+SLAB rows of K; the max-norm that scales the verdict tolerance is the
+kernel's own kmax.  Each transform g is an involution: an index permutation
+plus an exact conjugation.  Float subtraction is exactly antisymmetric, so
+|K - gK| is equal at an index p and at its image g(p), and the pass reduces
+each class over one representative of every orbit of g's index map only.
+Its maxima are bit-identical to max |K - transform(K, g)|, and no temporary
+is larger than SLAB x n.
 """
 
 from __future__ import annotations
@@ -25,16 +26,13 @@ import numpy as np
 
 from .demon import demon_parameter
 from .errors import AsymmetricGridError
-from .nonlocal_solver import NonlocalKernel, solve_nonlocal
+from .nonlocal_solver import SLAB, NonlocalKernel, solve_nonlocal
 
 #: Default verdict tolerance, relative to the kernel max-norm.
 REL_TOL = 1e-8
 
 #: Tolerance for amplitude relations checked against solver output.
 RELATION_TOL = 1e-4
-
-#: Rows of K per slab of the residual pass.
-SLAB = 16
 
 
 class SymmetryClass(Enum):
@@ -94,8 +92,8 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
     return P, np.ascontiguousarray(Q)
 
 
-def _blocked_maxima(K: np.ndarray, classes, norm: bool):
-    """max |K| (0.0 unless norm) and max |K - transform(K, cls)| per class.
+def _blocked_maxima(K: np.ndarray, classes):
+    """max |K - transform(K, cls)| per class.
 
     One pass over slabs of SLAB rows; classes that share an index map share
     its slab pair.  The kernel must be finite, because a NaN would lose
@@ -104,11 +102,9 @@ def _blocked_maxima(K: np.ndarray, classes, norm: bool):
     by_map = {}
     for cls in classes:
         by_map.setdefault(cls.value[:2], []).append(cls)
-    kmax, found = 0.0, dict.fromkeys(classes, 0.0)
+    found = dict.fromkeys(classes, 0.0)
     for a in range(0, len(K), SLAB):
         b = min(a + SLAB, len(K))
-        if norm:
-            kmax = max(kmax, float(np.max(np.abs(K[a:b]))))
         for (flip, transpose), group in by_map.items():
             pair = _representatives(K, flip, transpose, a, b)
             if pair is None:
@@ -117,7 +113,7 @@ def _blocked_maxima(K: np.ndarray, classes, norm: bool):
             for cls in group:
                 d = P - np.conj(Q) if cls.value[2] else P - Q
                 found[cls] = max(found[cls], float(np.max(np.abs(d))))
-    return kmax, found
+    return found
 
 
 def residual(kernel: NonlocalKernel, cls: SymmetryClass) -> float:
@@ -129,7 +125,7 @@ def residual(kernel: NonlocalKernel, cls: SymmetryClass) -> float:
         )
     if cls is SymmetryClass.Trivial:
         return 0.0
-    return _blocked_maxima(kernel.K, [cls], norm=False)[1][cls]
+    return _blocked_maxima(kernel.K, [cls])[cls]
 
 
 def predicted_relations(classes) -> set:
@@ -192,8 +188,8 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
         if cls is not SymmetryClass.Trivial
         and (kernel.grid.symmetric or not cls.involves_parity)
     ]
-    kmax, found = _blocked_maxima(kernel.K, classes, norm=True)
-    tol = rel_tol * kmax if kmax > 0 else rel_tol
+    found = _blocked_maxima(kernel.K, classes)
+    tol = rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol
     residuals, verdicts = {}, {}
     for cls in SymmetryClass:
         r = 0.0 if cls is SymmetryClass.Trivial else found.get(cls, float("nan"))

@@ -1,4 +1,5 @@
-"""Reduced unit system, uniform spatial grids and the Gaussian Rabi profile.
+"""Reduced unit system, uniform spatial grids, the Gaussian Rabi profile
+and the resolution guards both solvers share.
 
 Everything downstream works in reduced units hbar = m = d = 1: velocities in
 v_d = hbar/(m d), times in tau = m d^2/hbar, energies in hbar^2/(m d^2),
@@ -9,11 +10,12 @@ converts; grids, profiles and velocities reject non-finite values.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, NegativeVelocityError
+from .errors import GridError, NegativeVelocityError, ResolutionWarning
 
 #: Half-width of the default computational box, in units of d.  Exceeds the
 #: effective potential width (|x| <= 1) so truncation error is negligible.
@@ -24,6 +26,12 @@ DEFAULT_NPOINTS = 2001
 
 #: Default Gaussian width of the Rabi profile, sqrt(2)/10 in units of d.
 DEFAULT_WIDTH = np.sqrt(2.0) / 10.0
+
+#: Minimum points per shortest open wavelength before a ResolutionWarning.
+MIN_POINTS_PER_WAVELENGTH = 20
+
+#: Relative magnitude a potential or kernel may keep at the grid ends.
+END_DECAY_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,9 @@ class RabiProfile:
     """Two-Gaussian Rabi frequency Omega(x) = -i b g(x+x0) + c g(x-x0).
 
     g(x) = exp(-x^2/w^2).  b, c are real amplitudes in 1/tau, x0 the lobe
-    offset and w the Gaussian width, both in d.  Values with |x| >= cutoff
-    are truncated to exact zero; at the default cutoff 1.5 they are below
-    double-precision noise anyway.
+    offset and w the Gaussian width, both in d.  Values with
+    |x| >= DEFAULT_BOX_HALF (1.5) are truncated to exact zero; there they
+    are below double-precision noise anyway.
 
     The reference design (optimize.PAPER_POINT) relies on the default
     width w = sqrt(2)/10 and the phase -i on the b lobe, which sits at -x0
@@ -91,7 +99,6 @@ class RabiProfile:
     c: float
     x0: float = 0.0
     w: float = DEFAULT_WIDTH
-    cutoff: float = DEFAULT_BOX_HALF
 
     def __post_init__(self):
         for name in ("b", "c", "x0", "w"):
@@ -110,11 +117,22 @@ def rabi_eval(profile: RabiProfile, x):
     g_plus = np.exp(-((x + profile.x0) ** 2) / profile.w**2)
     g_minus = np.exp(-((x - profile.x0) ** 2) / profile.w**2)
     omega = -1j * profile.b * g_plus + profile.c * g_minus
-    if profile.cutoff is not None:
-        omega = np.where(np.abs(x) >= profile.cutoff, 0.0 + 0.0j, omega)
+    omega = np.where(np.abs(x) >= DEFAULT_BOX_HALF, 0.0 + 0.0j, omega)
     if omega.ndim == 0:
         return complex(omega)
     return omega
+
+
+def check_resolution(k: float, h: float):
+    """Warn if spacing h gives fewer than MIN_POINTS_PER_WAVELENGTH at k."""
+    ppw = (2.0 * np.pi / k) / h
+    if ppw < MIN_POINTS_PER_WAVELENGTH:
+        warnings.warn(
+            f"only {ppw:.1f} points per shortest open wavelength "
+            f"(< {MIN_POINTS_PER_WAVELENGTH}); refine the grid",
+            ResolutionWarning,
+            stacklevel=2,
+        )
 
 
 def velocity_to_energy(v: float) -> float:

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from demonscatter import cli
 from demonscatter.cli import main
 from demonscatter.local_solver import build_two_level_model
+from demonscatter.optimize import OptimizationResult
 from demonscatter.serialize import write_model
 from demonscatter.units import RabiProfile, make_grid
 
@@ -180,6 +182,16 @@ BAD_INPUT = {
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
+    "optimize-v0-inf": ["optimize", "--v0", "inf", "--budget", "200"],
+    "optimize-v0-nan": ["optimize", "--v0", "nan", "--budget", "200"],
+    "optimize-w-nan": ["optimize", "--w", "nan", "--budget", "200"],
+    "optimize-restarts-zero": ["optimize", "--restarts", "0", "--budget", "200"],
+    "optimize-restarts-negative": ["optimize", "--restarts", "-1",
+                                   "--budget", "200"],
+    "optimize-weights-nan": ["optimize", "--probabilities", "0.5", "0", "0", "0.5",
+                             "--weights", "nan", "1", "1", "1"],
+    "optimize-named-weights-inf": ["optimize", "--target", "T/A",
+                                   "--weights", "inf", "1", "1", "1"],
 }
 
 
@@ -239,3 +251,30 @@ def test_config_keys_of_other_commands_rejected(command, tmp_path, monkeypatch,
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run([command, "--config", "cfg.json"]) == 2
     assert capsys.readouterr().err == f"config error: unknown config keys: {foreign}\n"
+
+
+@pytest.mark.parametrize("argv, probabilities, weights", [
+    (["--target", "T/A", "--weights", "0", "0", "0", "1"],
+     (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+    (["--target", "A/R"], (0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0)),
+    (["--probabilities", "0.5", "0", "0", "0.5", "--weights", "2", "1", "1", "1"],
+     (0.5, 0.0, 0.0, 0.5), (2.0, 1.0, 1.0, 1.0)),
+    ([], (0.5, 0.0, 0.0, 0.5), (1.0, 1.0, 1.0, 1.0)),
+])
+def test_optimize_target_takes_the_configured_weights(
+    argv, probabilities, weights, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    targets = []
+
+    def fake_optimize(target, **kwargs):
+        targets.append(target)
+        return OptimizationResult(parameters=(0.0, 0.0, 0.0, 0.0), cost=0.0,
+                                  probabilities=probabilities, D=0.0,
+                                  evaluations=0, converged=True)
+
+    monkeypatch.setattr(cli, "optimize", fake_optimize)
+    assert run(["optimize"] + argv) == 0
+    (target,) = targets
+    assert target.probabilities == probabilities
+    assert target.weights == weights

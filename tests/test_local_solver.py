@@ -196,6 +196,35 @@ def test_two_level_hermitian_iff_gamma_zero():
     assert not lossy.hermitian_flag
 
 
+def test_hermitian_flag_cannot_be_declared():
+    model = build_two_level_model(PAPER_PROFILE, 91.211)
+    for flag in (True, False, None):
+        with pytest.raises(TypeError):
+            LocalPotentialModel(grid=model.grid, channels=model.channels,
+                                V=model.V, hermitian_flag=flag)
+
+
+def test_hermitian_flag_is_derived_from_the_samples():
+    rng = np.random.default_rng(17)
+    grid = make_grid(-1.5, 1.5, 301)
+    for _ in range(5):
+        model = random_hermitian_model(rng, grid)
+        assert model.hermitian_flag is True
+        nch = model.channels.n_channels
+        lossy = tuple(model.channels.thresholds[:-1]) + (
+            model.channels.thresholds[-1] - 0.5j,
+        )
+        assert LocalPotentialModel(
+            grid=grid, channels=ChannelSet(thresholds=lossy), V=model.V
+        ).hermitian_flag is False
+        V = model.V.copy()
+        V[:, 0, nch - 1] *= 1.0 + 1e-6  # V != V^H, thresholds still real
+        assert LocalPotentialModel(
+            grid=grid, channels=model.channels, V=V
+        ).hermitian_flag is False
+    assert model.regenerated(make_grid(-1.5, 1.5, 201)).hermitian_flag is True
+
+
 def test_paper_model_half_demon_values():
     model = build_two_level_model(PAPER_PROFILE, 91.211)
     sol = solve_local(model, 32.0)

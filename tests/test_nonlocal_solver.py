@@ -11,6 +11,7 @@ from demonscatter.errors import ModelError, ResolutionWarning
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
 from demonscatter.nonlocal_solver import (
+    SLAB,
     SUPPORT_REL,
     NonlocalKernel,
     _green_weights,
@@ -21,7 +22,7 @@ from demonscatter.nonlocal_solver import (
 from demonscatter.symmetry import SymmetryClass
 from demonscatter.units import RabiProfile, make_grid
 
-from test_symmetry import random_smooth, symmetrized
+from test_symmetry import paper_kernel, random_bordered, random_smooth, symmetrized
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
@@ -48,6 +49,24 @@ def test_zero_kernel_free():
     a = solve_nonlocal(kernel, 5.0)
     assert a.T == 1.0 and a.Tt == 1.0
     assert a.R == 0.0 and a.Rt == 0.0
+
+
+@pytest.mark.parametrize("n", [3, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB + 1])
+@pytest.mark.parametrize("spike", [False, True])
+def test_kmax_is_the_max_norm(n, spike):
+    K = random_bordered(n, np.random.default_rng(n))
+    if spike:  # the largest entry in the last, possibly partial, slab
+        K[n - 2, n - 2] = 1e3
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=K)
+    assert kernel.kmax == np.max(np.abs(kernel.K))
+    assert type(kernel.kmax) is float
+
+
+def test_kmax_paper_kernel_and_zero_kernel():
+    kernel = paper_kernel(2001)
+    assert kernel.kmax == np.max(np.abs(kernel.K))
+    zero = NonlocalKernel(grid=make_grid(-1.5, 1.5, 41), K=np.zeros((41, 41)))
+    assert zero.kmax == 0.0
 
 
 def test_local_limit_matches_coupled_solver():

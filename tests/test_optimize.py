@@ -32,6 +32,9 @@ def test_target_validation():
         DeviceTarget(probabilities=(0.5, 0, 0, 0.5), weights=(0, 0, 0, 0))
     with pytest.raises(ValueError):
         DeviceTarget(probabilities=(0.5, 0, 0, 0.5), weights=(1, 1, -1, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DeviceTarget(probabilities=(0.5, 0, 0, 0.5), weights=(bad, 1, 1, 1))
     with pytest.raises(ValueError):
         DeviceTarget.named("demon")
 
@@ -78,6 +81,26 @@ def test_cost_invalid_inputs():
 def test_optimize_budget_precondition():
     with pytest.raises(ValueError):
         optimize(DeviceTarget.named("half-demon"), budget=50)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_optimize_needs_a_restart(restarts, solve_calls):
+    with pytest.raises(ValueError, match="restarts"):
+        optimize(DeviceTarget.named("half-demon"), budget=200, restarts=restarts)
+    assert solve_calls == []
+
+
+@pytest.mark.parametrize("v0, w", [(np.inf, 0.14), (np.nan, 0.14), (-np.inf, 0.14),
+                                   (8.0, np.nan), (8.0, np.inf)])
+def test_non_finite_design_is_rejected_before_any_solve(v0, w, solve_calls):
+    target = DeviceTarget.named("half-demon")
+    with pytest.raises(ValueError, match="finite"):
+        design_grid(default_grid(), v0, w)
+    with pytest.raises(ValueError, match="finite"):
+        cost(PAPER_POINT, target, v0, w, grid=COARSE)
+    with pytest.raises(ValueError, match="finite"):
+        optimize(target, v0=v0, w=w, budget=200, restarts=1, grid=COARSE)
+    assert solve_calls == []
 
 
 def test_optimize_determinism():

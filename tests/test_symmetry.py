@@ -264,8 +264,7 @@ def test_pass_reduces_every_orbit(monkeypatch, slab, n):
             for j in range(n):
                 K = S.copy()
                 K[i, j] += 1.0 + 1.0j
-                kmax, found = symmetry._blocked_maxima(K, [cls], norm=True)
-                assert kmax == np.max(np.abs(K))
+                found = symmetry._blocked_maxima(K, [cls])
                 assert found[cls] == reference_residual(K, cls), (cls, i, j)
 
 
