@@ -41,6 +41,7 @@ from .local_solver import (
     ScatterSolution,
     build_two_level_model,
     convergence_sweep,
+    solve_channel,
     solve_local,
 )
 from .nonlocal_solver import NonlocalKernel, solve_nonlocal

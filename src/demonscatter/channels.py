@@ -170,15 +170,19 @@ def unitarity_defect(S: SMatrix) -> float:
     return float(max(d1, d2))
 
 
+def check_channel_index(i: int, n_open: int):
+    """Raise ChannelIndexError unless 0 <= i < n_open."""
+    if not 0 <= i < n_open:
+        raise ChannelIndexError(f"channel {i} out of range for {n_open} open channels")
+
+
 def channel_row_column_sums(S: SMatrix, i: int):
     """The four flux sums of channel i; each equals 1 for unitary S.
 
     Returns (sum_k |T_ki|^2 + |R_ki|^2, sum_k |Tt_ki|^2 + |Rt_ki|^2,
              sum_k |T_ik|^2 + |Rt_ik|^2, sum_k |Tt_ik|^2 + |R_ik|^2).
     """
-    n = S.n_open
-    if not 0 <= i < n:
-        raise ChannelIndexError(f"channel {i} out of range for {n} open channels")
+    check_channel_index(i, S.n_open)
     col_left = float(np.sum(np.abs(S.T[:, i]) ** 2 + np.abs(S.R[:, i]) ** 2))
     col_right = float(np.sum(np.abs(S.Tt[:, i]) ** 2 + np.abs(S.Rt[:, i]) ** 2))
     row_out_right = float(np.sum(np.abs(S.T[i, :]) ** 2 + np.abs(S.Rt[i, :]) ** 2))
@@ -188,9 +192,7 @@ def channel_row_column_sums(S: SMatrix, i: int):
 
 def extract_channel(S: SMatrix, i0: int) -> ChannelAmplitudes:
     """Diagonal amplitudes T, R, Tt, Rt of channel i0."""
-    n = S.n_open
-    if not 0 <= i0 < n:
-        raise ChannelIndexError(f"channel {i0} out of range for {n} open channels")
+    check_channel_index(i0, S.n_open)
     return ChannelAmplitudes(
         T=complex(S.T[i0, i0]),
         R=complex(S.R[i0, i0]),

@@ -214,12 +214,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    if "probabilities" in cfg:
-        probabilities = cfg["probabilities"]
-    else:
-        probabilities = DeviceTarget.named(cfg.get("target", "half-demon")).probabilities
+    # the name is checked even when explicit probabilities replace it
+    named = DeviceTarget.named(cfg.get("target", "half-demon"))
     target = DeviceTarget(
-        probabilities=tuple(probabilities),
+        probabilities=tuple(cfg.get("probabilities", named.probabilities)),
         weights=tuple(cfg.get("weights", (1.0, 1.0, 1.0, 1.0))),
     )
     result = optimize(

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import ChannelAmplitudes, SMatrix, extract_channel
+from .channels import ChannelAmplitudes, SMatrix
 from .errors import InconsistentBoundaryError, InfeasiblePairError
-from .local_solver import LocalPotentialModel, solve_local
+from .local_solver import LocalPotentialModel, solve_channel
 from .units import velocity_to_energy
 
 #: Default tolerance for device-code / boundary classification.
@@ -245,13 +245,14 @@ def sweep_demon(
 ):
     """One (v, DemonReport) pair per velocity for a local model.
 
-    Each positive velocity v is solved at E = v^2/2 and channel i0 reported.
+    Every velocity must be finite and positive, checked before the first
+    solve; each is solved at E = v^2/2 by `solve_channel` for channel i0.
     """
-    reports = []
+    velocities = list(velocities)
+    energies = []
     for v in velocities:
         if v <= 0:
             raise ValueError(f"velocities must be positive, got {v}")
-        sol = solve_local(system, velocity_to_energy(v))
-        amps = extract_channel(sol.S, i0)
-        reports.append((v, DemonReport.from_amplitudes(amps, tol)))
-    return reports
+        energies.append(velocity_to_energy(v))
+    return [(v, DemonReport.from_amplitudes(solve_channel(system, E, i0), tol))
+            for v, E in zip(velocities, energies)]

@@ -9,9 +9,10 @@ stencil plus radiation boundary conditions built from the *discrete* free
 dispersion relation, so incoming/outgoing plane waves (and decaying closed
 channel exponentials) are exact solutions of the discrete equations at the
 grid ends.  The system is block tridiagonal, so it is assembled straight
-into LAPACK band storage; one banded LU per (model, E) serves all incidence
-directions and channels.  A boundary-value solve cannot overflow on strongly
-closed channels, unlike naive marching.
+into LAPACK band storage and factored once per (model, E); only the
+incidences a caller reads are back-substituted (all of them in
+`solve_local`, one channel's two in `solve_channel`).  A boundary-value solve
+cannot overflow on strongly closed channels, unlike naive marching.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .channels import (
+    ChannelAmplitudes,
     ChannelKinematics,
     ChannelSet,
     SMatrix,
     branch_sqrt,
+    check_channel_index,
     kinematics,
     unitarity_defect,
 )
@@ -170,10 +173,11 @@ def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
 
 
 def _assemble(model: LocalPotentialModel, E: float):
-    """Numerov system in LAPACK band storage, and the per-channel Bloch factors.
+    """Numerov system in zgbtrf's band storage, and the per-channel Bloch factors.
 
     Returns (u, ab, lam): the system has u = 2 nch - 1 sub- and
-    super-diagonals, and ab[u + i - j, j] holds its entry A[i, j].
+    super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
+    0..u-1 are the LU's fill-in space).
     """
     grid, channels = model.grid, model.channels
     n, nch = grid.n, channels.n_channels
@@ -190,61 +194,84 @@ def _assemble(model: LocalPotentialModel, E: float):
     # interior row m*nch + a couples to column (m + s)*nch + b through the
     # block entry (a, b) of P, Q, P at shift s = -1, 0, +1
     u = 2 * nch - 1
-    ab = np.zeros((2 * u + 1, n * nch), dtype=complex)
+    ab = np.zeros((3 * u + 1, n * nch), dtype=complex, order="F")
     for s, blocks in ((-1, P[:-2]), (0, Q[1:-1]), (1, P[2:])):
         for a in range(nch):
             for b in range(nch):
                 start = (1 + s) * nch + b
-                ab[u + a - b - s * nch, start:start + (n - 2) * nch:nch] = blocks[:, a, b]
+                ab[2 * u + a - b - s * nch, start:start + (n - 2) * nch:nch] = blocks[:, a, b]
 
     # boundary rows: psi_j(1) - lam_j^-1 psi_j(0) and
     #                psi_j(n-2) - lam_j^-1 psi_j(n-1)
     top = (n - 1) * nch
-    ab[u - nch, nch:2 * nch] = 1.0
-    ab[u + nch, top - nch:top] = 1.0
-    ab[u, :nch] = ab[u, top:] = -1.0 / lam
+    ab[2 * u - nch, nch:2 * nch] = 1.0
+    ab[2 * u + nch, top - nch:top] = 1.0
+    ab[2 * u, :nch] = ab[2 * u, top:] = -1.0 / lam
     return u, ab, lam
 
 
-def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
-    """Flux-normalized S-matrix of the model at total energy E."""
-    grid, channels = model.grid, model.channels
-    n, nch = grid.n, channels.n_channels
-    kin = kinematics(channels, E)
-    open_idx = kin.open_indices
-    k_open = kin.k_open
-    check_resolution(np.max(k_open), grid.spacing)
-
+def _factor(model: LocalPotentialModel, E: float):
+    """Kinematics at E and the banded LU (u, lu, piv, lam) of the Numerov system."""
+    kin = kinematics(model.channels, E)
+    check_resolution(np.max(kin.k_open), model.grid.spacing)
     u, ab, lam = _assemble(model, E)
-    n_open = len(open_idx)
-    B = np.zeros((n * nch, 2 * n_open), dtype=complex)
-    src = (lam[open_idx] - 1.0 / lam[open_idx]) / np.sqrt(k_open)
-    for col, (i, s) in enumerate(zip(open_idx, src)):
-        B[i, col] = s                       # left incidence, bottom BC row
-        B[(n - 1) * nch + i, n_open + col] = s  # right incidence, top BC row
-    try:
-        psi = solve_banded((u, u), ab, B, overwrite_ab=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular linear system: {exc}") from exc
+    if not np.all(np.isfinite(ab)):
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
+    if info > 0:
+        raise SolverError("singular linear system: singular matrix")
+    return kin, (u, lu, piv, lam)
+
+
+def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
+    """Blocks (T, R, Tt, Rt) of S, n_open x len(cols) each, back-substituting
+    only the left and right incidences of the open channels cols."""
+    u, lu, piv, lam = factors
+    grid, nch = model.grid, model.channels.n_channels
+    top = (grid.n - 1) * nch
+    open_idx, k_open = kin.open_indices, kin.k_open
+    inc = open_idx[cols]
+    m = len(inc)
+    B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
+    src = (lam[inc] - 1.0 / lam[inc]) / np.sqrt(k_open[cols])
+    if not np.all(np.isfinite(src)):
+        raise ValueError("array must not contain infs or NaNs")
+    B[inc, np.arange(m)] = src              # left incidence, bottom BC row
+    B[top + inc, np.arange(m, 2 * m)] = src  # right incidence, top BC row
+    psi, _info = zgbtrs(lu, u, u, B, piv, overwrite_b=1)
     if not np.all(np.isfinite(psi)):
         raise SolverError("non-finite solution; near-singular linear system")
-    psi = psi.reshape(n, nch, 2 * n_open)
 
     # outgoing coefficients at the ends (incident wave removed), flux
     # normalized and converted to e^{+-ikx} waves
-    left, right = psi[0][open_idx], psi[n - 1][open_idx]
-    incident = np.diag(1.0 / np.sqrt(k_open))
+    left, right = psi[open_idx], psi[top + open_idx]
+    incident = np.diag(1.0 / np.sqrt(k_open))[:, cols]
     sqrt_k = np.sqrt(k_open)[:, None]
     ph_left = np.exp(1j * k_open * grid.x_min)     # e^{+ikx} at the left end
     ph_right = np.exp(-1j * k_open * grid.x_max)   # e^{-ikx} at the right end
-    S = SMatrix(
-        T=right[:, :n_open] * sqrt_k * ph_right[:, None] * ph_left[None, :],
-        R=(left[:, :n_open] - incident) * sqrt_k * ph_left[:, None] * ph_left[None, :],
-        Tt=left[:, n_open:] * sqrt_k * ph_left[:, None] * ph_right[None, :],
-        Rt=(right[:, n_open:] - incident) * sqrt_k * ph_right[:, None] * ph_right[None, :],
+    return (
+        right[:, :m] * sqrt_k * ph_right[:, None] * ph_left[cols][None, :],
+        (left[:, :m] - incident) * sqrt_k * ph_left[:, None] * ph_left[cols][None, :],
+        left[:, m:] * sqrt_k * ph_left[:, None] * ph_right[cols][None, :],
+        (right[:, m:] - incident) * sqrt_k * ph_right[:, None] * ph_right[cols][None, :],
     )
+
+
+def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
+    """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
+    kin, factors = _factor(model, E)
+    S = SMatrix(*_columns(model, kin, factors, np.arange(kin.n_open)))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, kinematics=kin, unitarity_defect=defect)
+
+
+def solve_channel(model: LocalPotentialModel, E: float, i0: int = 0) -> ChannelAmplitudes:
+    """extract_channel(solve_local(model, E).S, i0), bit for bit, from only
+    open channel i0's two incidences: no rest of S and no unitarity defect."""
+    kin, factors = _factor(model, E)
+    check_channel_index(i0, kin.n_open)
+    return ChannelAmplitudes(*(complex(block[i0, 0])
+                               for block in _columns(model, kin, factors, [i0])))
 
 
 def convergence_sweep(model: LocalPotentialModel, E: float, resolutions):

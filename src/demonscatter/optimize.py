@@ -4,7 +4,7 @@ Minimizes the weighted squared deviation of the achieved channel-0
 probabilities (|T|^2, |R|^2, |Tt|^2, |Rt|^2) from a target device, at a
 single design velocity v0 with gamma = 0.  Nelder-Mead with seeded random
 restarts over a documented box; every evaluation builds the two-level
-model and solves it with the coupled-channel solver.
+model and reads channel 0 alone from the coupled-channel `solve_channel`.
 
 The search runs on a design grid derived from the physics (`design_grid`):
 the caller's box, with only as many points as the shortest local wavelength
@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import extract_channel
 from .demon import demon_parameter
-from .local_solver import build_two_level_model, solve_local
+from .local_solver import build_two_level_model, solve_channel
 from .units import DEFAULT_WIDTH, Grid, RabiProfile, default_grid, make_grid, velocity_to_energy
 
 #: Search box for (b, c, x0, Delta); covers the reference optimum.
@@ -119,12 +118,11 @@ def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:
 
 
 def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid):
-    """Cost at params and the channel-0 amplitudes it was computed from."""
-    _check_design(v0, w)
+    """Cost at params and its channel-0 amplitudes; callers check v0 and w once."""
     b, c, x0, delta = (float(p) for p in params)
     profile = RabiProfile(b=b, c=c, x0=x0, w=w)
     model = build_two_level_model(profile, delta, grid=grid)
-    amps = extract_channel(solve_local(model, velocity_to_energy(v0)).S, 0)
+    amps = solve_channel(model, velocity_to_energy(v0))
     deviations = zip(target.weights, amps.probabilities, target.probabilities)
     return float(sum(wt * (a - t) ** 2 for wt, a, t in deviations)), amps
 
@@ -145,6 +143,7 @@ def _result(params, cost_: float, amps, evaluations: int, **extra) -> Optimizati
 def cost(params, target: DeviceTarget, v0: float, w: float = DEFAULT_WIDTH,
          grid: Optional[Grid] = None) -> float:
     """Weighted squared deviation of achieved from target probabilities."""
+    _check_design(v0, w)
     return _evaluate(params, target, v0, w, grid if grid is not None else default_grid())[0]
 
 
@@ -245,6 +244,7 @@ def refine_paper_point(
     of optimize (searched on the design grid, reported on `grid`); budget 0
     returns the initial point unchanged.
     """
+    _check_design(v0, DEFAULT_WIDTH)
     if grid is None:
         grid = default_grid()
     target = DeviceTarget.named("half-demon")

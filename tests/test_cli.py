@@ -192,6 +192,9 @@ BAD_INPUT = {
                              "--weights", "nan", "1", "1", "1"],
     "optimize-named-weights-inf": ["optimize", "--target", "T/A",
                                    "--weights", "inf", "1", "1", "1"],
+    "optimize-bogus-target-with-probabilities": ["optimize", "--target", "bogus",
+                                                 "--probabilities", "0.5", "0", "0",
+                                                 "0.5"],
 }
 
 

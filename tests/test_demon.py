@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from demonscatter.channels import (
     SMatrix,
     extract_channel,
     haar_unitary,
+    kinematics,
     unitarity_defect,
 )
 from demonscatter.demon import (
@@ -21,9 +23,14 @@ from demonscatter.demon import (
     dzero_bounds,
     sweep_demon,
 )
-from demonscatter.errors import InconsistentBoundaryError, InfeasiblePairError
-from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.errors import (
+    ChannelIndexError,
+    InconsistentBoundaryError,
+    InfeasiblePairError,
+)
+from demonscatter.local_solver import LocalPotentialModel, build_two_level_model, solve_local
+from demonscatter.units import RabiProfile, make_grid, velocity_to_energy
+from test_local_solver import random_hermitian_model
 
 
 def amps(t2, r2, tt2, rt2):
@@ -205,6 +212,56 @@ def test_sweep_rejects_nonpositive_velocity():
     )
     with pytest.raises(ValueError):
         sweep_demon(model, [0.0])
+
+
+@pytest.mark.parametrize("velocities, message", [
+    ([2.0, -1.0], "velocities must be positive, got -1.0"),
+    ([2.0, 3.0, 0.0], "velocities must be positive, got 0.0"),
+    ([2.0, np.nan], "velocity must be finite, got nan"),
+    ([2.0, np.inf, -1.0], "velocity must be finite, got inf"),
+])
+def test_sweep_checks_every_velocity_before_any_solve(velocities, message, monkeypatch):
+    grid = make_grid(-1.5, 1.5, 301)
+    model = LocalPotentialModel(
+        grid=grid, channels=ChannelSet(thresholds=(0.0,)),
+        V=np.zeros((301, 1, 1)),
+    )
+    solves = []
+    monkeypatch.setattr(sys.modules["demonscatter.demon"], "solve_channel",
+                        lambda *args: solves.append(args))
+    with pytest.raises(ValueError) as exc:
+        sweep_demon(model, velocities)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+    assert solves == []
+
+
+@pytest.mark.parametrize("nch", [2, 3])
+def test_sweep_other_channel_matches_full_smatrix(nch):
+    model = random_hermitian_model(np.random.default_rng(nch), make_grid(-1.5, 1.5, 601), nch)
+    eps = [e.real for e in model.channels.thresholds]
+    energies = [max(eps[-1], 0.0) + 3.0, max(eps[-1], 0.0) + 25.0]
+    if nch == 3:
+        # channels 0 and 1 open, channel 2 closed
+        assert eps[2] > max(eps[1], 0.0)
+        energies.append((max(eps[1], 0.0) + eps[2]) / 2)
+    velocities = [np.sqrt(2.0 * E) for E in energies]
+    reports = sweep_demon(model, velocities, i0=1)
+    assert [v for v, _ in reports] == velocities
+    n_open = []
+    for v, report in reports:
+        E = velocity_to_energy(v)
+        S = solve_local(model, E).S
+        assert report == DemonReport.from_amplitudes(extract_channel(S, 1))
+        n_open.append(kinematics(model.channels, E).n_open)
+    assert n_open == [nch, nch] + ([2] if nch == 3 else [])
+
+
+def test_sweep_rejects_channel_index_out_of_range():
+    model = random_hermitian_model(np.random.default_rng(2), make_grid(-1.5, 1.5, 601), 2)
+    v = np.sqrt(2.0 * (max(e.real for e in model.channels.thresholds) + 3.0))
+    with pytest.raises(ChannelIndexError, match="channel 2 out of range for 2 open"):
+        sweep_demon(model, [v], i0=2)
 
 
 def test_demon_report_fields():

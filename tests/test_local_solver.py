@@ -1,17 +1,27 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from demonscatter.channels import ChannelSet, SMatrix, branch_sqrt, extract_channel
-from demonscatter.errors import ModelError, ResolutionWarning
+import demonscatter.local_solver as local_solver
+from demonscatter.channels import (
+    ChannelSet,
+    SMatrix,
+    branch_sqrt,
+    extract_channel,
+    kinematics,
+    unitarity_defect,
+)
+from demonscatter.errors import ChannelIndexError, ModelError, ResolutionWarning, SolverError
 from demonscatter.local_solver import (
     LocalPotentialModel,
     _assemble,
     _bloch_factors,
     build_two_level_model,
     convergence_sweep,
+    solve_channel,
     solve_local,
 )
 from demonscatter.units import RabiProfile, make_grid
@@ -49,12 +59,16 @@ def barrier_t2_exact(v0, width, E):
         return float(val)
 
 
-def random_hermitian_model(rng, grid):
-    """Hermitian 2- or 3-channel model of Gaussian bumps, real thresholds."""
+def random_hermitian_model(rng, grid, nch=None):
+    """Hermitian model of Gaussian bumps, real thresholds in [-5, 5).
+
+    nch channels, or a random 2 or 3 when nch is None.
+    """
     x = grid.points
     env = np.exp(-((x / 0.6) ** 6))
     env[np.abs(x) > 1.45] = 0.0
-    nch = int(rng.integers(2, 4))
+    if nch is None:
+        nch = int(rng.integers(2, 4))
     V = np.zeros((grid.n, nch, nch), dtype=complex)
     for a in range(nch):
         for b in range(a, nch):
@@ -285,16 +299,20 @@ def test_resolution_warning():
         solve_local(model, 800.0)
 
 
-def test_matches_superlu_oracle():
-    # the 100 models of acceptance criterion 4, the paper point, and the
-    # paper profile with a lossy (closed) excited channel
+def oracle_cases():
+    """The 100 models of acceptance criterion 4, the paper point, and the
+    paper profile with a lossy (closed) excited channel."""
     rng = np.random.default_rng(11)
     grid = make_grid(-1.5, 1.5, 2001)
     cases = [(random_hermitian_model(rng, grid), 30.0) for _ in range(100)]
     cases.append((build_two_level_model(PAPER_PROFILE, 91.211), 32.0))
     cases.append((build_two_level_model(PAPER_PROFILE, 91.211, gamma=3.0), 32.0))
+    return cases
+
+
+def test_matches_superlu_oracle():
     worst = 0.0
-    for model, E in cases:
+    for model, E in oracle_cases():
         S = solve_local(model, E).S.full()
         worst = max(worst, np.max(np.abs(S - superlu_smatrix(model, E).full())))
     assert worst <= 1e-9
@@ -308,6 +326,116 @@ def test_band_storage_matches_coo_matrix():
     A = A.toarray()
     i, j = np.indices(A.shape)
     inside = np.abs(i - j) <= u
-    assert np.array_equal(ab[(u + i - j)[inside], j[inside]], A[inside])
+    assert np.array_equal(ab[(2 * u + i - j)[inside], j[inside]], A[inside])
     assert not A[~inside].any()
+    assert not ab[:u].any()  # zgbtrf's fill-in rows start empty
     assert np.array_equal(lam, lam_ref)
+
+
+def solve_banded_solution(model, E):
+    """S-matrix and defect of one solve_banded call on all 2 n_open incidences.
+
+    The solve that the factor and back-substitution steps replaced, kept as
+    their oracle.  _assemble's rows u..3u are solve_banded's band storage.
+    """
+    grid, channels = model.grid, model.channels
+    n, nch = grid.n, channels.n_channels
+    kin = kinematics(channels, E)
+    open_idx, k_open = kin.open_indices, kin.k_open
+    u, ab, lam = _assemble(model, E)
+    n_open = len(open_idx)
+    B = np.zeros((n * nch, 2 * n_open), dtype=complex)
+    src = (lam[open_idx] - 1.0 / lam[open_idx]) / np.sqrt(k_open)
+    for col, (i, s) in enumerate(zip(open_idx, src)):
+        B[i, col] = s
+        B[(n - 1) * nch + i, n_open + col] = s
+    psi = solve_banded((u, u), ab[u:], B).reshape(n, nch, 2 * n_open)
+    left, right = psi[0][open_idx], psi[n - 1][open_idx]
+    incident = np.diag(1.0 / np.sqrt(k_open))
+    sqrt_k = np.sqrt(k_open)[:, None]
+    ph_left = np.exp(1j * k_open * grid.x_min)
+    ph_right = np.exp(-1j * k_open * grid.x_max)
+    S = SMatrix(
+        T=right[:, :n_open] * sqrt_k * ph_right[:, None] * ph_left[None, :],
+        R=(left[:, :n_open] - incident) * sqrt_k * ph_left[:, None] * ph_left[None, :],
+        Tt=left[:, n_open:] * sqrt_k * ph_left[:, None] * ph_right[None, :],
+        Rt=(right[:, n_open:] - incident) * sqrt_k * ph_right[:, None] * ph_right[None, :],
+    )
+    return S, (unitarity_defect(S) if model.hermitian_flag else float("nan"))
+
+
+def test_factor_and_back_substitution_match_solve_banded_bit_for_bit():
+    # all 102 systems have 2 or 3 channels, so solve_banded takes its
+    # general banded (gbsv) path, not the tridiagonal one
+    for model, E in oracle_cases():
+        sol = solve_local(model, E)
+        S, defect = solve_banded_solution(model, E)
+        assert np.array_equal(sol.S.full(), S.full())
+        assert np.array_equal(sol.unitarity_defect, defect, equal_nan=True)
+
+
+def with_lossy_last_channel(model):
+    """The model with -1.5i added to its highest threshold: that channel is
+    closed and the model is no longer Hermitian."""
+    eps = model.channels.thresholds
+    channels = ChannelSet(thresholds=eps[:-1] + (eps[-1] - 1.5j,))
+    return LocalPotentialModel(grid=model.grid, channels=channels, V=model.V)
+
+
+def test_solve_channel_matches_full_smatrix_for_every_open_channel():
+    rng = np.random.default_rng(23)
+    grid = make_grid(-1.5, 1.5, 801)
+    n_closed = n_lossy = 0
+    for nch in (1, 2, 3, 4):
+        for _ in range(3):
+            model = random_hermitian_model(rng, grid, nch)
+            models = [model] + ([with_lossy_last_channel(model)] if nch > 1 else [])
+            for m in models:
+                # all channels open at E = 30; only the lowest just above it
+                for E in (30.0, min(e.real for e in m.channels.thresholds) + 0.1):
+                    S = solve_local(m, E).S
+                    n_closed += S.n_open < nch
+                    n_lossy += not m.hermitian_flag
+                    for i0 in range(S.n_open):
+                        assert solve_channel(m, E, i0) == extract_channel(S, i0)
+    assert n_closed >= 20 and n_lossy == 18
+
+
+def test_solve_channel_rejects_closed_or_missing_channel_before_back_substitution(monkeypatch):
+    model = random_hermitian_model(np.random.default_rng(5), make_grid(-1.5, 1.5, 401), 3)
+    E = min(e.real for e in model.channels.thresholds) + 0.1
+    n_open = kinematics(model.channels, E).n_open
+    assert n_open < 3
+    back_substitutions = []
+    monkeypatch.setattr(local_solver, "zgbtrs",
+                        lambda *args, **kw: back_substitutions.append(args))
+    for i0 in (n_open, 2, -1):
+        with pytest.raises(ChannelIndexError, match=f"channel {i0} out of range"):
+            solve_channel(model, E, i0)
+    assert back_substitutions == []
+
+
+def test_singular_factorization_raises_solver_error(monkeypatch):
+    model = build_two_level_model(PAPER_PROFILE, 91.211, grid=make_grid(-1.5, 1.5, 401))
+    real_zgbtrf = local_solver.zgbtrf
+
+    def singular(*args, **kw):
+        lu, piv, _info = real_zgbtrf(*args, **kw)
+        return lu, piv, 7  # as zgbtrf reports an exactly zero pivot U[6, 6]
+
+    monkeypatch.setattr(local_solver, "zgbtrf", singular)
+    for solve in (solve_local, solve_channel):
+        with pytest.raises(SolverError, match="singular linear system"):
+            solve(model, 32.0)
+
+
+def test_non_finite_band_is_rejected():
+    # finite samples whose Numerov band overflows: W = 2 V = inf
+    grid = make_grid(-1.5, 1.5, 101)
+    V = np.zeros((101, 1, 1), dtype=complex)
+    V[50] = 1e308
+    model = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0,)), V=V)
+    for solve in (solve_local, solve_channel):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve(model, 8.0)

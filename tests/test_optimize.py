@@ -6,7 +6,7 @@ import pytest
 
 from demonscatter.channels import extract_channel
 from demonscatter.demon import demon_parameter
-from demonscatter.local_solver import build_two_level_model, solve_local
+from demonscatter.local_solver import build_two_level_model, solve_channel, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
     PARAM_BOX,
@@ -103,6 +103,25 @@ def test_non_finite_design_is_rejected_before_any_solve(v0, w, solve_calls):
     assert solve_calls == []
 
 
+@pytest.mark.parametrize("v0", [0.0, -1.0, np.nan, np.inf])
+def test_refine_rejects_bad_velocity_before_any_solve(v0, solve_calls):
+    with pytest.raises(ValueError, match="design velocity"):
+        refine_paper_point(v0, budget=0)
+    assert solve_calls == []
+
+
+def test_optimize_checks_the_design_once(monkeypatch, solve_calls):
+    module = sys.modules["demonscatter.optimize"]
+    checks = []
+    real_check = module._check_design
+    monkeypatch.setattr(module, "_check_design",
+                        lambda v0, w: checks.append((v0, w)) or real_check(v0, w))
+    optimize(DeviceTarget.named("half-demon"), budget=100, restarts=1,
+             grid=make_grid(-1.5, 1.5, 401))
+    assert len(checks) == 1
+    assert len(solve_calls) > 1
+
+
 def test_optimize_determinism():
     target = DeviceTarget.named("half-demon")
     r1 = optimize(target, seed=3, budget=150, restarts=1, grid=COARSE)
@@ -159,18 +178,18 @@ def test_refine_off_design_velocity_costs_more():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Count solve_local calls made by the optimize module.
+    """Count solve_channel calls made by the optimize module.
 
     The package re-exports the function optimize under the submodule's
     name, so the module itself is reachable only through sys.modules.
     """
     calls = []
 
-    def counting(model, E):
+    def counting(model, E, i0=0):
         calls.append(E)
-        return solve_local(model, E)
+        return solve_channel(model, E, i0)
 
-    monkeypatch.setattr(sys.modules["demonscatter.optimize"], "solve_local", counting)
+    monkeypatch.setattr(sys.modules["demonscatter.optimize"], "solve_channel", counting)
     return calls
 
 
