@@ -11,7 +11,6 @@ from .channels import (
     ChannelKinematics,
     ChannelSet,
     SMatrix,
-    channel_row_column_sums,
     extract_channel,
     haar_unitary,
     kinematics,
@@ -34,13 +33,11 @@ from .kernels import (
     compute_mu,
     compute_q,
     feshbach_reference,
-    regenerate_kernel,
 )
 from .local_solver import (
     LocalPotentialModel,
     ScatterSolution,
     build_two_level_model,
-    convergence_sweep,
     solve_channel,
     solve_local,
 )

@@ -176,20 +176,6 @@ def check_channel_index(i: int, n_open: int):
         raise ChannelIndexError(f"channel {i} out of range for {n_open} open channels")
 
 
-def channel_row_column_sums(S: SMatrix, i: int):
-    """The four flux sums of channel i; each equals 1 for unitary S.
-
-    Returns (sum_k |T_ki|^2 + |R_ki|^2, sum_k |Tt_ki|^2 + |Rt_ki|^2,
-             sum_k |T_ik|^2 + |Rt_ik|^2, sum_k |Tt_ik|^2 + |R_ik|^2).
-    """
-    check_channel_index(i, S.n_open)
-    col_left = float(np.sum(np.abs(S.T[:, i]) ** 2 + np.abs(S.R[:, i]) ** 2))
-    col_right = float(np.sum(np.abs(S.Tt[:, i]) ** 2 + np.abs(S.Rt[:, i]) ** 2))
-    row_out_right = float(np.sum(np.abs(S.T[i, :]) ** 2 + np.abs(S.Rt[i, :]) ** 2))
-    row_out_left = float(np.sum(np.abs(S.Tt[i, :]) ** 2 + np.abs(S.R[i, :]) ** 2))
-    return col_left, col_right, row_out_right, row_out_left
-
-
 def extract_channel(S: SMatrix, i0: int) -> ChannelAmplitudes:
     """Diagonal amplitudes T, R, Tt, Rt of channel i0."""
     check_channel_index(i0, S.n_open)

@@ -128,7 +128,14 @@ def _kernel_from(cfg: dict, E: float):
 def cmd_scatter(cfg: dict) -> int:
     model = _model_from(cfg)
     v = float(cfg.get("v", 8.0))
-    sol = solve_local(model, velocity_to_energy(v))
+    E = velocity_to_energy(v)
+    # S is reported for open channel 0, which must be the model's channel 0
+    if E <= model.channels.thresholds[0].real:
+        raise NonPositiveEnergyError(
+            f"energy must exceed the channel-0 threshold "
+            f"{model.channels.thresholds[0].real}, got E={E}"
+        )
+    sol = solve_local(model, E)
     amps = extract_channel(sol.S, 0)
     rep = DemonReport.from_amplitudes(amps)
     serialize.write_smatrix(
@@ -207,6 +214,8 @@ def cmd_sweep(cfg: dict) -> int:
                 int(cfg.get("nv", 10)),
             )
         )
+    if not velocities:
+        raise ConfigError("at least one velocity is required")
     reports = sweep_demon(model, velocities)
     serialize.write_sweep_csv(cfg.get("out", "sweep.csv"), reports)
     print(f"{len(reports)} velocities swept")

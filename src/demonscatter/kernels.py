@@ -84,19 +84,7 @@ def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
     K = _green_phase(grid, q)
     K *= 0.25 / (1j * q) * omega[:, None]
     K *= np.conj(omega)[None, :]
-    return NonlocalKernel(grid=grid, K=K, descriptor=params)
-
-
-def regenerate_kernel(kernel: NonlocalKernel, grid: Grid = None, E: float = None) -> NonlocalKernel:
-    """Re-evaluate a descriptor-carrying kernel on another grid or energy."""
-    params = kernel.descriptor
-    if params is None:
-        raise UnsupportedModelError("kernel carries no closed-form descriptor")
-    if E is not None and E != params.E:
-        params = OpticalParameters(
-            delta=params.delta, gamma=params.gamma, profile=params.profile, E=E
-        )
-    return build_kernel(params, grid if grid is not None else kernel.grid)
+    return NonlocalKernel(grid=grid, K=K)
 
 
 def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> NonlocalKernel:
@@ -132,4 +120,4 @@ def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> Non
     K = _green_phase(model.grid, q)
     K *= (model.V[:, i0, other] / (1j * q))[:, None]
     K *= model.V[:, other, i0][None, :]
-    return NonlocalKernel(grid=model.grid, K=K, descriptor=None)
+    return NonlocalKernel(grid=model.grid, K=K)

@@ -18,10 +18,9 @@ cannot overflow on strongly closed channels, unlike naive marching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .channels import (
@@ -41,38 +40,36 @@ from .units import (
     RabiProfile,
     check_resolution,
     default_grid,
-    make_grid,
     rabi_eval,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalPotentialModel:
     """Matrix potential V(x) sampled on a grid, with channel thresholds.
 
     V has shape (n, N, N).  The potential must be negligible at both grid
-    ends (radiation boundary conditions are imposed there).  An optional
-    rebuild callback regenerates the model on a different grid for
-    convergence studies.  hermitian_flag is derived from the samples: real
-    thresholds and V = V^H within 1e-12 of the max-norm.
+    ends (radiation boundary conditions are imposed there).  The model is
+    immutable: V is held as a read-only view of the caller's complex array
+    (not a copy), so hermitian_flag, derived from the samples once, cannot
+    go stale.  It is true for real thresholds and V = V^H within 1e-12 of
+    the max-norm.
     """
 
     grid: Grid
     channels: ChannelSet
     V: np.ndarray
     hermitian_flag: bool = field(init=False)
-    rebuild: Optional[Callable[[Grid], "LocalPotentialModel"]] = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=complex)
+        V = np.asarray(self.V, dtype=complex).view()
+        V.flags.writeable = False
         n, nch = self.grid.n, self.channels.n_channels
         if V.shape != (n, nch, nch):
             raise ModelError(
                 f"V must have shape {(n, nch, nch)}, got {V.shape}"
             )
-        self.V = V
+        object.__setattr__(self, "V", V)
         vmax = np.max(np.abs(V))
         if not np.isfinite(vmax):
             raise ModelError("potential samples must be finite")
@@ -84,17 +81,9 @@ class LocalPotentialModel:
                     f"(|V_end|/|V|_max = {end_mag / vmax:.3e})"
                 )
         eps_real = all(e.imag == 0 for e in self.channels.thresholds)
-        self.hermitian_flag = bool(eps_real and (
+        object.__setattr__(self, "hermitian_flag", bool(eps_real and (
             vmax == 0 or np.max(np.abs(V - V.conj().transpose(0, 2, 1))) <= 1e-12 * vmax
-        ))
-
-    def regenerated(self, grid: Grid) -> "LocalPotentialModel":
-        """Model resampled on another grid over the same interval."""
-        if self.rebuild is not None:
-            return self.rebuild(grid)
-        # fall back to componentwise spline interpolation of the samples
-        spline = CubicSpline(self.grid.points, self.V, axis=0)
-        return LocalPotentialModel(grid=grid, channels=self.channels, V=spline(grid.points))
+        )))
 
 
 @dataclass
@@ -104,7 +93,6 @@ class ScatterSolution:
     S: SMatrix
     kinematics: ChannelKinematics
     unitarity_defect: float
-    convergence_estimate: Optional[float] = None
 
 
 def build_two_level_model(
@@ -146,12 +134,7 @@ def build_two_level_model(
     V = np.zeros((grid.n, 2, 2), dtype=complex)
     V[:, 0, 1] = omega / 2.0
     V[:, 1, 0] = np.conj(omega) / 2.0
-    return LocalPotentialModel(
-        grid=grid,
-        channels=channels,
-        V=V,
-        rebuild=lambda g: build_two_level_model(profile, delta, gamma, g),
-    )
+    return LocalPotentialModel(grid=grid, channels=channels, V=V)
 
 
 def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
@@ -272,25 +255,3 @@ def solve_channel(model: LocalPotentialModel, E: float, i0: int = 0) -> ChannelA
     check_channel_index(i0, kin.n_open)
     return ChannelAmplitudes(*(complex(block[i0, 0])
                                for block in _columns(model, kin, factors, [i0])))
-
-
-def convergence_sweep(model: LocalPotentialModel, E: float, resolutions):
-    """Solve at increasing grid resolutions with Richardson-style estimates.
-
-    Each returned solution past the first carries the max difference of the
-    open-channel probability matrix |S|^2 against the previous resolution.
-    """
-    resolutions = list(resolutions)
-    if resolutions != sorted(resolutions):
-        raise ValueError("resolutions must be ascending")
-    solutions = []
-    prev_probs = None
-    for n in resolutions:
-        g = make_grid(model.grid.x_min, model.grid.x_max, n)
-        sol = solve_local(model.regenerated(g), E)
-        probs = np.abs(sol.S.full()) ** 2
-        if prev_probs is not None and probs.shape == prev_probs.shape:
-            sol.convergence_estimate = float(np.max(np.abs(probs - prev_probs)))
-        prev_probs = probs
-        solutions.append(sol)
-    return solutions

@@ -20,7 +20,7 @@ the whole grid runs the full n x n solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -39,29 +39,29 @@ SUPPORT_REL = np.finfo(float).eps
 SLAB = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlocalKernel:
     """Complex kernel samples K[i, j] = V(x_i, x_j) on a square grid.
 
-    The optional descriptor records the closed-form optical parameters the
-    kernel was built from, so it can be regenerated at other resolutions or
-    energies (the kernel is energy dependent).
+    The kernel is immutable: K is held as a read-only view of the caller's
+    complex array (not a copy), so support and kmax, derived from the
+    samples once, cannot go stale.
     """
 
     grid: Grid
     K: np.ndarray
-    descriptor: Optional[object] = field(default=None, repr=False)
     #: Node interval (lo, hi) of the kernel's support, derived from K.
     support: Tuple[int, int] = field(init=False, repr=False, compare=False)
     #: Max-norm max |K|, derived from K.
     kmax: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=complex)
+        K = np.asarray(self.K, dtype=complex).view()
+        K.flags.writeable = False
         n = self.grid.n
         if K.shape != (n, n):
             raise ModelError(f"kernel must be {n}x{n}, got {K.shape}")
-        self.K = K
+        object.__setattr__(self, "K", K)
         # row and column max-moduli, SLAB rows at a time: no n x n temporary
         row_max, col_max = np.empty(n), np.zeros(n)
         for a in range(0, n, SLAB):
@@ -70,7 +70,8 @@ class NonlocalKernel:
             np.maximum(col_max, np.max(slab, axis=0), out=col_max)
         if not np.all(np.isfinite(row_max)):  # np.max propagates NaN
             raise ModelError("kernel samples must be finite")
-        self.kmax = kmax = float(np.max(row_max))
+        kmax = float(np.max(row_max))
+        object.__setattr__(self, "kmax", kmax)
         if kmax > 0:
             edge = max(row_max[0], row_max[-1], col_max[0], col_max[-1])
             if edge > END_DECAY_REL * kmax:
@@ -81,7 +82,8 @@ class NonlocalKernel:
         # the hull of the row and column supports; a zero kernel keeps one
         # node, so its solve still runs
         nodes = np.flatnonzero(np.maximum(row_max, col_max) > SUPPORT_REL * kmax)
-        self.support = (int(nodes[0]), int(nodes[-1]) + 1) if len(nodes) else (0, 1)
+        support = (int(nodes[0]), int(nodes[-1]) + 1) if len(nodes) else (0, 1)
+        object.__setattr__(self, "support", support)
 
 
 def _green_weights(k: float, h: float, n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""JSON/CSV import and export for models, S-matrices and analysis tables.
+"""JSON model import; JSON/CSV export of S-matrices and analysis tables.
 
 JSON numbers are written with full round-trip precision (repr); CSV uses 12
 significant digits.  Complex values are [re, im] pairs throughout.
@@ -42,17 +42,6 @@ def smatrix_to_dict(S: SMatrix) -> dict:
             for name in ("T", "R", "Rt", "Tt")
         },
     }
-
-
-def smatrix_from_dict(d: dict) -> SMatrix:
-    n = int(d["n_open"])
-    blocks = {}
-    for name in ("T", "R", "Rt", "Tt"):
-        flat = [_unpair(v) for v in d["blocks"][name]]
-        if len(flat) != n * n:
-            raise ConfigError(f"block {name} must have {n * n} entries")
-        blocks[name] = np.array(flat, dtype=complex).reshape(n, n)
-    return SMatrix(**blocks)
 
 
 def write_json(path, doc: dict):
@@ -103,21 +92,6 @@ def model_from_dict(d: dict) -> LocalPotentialModel:
 def read_model(path) -> LocalPotentialModel:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def write_model(path, model: LocalPotentialModel):
-    doc = {
-        "grid": {
-            "xmin": model.grid.x_min,
-            "xmax": model.grid.x_max,
-            "n": model.grid.n,
-        },
-        "thresholds": [_pair(t) for t in model.channels.thresholds],
-        "V": [[_pair(z) for z in mat.ravel()] for mat in model.V],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
 
 
 def write_kernel_csv(path, kernel: NonlocalKernel, polar: bool = True):

@@ -60,10 +60,6 @@ class Grid:
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    def index_of(self, x: float) -> int:
-        """Nearest-grid-point index of coordinate x."""
-        return int(round((x - self.x_min) / self.spacing))
-
     @property
     def symmetric(self) -> bool:
         """True if the grid is symmetric about x = 0."""

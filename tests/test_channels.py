@@ -4,7 +4,6 @@ import pytest
 from demonscatter.channels import (
     ChannelSet,
     SMatrix,
-    channel_row_column_sums,
     extract_channel,
     haar_unitary,
     kinematics,
@@ -76,32 +75,6 @@ def test_shape_mismatch():
         SMatrix(T=np.eye(2), R=np.eye(3), Tt=np.eye(2), Rt=np.eye(2))
     with pytest.raises(ShapeMismatchError):
         SMatrix.from_full(np.eye(3))
-
-
-def test_row_column_sums_identity():
-    S = SMatrix.from_full(np.eye(4))
-    assert channel_row_column_sums(S, 0) == pytest.approx((1, 1, 1, 1))
-
-
-def test_row_column_sums_haar():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = rng.integers(1, 4)
-        S = SMatrix.from_full(haar_unitary(2 * n, rng))
-        for i in range(n):
-            sums = channel_row_column_sums(S, i)
-            assert sums == pytest.approx((1, 1, 1, 1), abs=1e-12)
-
-
-def test_row_column_sums_scaled():
-    S = SMatrix.from_full(0.5 * np.eye(4))
-    assert channel_row_column_sums(S, 0) == pytest.approx((0.25,) * 4)
-
-
-def test_row_column_sums_out_of_range():
-    S = SMatrix.from_full(np.eye(4))
-    with pytest.raises(ChannelIndexError):
-        channel_row_column_sums(S, 2)
 
 
 def test_extract_channel_identity():

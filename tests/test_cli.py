@@ -9,8 +9,9 @@ from demonscatter import cli
 from demonscatter.cli import main
 from demonscatter.local_solver import build_two_level_model
 from demonscatter.optimize import OptimizationResult
-from demonscatter.serialize import write_model
 from demonscatter.units import RabiProfile, make_grid
+
+from test_serialize import write_model
 
 PAPER_FLAGS = [
     "--b", "165.874", "--c", "103.876", "--x0", "0.16455", "--delta", "91.211",
@@ -177,6 +178,9 @@ BAD_INPUT = {
     "scatter-x0-nan": ["scatter"] + _with("x0", "nan") + ["--v", "8"],
     "scatter-box-nan": ["scatter"] + _with("box", "nan") + ["--v", "8"],
     "scatter-w-inf": ["scatter"] + _with("w", "inf") + ["--v", "8"],
+    # at E = 0 channel 0 is closed, so open channel 0 would be the excited one
+    "scatter-v-zero": ["scatter"] + _with("v", "0"),
+    "sweep-nv-zero": ["sweep"] + _with("nv", "0"),
     "kernel-E-nan": ["kernel"] + _with("E", "nan") + ["--n", "41"],
     "kernel-E-negative": ["kernel"] + _with("E", "-1") + ["--n", "41"],
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],

@@ -16,7 +16,6 @@ from demonscatter.kernels import (
     compute_mu,
     compute_q,
     feshbach_reference,
-    regenerate_kernel,
 )
 from demonscatter.local_solver import build_two_level_model
 from demonscatter.units import RabiProfile, make_grid, rabi_eval
@@ -96,18 +95,6 @@ def test_q_zero_error():
     )
     with pytest.raises(ThresholdSingularityError):
         build_kernel(params, grid)
-
-
-def test_regenerate_at_other_grid_and_energy():
-    grid1 = make_grid(-1.5, 1.5, 101)
-    grid2 = make_grid(-1.5, 1.5, 201)
-    params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
-    )
-    k1 = build_kernel(params, grid1)
-    k2 = regenerate_kernel(k1, grid=grid2, E=20.0)
-    assert k2.grid.n == 201
-    assert k2.descriptor.E == 20.0
 
 
 def test_feshbach_matches_closed_form():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from demonscatter.local_solver import (
     _assemble,
     _bloch_factors,
     build_two_level_model,
-    convergence_sweep,
     solve_channel,
     solve_local,
 )
@@ -35,10 +36,7 @@ def barrier_model(v0, width, n, half_box=1.5):
     edge = np.isclose(np.abs(grid.points), width / 2)
     V[inner, 0, 0] = v0
     V[edge, 0, 0] = v0 / 2
-    return LocalPotentialModel(
-        grid=grid, channels=ChannelSet(thresholds=(0.0,)), V=V,
-        rebuild=lambda g: barrier_model(v0, width, g.n, half_box),
-    )
+    return LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0,)), V=V)
 
 
 def barrier_t2_exact(v0, width, E):
@@ -182,17 +180,12 @@ def test_barrier_unitarity():
 
 
 def test_convergence_sweep_barrier():
-    model = barrier_model(10.0, 1.0, 501)
-    sols = convergence_sweep(model, 8.0, [751, 1501, 3001])
     t2_exact = barrier_t2_exact(10.0, 1.0, 8.0)
-    errs = [abs(abs(extract_channel(s.S, 0).T) ** 2 - t2_exact) for s in sols]
+    errs = []
+    for n in (751, 1501, 3001):
+        t = extract_channel(solve_local(barrier_model(10.0, 1.0, n), 8.0).S, 0).T
+        errs.append(abs(abs(t) ** 2 - t2_exact))
     assert errs[1] < errs[0] and errs[2] < errs[1]
-
-
-def test_convergence_sweep_requires_ascending():
-    model = barrier_model(10.0, 1.0, 501)
-    with pytest.raises(ValueError):
-        convergence_sweep(model, 8.0, [1001, 501])
 
 
 def test_two_level_zero_coupling_is_free():
@@ -236,7 +229,25 @@ def test_hermitian_flag_is_derived_from_the_samples():
         assert LocalPotentialModel(
             grid=grid, channels=model.channels, V=V
         ).hermitian_flag is False
-    assert model.regenerated(make_grid(-1.5, 1.5, 201)).hermitian_flag is True
+
+
+def test_model_fields_cannot_be_reassigned():
+    model = random_hermitian_model(np.random.default_rng(4), make_grid(-1.5, 1.5, 101), 2)
+    for name, value in (("V", model.V * 1e6), ("hermitian_flag", False),
+                        ("channels", model.channels), ("grid", model.grid)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    assert model.hermitian_flag is True
+
+
+def test_model_samples_are_a_read_only_view_of_the_callers_array():
+    V0 = random_hermitian_model(np.random.default_rng(4), make_grid(-1.5, 1.5, 101), 2).V.copy()
+    model = LocalPotentialModel(grid=make_grid(-1.5, 1.5, 101),
+                                channels=ChannelSet(thresholds=(0.0, 1.0)), V=V0)
+    with pytest.raises(ValueError):
+        model.V[0] = 1
+    assert np.shares_memory(model.V, V0)  # no copy made
+    assert V0.flags.writeable             # and the caller's array is untouched
 
 
 def test_paper_model_half_demon_values():
@@ -251,9 +262,11 @@ def test_paper_model_half_demon_values():
 
 
 def test_paper_model_self_convergence():
-    model = build_two_level_model(PAPER_PROFILE, 91.211)
-    sols = convergence_sweep(model, 32.0, [1001, 2001, 4001])
-    diffs = [s.convergence_estimate for s in sols[1:]]
+    probs = []
+    for n in (1001, 2001, 4001):
+        model = build_two_level_model(PAPER_PROFILE, 91.211, grid=make_grid(-1.5, 1.5, n))
+        probs.append(np.abs(solve_local(model, 32.0).S.full()) ** 2)
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(probs, probs[1:])]
     assert all(d < 1e-3 for d in diffs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -67,6 +68,27 @@ def test_kmax_paper_kernel_and_zero_kernel():
     assert kernel.kmax == np.max(np.abs(kernel.K))
     zero = NonlocalKernel(grid=make_grid(-1.5, 1.5, 41), K=np.zeros((41, 41)))
     assert zero.kmax == 0.0
+
+
+def test_kernel_fields_cannot_be_reassigned():
+    K0 = random_bordered(41, np.random.default_rng(3))
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, 41), K=K0)
+    kmax, support = kernel.kmax, kernel.support
+    for name, value in (("K", kernel.K * 1e6), ("kmax", 1e6), ("support", (0, 41)),
+                        ("grid", kernel.grid)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kernel, name, value)
+    assert (kernel.kmax, kernel.support) == (kmax, support)
+
+
+def test_kernel_samples_are_a_read_only_view_of_the_callers_array():
+    K0 = random_bordered(41, np.random.default_rng(3))
+    assert K0.dtype == complex
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, 41), K=K0)
+    with pytest.raises(ValueError):
+        kernel.K[0, 0] = 1
+    assert np.shares_memory(kernel.K, K0)  # no copy made
+    assert K0.flags.writeable              # and the caller's array is untouched
 
 
 def test_local_limit_matches_coupled_solver():

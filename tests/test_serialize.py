@@ -10,10 +10,7 @@ from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.serialize import (
     model_from_dict,
     read_model,
-    smatrix_from_dict,
-    smatrix_to_dict,
     write_kernel_csv,
-    write_model,
     write_regions_csv,
     write_smatrix,
     write_sweep_csv,
@@ -21,10 +18,18 @@ from demonscatter.serialize import (
 from demonscatter.units import RabiProfile, make_grid
 
 
-def test_smatrix_roundtrip():
-    S = SMatrix.from_full(haar_unitary(4, np.random.default_rng(1)))
-    S2 = smatrix_from_dict(smatrix_to_dict(S))
-    assert np.array_equal(S.full(), S2.full())
+def write_model(path, model):
+    """Write model as the JSON document that read_model and the CLI's --model read."""
+    def pair(z):
+        return [z.real, z.imag]
+
+    doc = {
+        "grid": {"xmin": model.grid.x_min, "xmax": model.grid.x_max, "n": model.grid.n},
+        "thresholds": [pair(t) for t in model.channels.thresholds],
+        "V": [[pair(z) for z in mat.ravel()] for mat in model.V],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
 def test_smatrix_file_roundtrip(tmp_path):
@@ -34,15 +39,10 @@ def test_smatrix_file_roundtrip(tmp_path):
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["diagnostics"]["unitarity_defect"] == 1e-13
-    assert np.array_equal(smatrix_from_dict(doc).full(), S.full())
-
-
-def test_smatrix_bad_block_length():
-    with pytest.raises(ConfigError):
-        smatrix_from_dict({"n_open": 2, "blocks": {
-            "T": [[1, 0]], "R": [[0, 0]] * 4, "Rt": [[0, 0]] * 4,
-            "Tt": [[1, 0]] * 4,
-        }})
+    n = doc["n_open"]
+    for name in ("T", "R", "Rt", "Tt"):
+        block = np.array([complex(re, im) for re, im in doc["blocks"][name]])
+        assert np.array_equal(block.reshape(n, n), getattr(S, name))
 
 
 def test_model_roundtrip(tmp_path):

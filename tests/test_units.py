@@ -37,12 +37,6 @@ def test_make_grid_too_few_points():
         make_grid(-1.0, 1.0, 2)
 
 
-def test_grid_index_roundtrip():
-    g = make_grid(-1.5, 1.5, 301)
-    for i in [0, 1, 57, 150, 299, 300]:
-        assert g.index_of(g.points[i]) == i
-
-
 def test_rabi_single_gaussians():
     assert rabi_eval(RabiProfile(b=0, c=1, x0=0, w=1), 0.0) == pytest.approx(1.0)
     assert rabi_eval(RabiProfile(b=1, c=0, x0=0, w=1), 0.0) == pytest.approx(-1j)
