@@ -14,6 +14,7 @@ the solvers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class ChannelSet:
         eps = tuple(complex(e) for e in self.thresholds)
         if len(eps) == 0:
             raise ValueError("at least one channel required")
-        if not all(np.isfinite([e.real for e in eps]) & np.isfinite([e.imag for e in eps])):
+        if not all(map(cmath.isfinite, eps)):
             raise ValueError("thresholds must be finite")
         object.__setattr__(self, "thresholds", eps)
         if self.labels is None:

@@ -13,10 +13,19 @@ into LAPACK band storage and factored once per (model, E); only the
 incidences a caller reads are back-substituted (all of them in
 `solve_local`, one channel's two in `solve_channel`).  A boundary-value solve
 cannot overflow on strongly closed channels, unlike naive marching.
+
+`solve_channel_jacobian` adds the exact derivatives of channel 0's
+amplitudes with respect to parameters of V and of the thresholds, by the
+adjoint method on the same LU: one transposed back-substitution for the
+channel's two end rows, then products with the analytic derivative of the
+stencil and of the boundary rows' Bloch factors.  `two_level_derivatives`
+gives those parameter derivatives for the two-level model.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +50,7 @@ from .units import (
     check_resolution,
     default_grid,
     rabi_eval,
+    rabi_gradient,
 )
 
 
@@ -70,11 +80,12 @@ class LocalPotentialModel:
                 f"V must have shape {(n, nch, nch)}, got {V.shape}"
             )
         object.__setattr__(self, "V", V)
-        vmax = np.max(np.abs(V))
+        modulus = np.abs(V)
+        vmax = modulus.max()
         if not np.isfinite(vmax):
             raise ModelError("potential samples must be finite")
         if vmax > 0:
-            end_mag = max(np.max(np.abs(V[0])), np.max(np.abs(V[-1])))
+            end_mag = max(modulus[0].max(), modulus[-1].max())
             if end_mag > END_DECAY_REL * vmax:
                 raise ModelError(
                     f"potential not negligible at grid ends "
@@ -137,6 +148,19 @@ def build_two_level_model(
     return LocalPotentialModel(grid=grid, channels=channels, V=V)
 
 
+def two_level_derivatives(profile: RabiProfile, grid: Grid):
+    """(dV, deps): the derivatives of build_two_level_model(profile, delta,
+    gamma, grid) with respect to p = (b, c, x0, delta), as
+    solve_channel_jacobian reads them.  Only the coupling V_12 = Omega/2,
+    V_21 = Omega*/2 depends on b, c and x0, and only the threshold
+    eps_2 = -delta - i gamma/2 on delta."""
+    d_coupling = np.zeros((4, grid.n), dtype=complex)
+    np.multiply(rabi_gradient(profile, -grid.points), 0.5, out=d_coupling[:3])
+    deps = np.zeros((4, 2))
+    deps[3, 1] = -1.0
+    return {(0, 1): d_coupling, (1, 0): d_coupling.conj()}, deps
+
+
 def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
     """Discrete Numerov propagation factor lambda_j = e^{i K_j h} per channel.
 
@@ -153,6 +177,19 @@ def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
     # open channel: both roots on the unit circle; rightward wave has Im > 0
     pick_pos = np.where(lam1.imag >= lam2.imag, lam1, lam2)
     return np.where(on_circle, pick_pos, lam)
+
+
+def _bloch_derivatives(k: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
+    """d(-1/lambda_j)/d eps_j, the boundary rows' derivative, for the Bloch
+    factors lam = _bloch_factors(k, h).
+
+    lambda solves lambda^2 - 2 c lambda + 1 = 0 with c = (1 + 5y/12)/(1 - y/12)
+    and y = -(k h)^2 = -2 h^2 (E - eps_j), so dlambda/dc = lambda/(lambda - c),
+    dc/dy = 1/(2 (1 - y/12)^2) and dy/deps_j = 2 h^2.
+    """
+    y = -(np.asarray(k, dtype=complex) * h) ** 2
+    c = (1.0 + 5.0 * y / 12.0) / (1.0 - y / 12.0)
+    return h * h / (lam * (lam - c) * (1.0 - y / 12.0) ** 2)
 
 
 def _assemble(model: LocalPotentialModel, E: float):
@@ -198,7 +235,7 @@ def _factor(model: LocalPotentialModel, E: float):
     kin = kinematics(model.channels, E)
     check_resolution(np.max(kin.k_open), model.grid.spacing)
     u, ab, lam = _assemble(model, E)
-    if not np.all(np.isfinite(ab)):
+    if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
     if info > 0:
@@ -207,43 +244,43 @@ def _factor(model: LocalPotentialModel, E: float):
 
 
 def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
-    """Blocks (T, R, Tt, Rt) of S, n_open x len(cols) each, back-substituting
-    only the left and right incidences of the open channels cols."""
+    """Blocks (T, R, Tt, Rt) of S, n_open x len(cols) each, and the solution
+    psi (n nch x 2 len(cols)), back-substituting only the left and then the
+    right incidences of the open channels cols."""
     u, lu, piv, lam = factors
     grid, nch = model.grid, model.channels.n_channels
     top = (grid.n - 1) * nch
     open_idx, k_open = kin.open_indices, kin.k_open
+    n_open, cols = len(open_idx), np.asarray(cols)
+    m = len(cols)
     inc = open_idx[cols]
-    m = len(inc)
-    B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
-    src = (lam[inc] - 1.0 / lam[inc]) / np.sqrt(k_open[cols])
-    if not np.all(np.isfinite(src)):
+    both = np.arange(2 * m)  # columns: left incidences, then right ones
+    sqrt_k = np.sqrt(k_open)
+    src = (lam[inc] - 1.0 / lam[inc]) / sqrt_k[cols]
+    if not np.isfinite(src).all():
         raise ValueError("array must not contain infs or NaNs")
-    B[inc, np.arange(m)] = src              # left incidence, bottom BC row
-    B[top + inc, np.arange(m, 2 * m)] = src  # right incidence, top BC row
+    B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
+    # left incidence in the bottom BC row, right incidence in the top one
+    B[np.concatenate((inc, top + inc)), both] = np.concatenate((src, src))
     psi, _info = zgbtrs(lu, u, u, B, piv, overwrite_b=1)
-    if not np.all(np.isfinite(psi)):
+    if not np.isfinite(psi).all():
         raise SolverError("non-finite solution; near-singular linear system")
 
-    # outgoing coefficients at the ends (incident wave removed), flux
-    # normalized and converted to e^{+-ikx} waves
-    left, right = psi[open_idx], psi[top + open_idx]
-    incident = np.diag(1.0 / np.sqrt(k_open))[:, cols]
-    sqrt_k = np.sqrt(k_open)[:, None]
-    ph_left = np.exp(1j * k_open * grid.x_min)     # e^{+ikx} at the left end
-    ph_right = np.exp(-1j * k_open * grid.x_max)   # e^{-ikx} at the right end
-    return (
-        right[:, :m] * sqrt_k * ph_right[:, None] * ph_left[cols][None, :],
-        (left[:, :m] - incident) * sqrt_k * ph_left[:, None] * ph_left[cols][None, :],
-        left[:, m:] * sqrt_k * ph_left[:, None] * ph_right[cols][None, :],
-        (right[:, m:] - incident) * sqrt_k * ph_right[:, None] * ph_right[cols][None, :],
-    )
+    # outgoing coefficients at the left (0) and right (1) ends, incident wave
+    # removed, flux normalized and converted to e^{+ikx} / e^{-ikx} waves
+    ends = psi[np.concatenate((open_idx, top + open_idx))]
+    incident = 1.0 / sqrt_k[cols]
+    ends[np.concatenate((cols, n_open + cols)), both] -= np.concatenate((incident, incident))
+    phase = np.exp(1j * np.multiply.outer((grid.x_min, -grid.x_max), k_open))
+    out = (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * phase[:, :, None]
+           * phase[:, cols].reshape(2 * m))
+    return (out[1, :, :m], out[0, :, :m], out[0, :, m:], out[1, :, m:]), psi
 
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
     kin, factors = _factor(model, E)
-    S = SMatrix(*_columns(model, kin, factors, np.arange(kin.n_open)))
+    S = SMatrix(*_columns(model, kin, factors, np.arange(kin.n_open))[0])
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, kinematics=kin, unitarity_defect=defect)
 
@@ -254,4 +291,58 @@ def solve_channel(model: LocalPotentialModel, E: float, i0: int = 0) -> ChannelA
     kin, factors = _factor(model, E)
     check_channel_index(i0, kin.n_open)
     return ChannelAmplitudes(*(complex(block[i0, 0])
-                               for block in _columns(model, kin, factors, [i0])))
+                               for block in _columns(model, kin, factors, [i0])[0]))
+
+
+def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
+    """solve_channel(model, E), bit for bit, and the derivatives of channel
+    0's amplitudes (T, R, Tt, Rt) with respect to p parameters, shape (4, p).
+
+    dV maps each channel pair (a, b) whose entry V_ab moves with the
+    parameters to dV_ab/dp, shape (p, n); deps is d eps/dp, shape (p, nch).
+    Open channel 0's threshold is taken as fixed: its wavenumber, which sets
+    the amplitudes' phases and flux normalization, is not differentiated.
+    Adjoint method on the one LU: A^T y = e for channel 0's two end rows is
+    one more back-substitution, and then d psi_end / dp_q = -y^T (dA/dp_q) psi,
+    where dA/dp_q is the analytic derivative of the Numerov rows (through
+    W = 2 V + 2 diag(eps - E)) and of the boundary rows (through -1/lambda_j).
+    """
+    kin, factors = _factor(model, E)
+    check_channel_index(0, kin.n_open)
+    channel = kin.open_indices[0]
+    blocks, psi = _columns(model, kin, factors, [0])
+    u, lu, piv, lam = factors
+    grid, nch = model.grid, model.channels.n_channels
+    n, h = grid.n, grid.spacing
+    e = np.zeros((n * nch, 2), dtype=complex, order="F")
+    e[channel, 0] = e[(n - 1) * nch + channel, 1] = 1.0   # left end, right end
+    y, _info = zgbtrs(lu, u, u, e, piv, trans=1, overwrite_b=1)
+    # contiguous (end r or incidence c, channel, node) arrays
+    y, psi = (np.ascontiguousarray(v.T.reshape(2, n, nch).transpose(0, 2, 1)) for v in (y, psi))
+    deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
+
+    # boundary rows psi_j(1) - psi_j(0)/lambda_j and psi_j(n-2) - psi_j(n-1)/lambda_j
+    edges = y[:, :, [0, -1]].transpose(1, 0, 2) @ psi[:, :, [0, -1]].transpose(1, 2, 0)
+    G = (deps * _bloch_derivatives(kin.k, h, lam)) @ edges.reshape(nch, 4)
+    # Numerov row m = 1..n-2 applies -(h^2/12) (dW[m-1], 10 dW[m], dW[m+1])
+    # to psi at nodes m-1, m, m+1; gather those rows' y per node
+    y[:, :, [0, -1]] = 0.0
+    Y = 10.0 * y
+    Y[:, :, 1:] += y[:, :, :-1]
+    Y[:, :, :-1] += y[:, :, 1:]
+    # sum_j Y[r, a, j] dW_ab[j] psi[c, b, j] with dW = 2 dV + 2 diag(deps),
+    # (r, c) flattened to r * 2 + c
+    diagonal = Y.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)
+    interior = deps @ diagonal.reshape(nch, 4)
+    for (a, b), d in dV.items():
+        interior += d @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
+    G -= (h * h / 6.0) * interior
+
+    # as in _columns, amplitude = sqrt(k) p_end p_inc (psi_end - incident wave)
+    # with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one;
+    # (end, incidence) is (1, 0), (0, 0), (0, 1), (1, 1) for T, R, Tt, Rt
+    k = float(kin.k_open[0])
+    left, right = cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max)
+    scale = math.sqrt(k) * np.array([right * left, left * left, left * right, right * right])
+    amps = ChannelAmplitudes(*(complex(block[0, 0]) for block in blocks))
+    return amps, -(G[:, [2, 0, 1, 3]] * scale).T

@@ -1,10 +1,15 @@
-"""Derivative-free design of asymmetric devices over (b, c, x0, Delta).
+"""Gradient-based design of asymmetric devices over (b, c, x0, Delta).
 
 Minimizes the weighted squared deviation of the achieved channel-0
 probabilities (|T|^2, |R|^2, |Tt|^2, |Rt|^2) from a target device, at a
-single design velocity v0 with gamma = 0.  Nelder-Mead with seeded random
-restarts over a documented box; every evaluation builds the two-level
-model and reads channel 0 alone from the coupled-channel `solve_channel`.
+single design velocity v0 with gamma = 0.  A seeded screening pass ranks
+random draws from PARAM_BOX by their cost; L-BFGS-B (box-bounded
+quasi-Newton; Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190
+(1995)) then descends from the best of them, with restarts, confined to
+PARAM_BOX.  Every evaluation builds the two-level model and reads channel 0
+alone from the coupled-channel solve: a screening evaluation through
+`solve_channel`, a descent evaluation through `solve_channel_jacobian`,
+which adds the exact gradient by the adjoint method on the same LU.
 
 The search runs on a design grid derived from the physics (`design_grid`):
 the caller's box, with only as many points as the shortest local wavelength
@@ -22,7 +27,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .demon import demon_parameter
-from .local_solver import build_two_level_model, solve_channel
+from .local_solver import (
+    build_two_level_model,
+    solve_channel,
+    solve_channel_jacobian,
+    two_level_derivatives,
+)
 from .units import DEFAULT_WIDTH, Grid, RabiProfile, default_grid, make_grid, velocity_to_energy
 
 #: Search box for (b, c, x0, Delta); covers the reference optimum.
@@ -117,14 +127,26 @@ def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:
     return grid if n >= grid.n else make_grid(grid.x_min, grid.x_max, n)
 
 
-def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid):
-    """Cost at params and its channel-0 amplitudes; callers check v0 and w once."""
+def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid,
+              gradient: bool = False):
+    """Cost at params, its channel-0 amplitudes and, if gradient, d cost/d params
+    (else None); callers check v0 and w once."""
     b, c, x0, delta = (float(p) for p in params)
     profile = RabiProfile(b=b, c=c, x0=x0, w=w)
     model = build_two_level_model(profile, delta, grid=grid)
-    amps = solve_channel(model, velocity_to_energy(v0))
-    deviations = zip(target.weights, amps.probabilities, target.probabilities)
-    return float(sum(wt * (a - t) ** 2 for wt, a, t in deviations)), amps
+    E = velocity_to_energy(v0)
+    if gradient:
+        amps, jac = solve_channel_jacobian(model, E, *two_level_derivatives(profile, grid))
+    else:
+        amps = solve_channel(model, E)
+    deviations = list(zip(target.weights, amps.probabilities, target.probabilities))
+    cost_ = float(sum(wt * (a - t) ** 2 for wt, a, t in deviations))
+    if not gradient:
+        return cost_, amps, None
+    # d|a_k|^2/dp = 2 Re(conj(a_k) da_k/dp)
+    a = np.array([amps.T, amps.R, amps.Tt, amps.Rt])
+    weights = np.array([2.0 * wt * (p - t) for wt, p, t in deviations])
+    return cost_, amps, weights @ (2.0 * (a.conj()[:, None] * jac).real)
 
 
 def _result(params, cost_: float, amps, evaluations: int, **extra) -> OptimizationResult:
@@ -138,6 +160,10 @@ def _result(params, cost_: float, amps, evaluations: int, **extra) -> Optimizati
         converged=cost_ < CONVERGED_COST,
         **extra,
     )
+
+
+class _BudgetSpent(Exception):
+    """Raised by the objective when a descent has used its evaluations."""
 
 
 def cost(params, target: DeviceTarget, v0: float, w: float = DEFAULT_WIDTH,
@@ -157,7 +183,7 @@ def optimize(
     restarts: int = 8,
     grid: Optional[Grid] = None,
 ) -> OptimizationResult:
-    """Nelder-Mead with random restarts over the parameter box.
+    """L-BFGS-B with exact gradients and random restarts over PARAM_BOX.
 
     The search runs on design_grid(grid, v0, w) and its log holds the
     costs found there; the best point is then solved once more on `grid`
@@ -165,11 +191,13 @@ def optimize(
     and converged flag refer to.  A grid no finer than the design grid is
     searched itself, with no extra solve.
 
-    `init` may be an explicit (b, c, x0, Delta) start used for the first
-    restart; remaining starts are drawn uniformly from PARAM_BOX with the
-    seeded generator.  `budget` caps total cost evaluations across all
-    restarts; if it runs out the best-so-far is returned with
-    converged=False unless it already beat the threshold.
+    A screening pass ranks min(budget // 4, 25 * restarts) seeded uniform
+    draws from PARAM_BOX by cost alone; the descents start from the best of
+    them, after `init` if given (an explicit (b, c, x0, Delta), clipped to
+    PARAM_BOX).  `budget` caps the evaluations across screening and all
+    descents, a cost-and-gradient counting as one; if it runs out the
+    best-so-far is returned with converged=False unless it already beat
+    the threshold.
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
@@ -181,28 +209,34 @@ def optimize(
     lo, span = PARAM_BOX[:, 0], PARAM_BOX[:, 1] - PARAM_BOX[:, 0]
 
     n_eval = 0
+    limit = budget   # evaluations allowed before the current descent stops
     log = []
     best = (np.inf, None, None)   # cost, normalized point, amplitudes
 
-    # Nelder-Mead runs in box-normalized coordinates so all four parameters
-    # carry comparable step sizes
-    def f(u):
+    # the search runs in box-normalized coordinates u in [0, 1]^4, so all
+    # four parameters carry comparable step sizes
+    def f(u, gradient=False):
         nonlocal n_eval, best
+        if n_eval >= limit:
+            raise _BudgetSpent
         n_eval += 1
         p = lo + u * span
-        c, amps = _evaluate(p, target, v0, w, grid)
+        c, amps, grad = _evaluate(p, target, v0, w, grid, gradient)
         log.append((n_eval, tuple(float(v) for v in p), c))
         if c < best[0]:
             best = (c, np.array(u, dtype=float), amps)
-        return c
+        return (c, grad * span) if gradient else c
 
     def run(u0, maxfev):
-        minimize(
-            f,
-            u0,
-            method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-12},
-        )
+        # L-BFGS-B checks its maxfun only between iterations, so a line
+        # search could overrun it; f enforces the cap instead
+        nonlocal limit
+        limit = n_eval + maxfev
+        try:
+            minimize(f, np.clip(u0, 0.0, 1.0), args=(True,), jac=True,
+                     method="L-BFGS-B", bounds=[(0.0, 1.0)] * 4)
+        except _BudgetSpent:
+            pass
 
     # cheap screening pass ranks random draws; the restarts descend from the
     # most promising ones (the landscape is multimodal)
@@ -229,7 +263,7 @@ def optimize(
     params = tuple(float(v) for v in lo + best[1] * span)
     cost_, amps = best[0], best[2]
     if grid is not caller:
-        cost_, amps = _evaluate(params, target, v0, w, caller)
+        cost_, amps, _ = _evaluate(params, target, v0, w, caller)
     return _result(params, cost_, amps, n_eval, log=log)
 
 
@@ -248,7 +282,7 @@ def refine_paper_point(
     if grid is None:
         grid = default_grid()
     target = DeviceTarget.named("half-demon")
-    initial_cost, amps = _evaluate(PAPER_POINT, target, v0, DEFAULT_WIDTH, grid)
+    initial_cost, amps, _ = _evaluate(PAPER_POINT, target, v0, DEFAULT_WIDTH, grid)
     if budget <= 0:
         return _result(PAPER_POINT, initial_cost, amps, 1, initial_cost=initial_cost)
     result = optimize(

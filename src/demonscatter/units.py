@@ -119,6 +119,25 @@ def rabi_eval(profile: RabiProfile, x):
     return omega
 
 
+def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
+    """dOmega/d(b, c, x0) at the points x, shape (3,) + x.shape.
+
+    g'(t) = -2 t/w^2 g(t), and x0 enters the b lobe as +x0 and the c lobe
+    as -x0.  Zero where rabi_eval truncates Omega.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < DEFAULT_BOX_HALF
+    t_plus, t_minus = x + profile.x0, x - profile.x0
+    g_plus = np.exp(-(t_plus**2) / profile.w**2) * inside
+    g_minus = np.exp(-(t_minus**2) / profile.w**2) * inside
+    grad = np.zeros((3,) + x.shape, dtype=complex)
+    grad[0].imag = -g_plus
+    grad[1].real = g_minus
+    grad[2].real = (2.0 * profile.c / profile.w**2) * t_minus * g_minus
+    grad[2].imag = (2.0 * profile.b / profile.w**2) * t_plus * g_plus
+    return grad
+
+
 def check_resolution(k: float, h: float):
     """Warn if spacing h gives fewer than MIN_POINTS_PER_WAVELENGTH at k."""
     ppw = (2.0 * np.pi / k) / h

@@ -6,17 +6,20 @@ import pytest
 
 from demonscatter.channels import extract_channel
 from demonscatter.demon import demon_parameter
-from demonscatter.local_solver import build_two_level_model, solve_channel, solve_local
+import demonscatter.local_solver as local_solver
+from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
     PARAM_BOX,
+    TARGETS,
     DeviceTarget,
+    _evaluate,
     cost,
     design_grid,
     optimize,
     refine_paper_point,
 )
-from demonscatter.units import RabiProfile, default_grid, make_grid
+from demonscatter.units import DEFAULT_WIDTH, RabiProfile, default_grid, make_grid
 
 COARSE = make_grid(-1.5, 1.5, 1001)
 
@@ -178,18 +181,20 @@ def test_refine_off_design_velocity_costs_more():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Count solve_channel calls made by the optimize module.
+    """Count factorizations of the Numerov system, one per solve.
 
-    The package re-exports the function optimize under the submodule's
-    name, so the module itself is reachable only through sys.modules.
+    A screening evaluation solves through solve_channel and a descent
+    evaluation through solve_channel_jacobian; both factor once with
+    local_solver._factor.
     """
     calls = []
+    real_factor = local_solver._factor
 
-    def counting(model, E, i0=0):
+    def counting(model, E):
         calls.append(E)
-        return solve_channel(model, E, i0)
+        return real_factor(model, E)
 
-    monkeypatch.setattr(sys.modules["demonscatter.optimize"], "solve_channel", counting)
+    monkeypatch.setattr(local_solver, "_factor", counting)
     return calls
 
 
@@ -262,3 +267,68 @@ def test_design_grid_error_over_param_box():
         gap = np.subtract(_amplitudes_at(params, coarse).probabilities,
                           _amplitudes_at(params, grid).probabilities)
         assert np.max(np.abs(gap)) <= DESIGN_GRID_ERROR, params
+
+
+#: The paper point and five seeded draws from PARAM_BOX.
+GRADIENT_POINTS = [PAPER_POINT, *(
+    tuple(PARAM_BOX[:, 0] + u * np.ptp(PARAM_BOX, axis=1))
+    for u in np.random.default_rng(7).random((5, 4)))]
+
+
+def gradient_and_differences(params, target, grid):
+    """d cost/d (b, c, x0, Delta) of a cost-and-gradient evaluation, and central
+    differences of cost with steps of 1e-5 of PARAM_BOX's span."""
+    _c, _amps, grad = _evaluate(params, target, 8.0, DEFAULT_WIDTH, grid, gradient=True)
+    differences = []
+    for q, step in enumerate(1e-5 * np.ptp(PARAM_BOX, axis=1)):
+        shift = np.zeros(4)
+        shift[q] = step
+        differences.append((cost(np.add(params, shift), target, 8.0, grid=grid)
+                            - cost(np.subtract(params, shift), target, 8.0, grid=grid))
+                           / (2 * step))
+    return grad, np.array(differences)
+
+
+@pytest.mark.parametrize("params", GRADIENT_POINTS)
+def test_gradient_matches_central_differences(params):
+    grid = design_grid(default_grid(), 8.0)
+    for name in TARGETS:
+        grad, differences = gradient_and_differences(params, DeviceTarget.named(name), grid)
+        # every component, Delta and x0 included, to 1e-6 relative
+        assert np.all(np.abs(grad - differences) <= 1e-6 * np.abs(differences)), name
+
+
+def test_gradient_check_catches_a_dropped_bloch_factor_term(monkeypatch):
+    """Delta moves the channel-1 Bloch factor in both boundary rows; without
+    that term of dA/dDelta the Delta component fails the check above."""
+    grid = design_grid(default_grid(), 8.0)
+    target = DeviceTarget.named("half-demon")
+    monkeypatch.setattr(local_solver, "_bloch_derivatives",
+                        lambda k, h, lam: np.zeros_like(lam))
+    grad, differences = gradient_and_differences(PAPER_POINT, target, grid)
+    error = np.abs(grad - differences) / np.abs(differences)
+    assert np.all(error[:3] <= 1e-6)
+    assert error[3] > 1e-6
+
+
+@pytest.mark.parametrize("name, seed", [("A/R", 2), ("half-demon", 4)])
+def test_seeds_that_ran_out_of_budget_converge(name, seed):
+    """Under Nelder-Mead these two runs ended at 2.4e-3 (A/R) or spent all
+    5,000 evaluations (half-demon)."""
+    r = optimize(DeviceTarget.named(name), v0=8.0, seed=seed, budget=5000, restarts=8)
+    assert r.converged
+    assert r.evaluations < 5000
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_budget_is_a_hard_cap(restarts):
+    grid = make_grid(-1.5, 1.5, 401)
+    names = sorted(TARGETS)
+    spent = []
+    for budget in [*range(100, 212, 8), 211]:
+        r = optimize(DeviceTarget.named(names[budget % 3]), seed=budget, budget=budget,
+                     restarts=restarts, grid=grid)
+        assert r.evaluations <= budget
+        assert [i for i, _p, _c in r.log] == list(range(1, r.evaluations + 1))
+        spent.append(r.evaluations == budget)
+    assert any(spent)  # the cap binds, mid-descent, in some of these runs
