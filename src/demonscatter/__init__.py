@@ -30,8 +30,6 @@ from .demon import (
 from .kernels import (
     OpticalParameters,
     build_kernel,
-    compute_mu,
-    compute_q,
     feshbach_reference,
 )
 from .local_solver import (

@@ -35,7 +35,6 @@ class ChannelSet:
     """
 
     thresholds: tuple
-    labels: tuple = None
 
     def __post_init__(self):
         eps = tuple(complex(e) for e in self.thresholds)
@@ -44,12 +43,6 @@ class ChannelSet:
         if not all(map(cmath.isfinite, eps)):
             raise ValueError("thresholds must be finite")
         object.__setattr__(self, "thresholds", eps)
-        if self.labels is None:
-            object.__setattr__(
-                self, "labels", tuple(f"ch{i}" for i in range(len(eps)))
-            )
-        elif len(self.labels) != len(eps):
-            raise ValueError("labels/thresholds length mismatch")
 
     @property
     def n_channels(self) -> int:
@@ -64,7 +57,6 @@ class ChannelKinematics:
     have real k_j > 0, closed ones purely imaginary k_j.
     """
 
-    energy: float
     k: np.ndarray = field(repr=False)
     open_mask: np.ndarray = field(repr=False)
 
@@ -100,7 +92,7 @@ def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:
             f"all channels closed at E={E} (min threshold "
             f"{min(e.real for e in channels.thresholds)})"
         )
-    return ChannelKinematics(energy=float(E), k=k, open_mask=open_mask)
+    return ChannelKinematics(k=k, open_mask=open_mask)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -109,10 +110,15 @@ def _model_from(cfg: dict):
 
 
 def _energy_from(cfg: dict) -> float:
-    """E if given, else the ground-channel energy of v (default 8)."""
-    if "E" in cfg:
-        return float(cfg["E"])
-    return velocity_to_energy(float(cfg.get("v", 8.0)))
+    """E if given, else the ground-channel energy of v (default 8); an E and
+    a v given together must agree."""
+    if "E" not in cfg:
+        return velocity_to_energy(float(cfg.get("v", 8.0)))
+    E = float(cfg["E"])
+    if "v" in cfg and not math.isclose(velocity_to_energy(float(cfg["v"])), E,
+                                       rel_tol=1e-12):
+        raise ConfigError(f"E={E} disagrees with v={cfg['v']} (E = v^2/2)")
+    return E
 
 
 def _kernel_from(cfg: dict, E: float):
@@ -184,13 +190,15 @@ def cmd_regions(cfg: dict) -> int:
 
 
 def cmd_classify(cfg: dict) -> int:
-    v = float(cfg.get("v", 8.0))
-    kernel = _kernel_from(cfg, _energy_from(cfg))
+    E = _energy_from(cfg)
+    kernel = _kernel_from(cfg, E)
     rel_tol = float(cfg.get("tol", 1e-8))
     report = classify(kernel, rel_tol)
     verification = None
     if cfg.get("verify", False):
-        verification = verify_predictions(kernel, v, rel_tol, report=report)
+        # solved at the ground-channel wavenumber of the kernel's energy
+        verification = verify_predictions(kernel, math.sqrt(2.0 * E), rel_tol,
+                                          report=report)
     serialize.write_json(
         cfg.get("out", "symmetry.json"),
         serialize.symmetry_report_to_dict(report, verification),

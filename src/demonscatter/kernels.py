@@ -1,14 +1,15 @@
 """Effective nonlocal kernel from eliminating the laser-coupled level.
 
-Projecting the two-channel model onto its ground channel yields the
-separable, energy-dependent complex kernel
+Eliminating channel 1 of a two-channel model with vanishing diagonal
+potential (Feshbach projection onto channel 0) leaves the separable,
+energy-dependent complex kernel
 
-    V(x, y) = (1/4) e^{i q |x-y|} / (i q) * W(x) W(y)*
+    K(x, y) = V_01(x) e^{i q |x-y|} / (i q) V_10(y),
 
-with W the coupling profile, q^2 = 2 E (1 + mu) and
-mu = (2 delta + i gamma) / (2 E), branch Im q >= 0.  The same kernel is
-also evaluated numerically from the sampled two-channel model via the
-eliminated channel's outgoing Green's function as a consistency reference.
+with q = sqrt(2 (E - eps_1)) on the branch Im q >= 0: the eliminated
+channel's outgoing-wave Green's function.  build_kernel applies it to the
+two-level atom-laser model, so the model builder alone fixes the paper's
+conventions (coupling, threshold, orientation of the profile).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import (
     ThresholdSingularityError,
     UnsupportedModelError,
 )
-from .local_solver import LocalPotentialModel
+from .local_solver import LocalPotentialModel, build_two_level_model
 from .nonlocal_solver import NonlocalKernel
-from .units import Grid, RabiProfile, rabi_eval
+from .units import Grid, RabiProfile
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,6 @@ class OpticalParameters:
             raise NonPositiveEnergyError(f"energy must be > 0, got E={self.E}")
 
 
-def compute_mu(delta: float, gamma: float, E: float) -> complex:
-    """mu = (2 delta + i gamma) / (2 E) in reduced units."""
-    if E <= 0:
-        raise NonPositiveEnergyError(f"energy must be > 0, got E={E}")
-    return (2.0 * delta + 1j * gamma) / (2.0 * E)
-
-
-def compute_q(E: float, mu: complex) -> complex:
-    """q = sqrt(2E) (1 + mu)^{1/2} on the branch with Im q >= 0."""
-    if E <= 0:
-        raise NonPositiveEnergyError(f"energy must be > 0, got E={E}")
-    return complex(branch_sqrt(2.0 * E * (1.0 + complex(mu))))
-
-
 def _green_phase(grid: Grid, q: complex) -> np.ndarray:
     """e^{i q |x_i - x_j|} on the uniform grid, from n exponentials.
 
@@ -73,25 +60,17 @@ def _green_phase(grid: Grid, q: complex) -> np.ndarray:
 
 
 def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
-    """Closed-form effective kernel of the design on the given grid."""
-    q = compute_q(params.E, compute_mu(params.delta, params.gamma, params.E))
-    if q == 0:
-        raise ThresholdSingularityError(
-            "effective wavenumber q = 0: kernel singular at threshold"
-        )
-    # same incidence-axis orientation as the two-channel model builder
-    omega = rabi_eval(params.profile, -grid.points)
-    K = _green_phase(grid, q)
-    K *= 0.25 / (1j * q) * omega[:, None]
-    K *= np.conj(omega)[None, :]
-    return NonlocalKernel(grid=grid, K=K)
+    """Effective kernel of the design on the given grid: the excited
+    channel of its two-level model, eliminated by feshbach_reference."""
+    model = build_two_level_model(params.profile, params.delta, params.gamma, grid)
+    return feshbach_reference(model, params.E)
 
 
-def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> NonlocalKernel:
-    """Effective kernel of channel i0, evaluated from the sampled model.
+def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
+    """Effective kernel of channel 0 at energy E, from the sampled model.
 
-    Eliminates the other channel through its outgoing-wave Green's function
-    (the +i0 energy prescription realized exactly, not by a finite shift).
+    Eliminates channel 1 through its outgoing-wave Green's function (the
+    +i0 energy prescription realized exactly, not by a finite shift).
     Restricted to two-channel models whose diagonal potential vanishes, the
     family whose elimination is exactly solvable.
     """
@@ -100,8 +79,6 @@ def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> Non
             f"elimination implemented for 2 channels, got "
             f"{model.channels.n_channels}"
         )
-    if i0 not in (0, 1):
-        raise UnsupportedModelError(f"channel index must be 0 or 1, got {i0}")
     vmax = np.max(np.abs(model.V))
     diag_mag = max(
         np.max(np.abs(model.V[:, 0, 0])), np.max(np.abs(model.V[:, 1, 1]))
@@ -110,14 +87,13 @@ def feshbach_reference(model: LocalPotentialModel, E: float, i0: int = 0) -> Non
         raise UnsupportedModelError(
             "elimination requires vanishing diagonal potential blocks"
         )
-    other = 1 - i0
-    eps = model.channels.thresholds[other]
-    q = complex(branch_sqrt(2.0 * (E - eps)))
+    q = complex(branch_sqrt(2.0 * (E - model.channels.thresholds[1])))
     if q == 0:
         raise ThresholdSingularityError(
             "eliminated channel exactly at threshold: Green's function singular"
         )
     K = _green_phase(model.grid, q)
-    K *= (model.V[:, i0, other] / (1j * q))[:, None]
-    K *= model.V[:, other, i0][None, :]
+    K *= (model.V[:, 0, 1] / (1j * q))[:, None]
+    # a strided view as the broadcast operand slows the n x n product
+    K *= np.ascontiguousarray(model.V[:, 1, 0])[None, :]
     return NonlocalKernel(grid=model.grid, K=K)

@@ -37,7 +37,6 @@ from .channels import (
     ChannelKinematics,
     ChannelSet,
     SMatrix,
-    branch_sqrt,
     check_channel_index,
     kinematics,
     unitarity_defect,
@@ -102,7 +101,6 @@ class ScatterSolution:
     """S-matrix plus per-solve diagnostics."""
 
     S: SMatrix
-    kinematics: ChannelKinematics
     unitarity_defect: float
 
 
@@ -138,7 +136,7 @@ def build_two_level_model(
     if grid is None:
         grid = default_grid()
     eps2 = -(2.0 * delta + 1j * gamma) / 2.0
-    channels = ChannelSet(thresholds=(0.0, eps2), labels=("ground", "excited"))
+    channels = ChannelSet(thresholds=(0.0, eps2))
     # incidence-axis orientation: the -i*b lobe sits at +x0 (downstream of
     # left incidence), which makes the reference design left-transmitting
     omega = rabi_eval(profile, -grid.points)
@@ -192,8 +190,9 @@ def _bloch_derivatives(k: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
     return h * h / (lam * (lam - c) * (1.0 - y / 12.0) ** 2)
 
 
-def _assemble(model: LocalPotentialModel, E: float):
-    """Numerov system in zgbtrf's band storage, and the per-channel Bloch factors.
+def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
+    """Numerov system in zgbtrf's band storage, and the per-channel Bloch
+    factors, at energy E where the channel wavenumbers are k.
 
     Returns (u, ab, lam): the system has u = 2 nch - 1 sub- and
     super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
@@ -209,7 +208,7 @@ def _assemble(model: LocalPotentialModel, E: float):
     P = eye[None, :, :] - (h * h / 12.0) * W        # multiplies neighbours
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)  # multiplies centre
 
-    lam = _bloch_factors(branch_sqrt(2.0 * (E - eps)), h)
+    lam = _bloch_factors(k, h)
 
     # interior row m*nch + a couples to column (m + s)*nch + b through the
     # block entry (a, b) of P, Q, P at shift s = -1, 0, +1
@@ -234,7 +233,7 @@ def _factor(model: LocalPotentialModel, E: float):
     """Kinematics at E and the banded LU (u, lu, piv, lam) of the Numerov system."""
     kin = kinematics(model.channels, E)
     check_resolution(np.max(kin.k_open), model.grid.spacing)
-    u, ab, lam = _assemble(model, E)
+    u, ab, lam = _assemble(model, E, kin.k)
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
@@ -282,7 +281,7 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     kin, factors = _factor(model, E)
     S = SMatrix(*_columns(model, kin, factors, np.arange(kin.n_open))[0])
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
-    return ScatterSolution(S=S, kinematics=kin, unitarity_defect=defect)
+    return ScatterSolution(S=S, unitarity_defect=defect)
 
 
 def solve_channel(model: LocalPotentialModel, E: float, i0: int = 0) -> ChannelAmplitudes:

@@ -9,6 +9,7 @@ from demonscatter import cli
 from demonscatter.cli import main
 from demonscatter.local_solver import build_two_level_model
 from demonscatter.optimize import OptimizationResult
+from demonscatter.symmetry import verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
 from test_serialize import write_model
@@ -112,6 +113,20 @@ def test_classify_paper_kernel(tmp_path, monkeypatch):
     assert satisfied == ["Trivial"]
 
 
+def test_classify_verifies_at_the_kernel_energy(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    wavenumbers = []
+
+    def spy(kernel, k, *args, **kwargs):
+        wavenumbers.append(k)
+        return verify_predictions(kernel, k, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_predictions", spy)
+    assert run(["classify", "--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20",
+                "--n", "201", "--E", "50", "--verify"]) == 0
+    assert wavenumbers == [10.0]
+
+
 def test_sweep_free_particle(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = run(["sweep", "--b", "0", "--c", "0", "--delta", "1", "--n", "501",
@@ -183,6 +198,10 @@ BAD_INPUT = {
     "sweep-nv-zero": ["sweep"] + _with("nv", "0"),
     "kernel-E-nan": ["kernel"] + _with("E", "nan") + ["--n", "41"],
     "kernel-E-negative": ["kernel"] + _with("E", "-1") + ["--n", "41"],
+    # E = 50 is v = 10, so v = 3 would be silently ignored
+    "kernel-E-v-disagree": ["kernel"] + _with("E", "50") + ["--v", "3", "--n", "41"],
+    "classify-E-v-disagree": ["classify"] + _with("E", "50") + ["--v", "3", "--n", "41",
+                                                               "--verify"],
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),

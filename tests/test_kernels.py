@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from demonscatter.errors import (
     NonPositiveEnergyError,
@@ -13,8 +15,6 @@ from demonscatter.errors import (
 from demonscatter.kernels import (
     OpticalParameters,
     build_kernel,
-    compute_mu,
-    compute_q,
     feshbach_reference,
 )
 from demonscatter.local_solver import build_two_level_model
@@ -23,31 +23,22 @@ from demonscatter.units import RabiProfile, make_grid, rabi_eval
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
 
-def test_mu_values():
-    assert compute_mu(0.0, 0.0, 5.0) == 0.0
-    assert compute_mu(91.211, 0.0, 32.0) == pytest.approx(91.211 / 32.0)
-    assert compute_mu(0.0, 64.0, 32.0) == pytest.approx(1j)
-    with pytest.raises(NonPositiveEnergyError):
-        compute_mu(1.0, 0.0, 0.0)
+def closed_form(profile, q, grid):
+    """The paper's kernel 0.25 Omega(x) Omega(y)* e^{iq|x-y|}/(iq), with the
+    profile evaluated at -x (the incidence-axis orientation), in the
+    operation order of the closed-form builder that elimination replaced."""
+    x = grid.points
+    omega = rabi_eval(profile, -x)
+    e = np.exp(1j * q * (x - x[0]))  # e^{iq|x_i - x_j|} depends on |i - j| only
+    K = toeplitz(e, e) * (0.25 / (1j * q) * omega[:, None])
+    K *= np.conj(omega)[None, :]
+    return K
 
 
-def test_q_values():
-    assert type(compute_q(32.0, 0.0)) is complex
-    assert compute_q(32.0, 0.0) == pytest.approx(8.0)
-    q = compute_q(32.0, 91.211 / 32.0)
-    assert q == pytest.approx(8.0 * np.sqrt(1 + 91.211 / 32.0))
-    assert abs(q - 15.698) < 1e-3
-    below = compute_q(32.0, -2.0)
-    assert below.real == pytest.approx(0.0, abs=1e-12)
-    assert below.imag == pytest.approx(8.0)
-
-
-def test_q_branch_property():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        mu = complex(rng.normal(scale=3), rng.normal(scale=3))
-        E = float(rng.uniform(0.1, 100))
-        assert compute_q(E, mu).imag >= 0
+def paper_q(E, delta, gamma):
+    """q = sqrt(2E + 2 delta + i gamma) on the branch Im q >= 0."""
+    q = cmath.sqrt(complex(2.0 * E + 2.0 * delta, gamma))
+    return -q if q.imag < 0 else q
 
 
 def test_zero_profile_zero_kernel():
@@ -97,50 +88,36 @@ def test_q_zero_error():
         build_kernel(params, grid)
 
 
-def test_feshbach_matches_closed_form():
-    grid = make_grid(-1.5, 1.5, 401)
-    for gamma in (0.0, 64.0):
-        model = build_two_level_model(PAPER_PROFILE, 91.211, gamma, grid)
-        ref = feshbach_reference(model, 32.0)
-        params = OpticalParameters(
-            delta=91.211, gamma=gamma, profile=PAPER_PROFILE, E=32.0
-        )
-        K = build_kernel(params, grid).K
-        rel = np.max(np.abs(ref.K - K)) / np.max(np.abs(K))
-        assert rel < 1e-8
-
-
 def test_kernels_match_elementwise_formula():
-    # criterion-2 draws (on a coarser grid): the Toeplitz phase equals
-    # e^{iq|x_i - x_j|} to rounding
+    # criterion-2 draws (on a coarser grid), then lossy draws and draws whose
+    # eliminated channel is closed (E + delta < 0), where the branch
+    # Im q >= 0 decides the kernel
     rng = np.random.default_rng(5)
     grid = make_grid(-1.5, 1.5, 1001)
-    x, E = grid.points, 32.0
-    for _ in range(20):
-        profile = RabiProfile(
-            b=rng.uniform(20.0, 180.0),
-            c=rng.uniform(20.0, 120.0),
-            x0=rng.uniform(0.0, 0.35),
-        )
-        delta = rng.uniform(10.0, 140.0)
-        q = compute_q(E, compute_mu(delta, 0.0, E))
+    draws = []
+    for kind in ("criterion 2", "lossy", "closed"):
+        for _ in range(20 if kind == "criterion 2" else 8):
+            profile = RabiProfile(
+                b=rng.uniform(20.0, 180.0),
+                c=rng.uniform(20.0, 120.0),
+                x0=rng.uniform(0.0, 0.35),
+            )
+            E = 32.0 if kind == "criterion 2" else rng.uniform(5.0, 60.0)
+            delta = -E - rng.uniform(1.0, 80.0) if kind == "closed" else rng.uniform(10.0, 140.0)
+            gamma = rng.uniform(0.5, 100.0) if kind == "lossy" else 0.0
+            draws.append((kind, profile, delta, gamma, E))
+    for kind, profile, delta, gamma, E in draws:
+        q = paper_q(E, delta, gamma)
+        assert (q.imag > 0) == (kind != "criterion 2")
+        ref = closed_form(profile, q, grid)
+        params = OpticalParameters(delta=delta, gamma=gamma, profile=profile, E=E)
+        K = build_kernel(params, grid).K
+        assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref)), kind
+        # the Toeplitz phase equals e^{iq|x_i - x_j|} to rounding
+        x, omega = grid.points, rabi_eval(profile, -grid.points)
         green = np.exp(1j * q * np.abs(x[:, None] - x[None, :])) / (1j * q)
-        omega = rabi_eval(profile, -x)
-        model = build_two_level_model(profile, delta, grid=grid)
-        expected = {
-            "build_kernel": 0.25 * green * omega[:, None] * np.conj(omega)[None, :],
-            "feshbach_reference": (
-                model.V[:, 0, 1][:, None] * green * model.V[:, 1, 0][None, :]
-            ),
-        }
-        params = OpticalParameters(delta=delta, gamma=0.0, profile=profile, E=E)
-        got = {
-            "build_kernel": build_kernel(params, grid).K,
-            "feshbach_reference": feshbach_reference(model, E).K,
-        }
-        for name, K in got.items():
-            ref = expected[name]
-            assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        entrywise = 0.25 * omega[:, None] * np.conj(omega)[None, :] * green
+        assert np.max(np.abs(entrywise - ref)) <= 1e-12 * np.max(np.abs(ref)), kind
 
 
 def test_feshbach_zero_coupling():
@@ -152,15 +129,12 @@ def test_feshbach_zero_coupling():
 def test_feshbach_gamma_case_q():
     # Delta=0, gamma=64, E=32: q = 8 (1+i)^{1/2}
     grid = make_grid(-1.5, 1.5, 201)
-    model = build_two_level_model(PAPER_PROFILE, 0.0, 64.0, grid)
-    ref = feshbach_reference(model, 32.0)
     params = OpticalParameters(
         delta=0.0, gamma=64.0, profile=PAPER_PROFILE, E=32.0
     )
-    built = build_kernel(params, grid)
-    assert np.allclose(ref.K, built.K, atol=1e-10 * np.max(np.abs(built.K)))
-    q = compute_q(32.0, 1j)
-    assert q == pytest.approx(8.0 * np.sqrt(1 + 1j))
+    K = build_kernel(params, grid).K
+    ref = closed_form(PAPER_PROFILE, 8.0 * np.sqrt(1 + 1j), grid)
+    assert np.allclose(K, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_feshbach_requires_two_channels():

@@ -334,7 +334,7 @@ def test_matches_superlu_oracle():
 def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
-    u, ab, lam = _assemble(model, 30.0)
+    u, ab, lam = _assemble(model, 30.0, kinematics(model.channels, 30.0).k)
     A, lam_ref = coo_numerov_matrix(model, 30.0)
     A = A.toarray()
     i, j = np.indices(A.shape)
@@ -355,7 +355,7 @@ def solve_banded_solution(model, E):
     n, nch = grid.n, channels.n_channels
     kin = kinematics(channels, E)
     open_idx, k_open = kin.open_indices, kin.k_open
-    u, ab, lam = _assemble(model, E)
+    u, ab, lam = _assemble(model, E, kin.k)
     n_open = len(open_idx)
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
     src = (lam[open_idx] - 1.0 / lam[open_idx]) / np.sqrt(k_open)
