@@ -4,9 +4,10 @@ Nystroem discretization of the Lippmann-Schwinger equation with the 1D
 outgoing-wave Green's function G(x, x') = e^{ik|x-x'|}/(2ik).  The kink of
 the Green's function at x = x' is handled by product integration (exact
 integration of e^{ik|s|} against piecewise-linear hats); the smooth kernel
-integral uses trapezoidal weights.  One dense LU factorization serves both
-incidence directions; right incidence is a mirrored incident wave, not a
-kernel transposition.
+integral uses trapezoidal weights.  The Green's matrix is semiseparable, so
+its product with the kernel is two row sweeps, with no FFT and no m x m
+temporary.  One dense LU factorization serves both incidence directions;
+right incidence is a mirrored incident wave, not a kernel transposition.
 
 The system is built and solved on the kernel's support only: the node
 interval [lo, hi) outside which every row and column of K is at most
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import lu_factor, lu_solve
 
 from .channels import ChannelAmplitudes
@@ -86,38 +86,56 @@ class NonlocalKernel:
         object.__setattr__(self, "support", support)
 
 
-def _green_weights(k: float, h: float, n: int) -> np.ndarray:
+def _green_weights(k: float, h: float):
     """Product-integration weights of the outgoing Green's function.
 
     w[m] = integral of e^{ik|x|}/(2ik) against the unit hat centred m cells
     away; exact for piecewise-linear densities, so the |x-x'| kink costs no
-    accuracy order.
+    accuracy order.  Returns (w[0], c, rho): off the diagonal w[m] = c rho^m
+    with rho = e^{ikh}.  No weight loses digits to cancellation: 1 - cos(kh)
+    is 2 sin^2(kh/2), and kh - sin(kh) is a Taylor series below kh = 1.
     """
     kh = k * h
-    m = np.arange(n)
-    f_hat = 2.0 * (1.0 - np.cos(kh)) / (h * k * k)
-    w = np.exp(1j * kh * m) * f_hat
-    w[0] = 2.0 * (1j / k - (np.exp(1j * kh) - 1.0) / (h * k * k))
-    return w / (2j * k)
+    s2 = 2.0 * np.sin(kh / 2.0) ** 2  # 1 - cos(kh)
+    if kh < 1.0:  # the first omitted term is kh^19/19!
+        d = 1.0
+        for j in range(16, 2, -2):
+            d = 1.0 - kh * kh / (j * (j + 1)) * d
+        d *= kh**3 / 6.0
+    else:
+        d = kh - np.sin(kh)
+    return complex(d, -s2) / (h * k**3), -1j * s2 / (h * k**3), np.exp(1j * kh)
 
 
-def _toeplitz_product(g: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """toeplitz(g, g) @ A by circulant embedding, without forming the matrix.
+def _system_matrix(Ks: np.ndarray, wy: np.ndarray, k: float, h: float) -> np.ndarray:
+    """M = I - G A with A = 2 Ks diag(wy), C-ordered, built row by row.
 
-    The symmetric Toeplitz matrix of first column g is the leading n x n
-    block of the circulant of c = [g, 0..., g[:0:-1]], which FFTs
-    diagonalize.  A is transformed 128 columns at a time, so no padded
-    temporary exceeds 128 x len(c).  The result is Fortran-ordered.
+    G, the symmetric Toeplitz matrix of the Green's weights, is
+    semiseparable: (G A)_i = c (L_i + U_i) + (w[0] - c) A_i with the forward
+    sweep L_i = rho L_{i-1} + A_i and the backward sweep
+    U_i = rho (U_{i+1} + A_{i+1}).  Each sweep carries one row; M is the
+    only m x m array made.
     """
-    n, block = len(g), 128
-    L = next_fast_len(2 * n - 1)
-    fc = fft(np.concatenate([g, np.zeros(L - 2 * n + 1), g[:0:-1]]))
-    out = np.empty((A.shape[1], n), dtype=complex)
-    for j in range(0, A.shape[1], block):
-        fa = fft(A[:, j:j + block].T, n=L, axis=1)
-        fa *= fc
-        out[j:j + block] = ifft(fa, axis=1, overwrite_x=True)[:, :n]
-    return out.T
+    w0, c, rho = _green_weights(k, h)
+    m = len(wy)
+    a = -2.0 * c * wy          # row i of -c A is Ks[i] * a
+    b = -2.0 * (w0 - c) * wy   # row i of -(w[0] - c) A is Ks[i] * b
+    M = np.empty((m, m), dtype=complex)
+    row, u = np.empty(m, dtype=complex), np.zeros(m, dtype=complex)
+    np.multiply(Ks[0], a, out=M[0])
+    for i in range(1, m):      # M[i] = -c L_i
+        np.multiply(M[i - 1], rho, out=M[i])
+        np.multiply(Ks[i], a, out=row)
+        M[i] += row
+    for i in range(m - 1, -1, -1):  # u = -c U_i
+        np.multiply(Ks[i], a, out=row)
+        M[i] += u
+        u += row
+        u *= rho
+        np.multiply(Ks[i], b, out=row)
+        M[i] += row
+    M.flat[:: m + 1] += 1.0
+    return M
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -126,37 +144,38 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
-    """Flux-normalized amplitudes T, R, Tt, Rt at wavenumber k > 0."""
+def check_wavenumber(k: float):
+    """Raise ValueError unless k is positive and finite."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"wavenumber must be positive and finite, got k={k}")
+
+
+def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
+    """Flux-normalized amplitudes T, R, Tt, Rt at wavenumber k > 0."""
+    check_wavenumber(k)
     grid = kernel.grid
     h = grid.spacing
     check_resolution(k, h)
 
     lo, hi = kernel.support
     m, x = hi - lo, grid.points[lo:hi]
-    wy = _trapezoid_weights(grid.n, h)[lo:hi]
-    action = 2.0 * kernel.K[lo:hi, lo:hi] * wy[None, :]  # psi -> 2 (V psi)
-    # M = I - G @ action, G the symmetric (not Hermitian) Toeplitz matrix
-    # of the Green's function weights
-    M = _toeplitz_product(_green_weights(k, h, m), action)
-    M *= -1.0
-    M.flat[::m + 1] += 1.0
+    wy, Ks = _trapezoid_weights(grid.n, h)[lo:hi], kernel.K[lo:hi, lo:hi]
+    M = _system_matrix(Ks, wy, k, h)
 
     sqrt_k = np.sqrt(k)
     phi = np.empty((m, 2), dtype=complex)
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
     try:
-        lu = lu_factor(M, overwrite_a=True)
-        psi = lu_solve(lu, phi)
+        # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place
+        lu = lu_factor(M.T, overwrite_a=True)
+        psi = lu_solve(lu, phi, trans=1)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular linear system: {exc}") from exc
     if not np.all(np.isfinite(psi)):
         raise SolverError("non-finite solution; near-singular linear system")
 
-    v_psi = (action @ psi) / 2.0                    # (V psi)(x_l), both waves
+    v_psi = Ks @ (wy[:, None] * psi)                 # (V psi)(x_l), both waves
     e_minus = wy * np.exp(-1j * k * x)               # smooth integrand
     e_plus = wy * np.exp(1j * k * x)
     pref = sqrt_k / (1j * k)

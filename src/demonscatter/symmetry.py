@@ -12,8 +12,9 @@ kernel's own kmax.  Each transform g is an involution: an index permutation
 plus an exact conjugation.  Float subtraction is exactly antisymmetric, so
 |K - gK| is equal at an index p and at its image g(p), and the pass reduces
 each class over one representative of every orbit of g's index map only.
-Its maxima are bit-identical to max |K - transform(K, g)|, and no temporary
-is larger than SLAB x n.
+TimeReversal needs no difference: K - conj(K) is exactly 2i Im K, so its
+residual is 2 max |Im K|.  The maxima are bit-identical to
+max |K - transform(K, g)|, and no temporary is larger than SLAB x n.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .demon import demon_parameter
 from .errors import AsymmetricGridError
-from .nonlocal_solver import SLAB, NonlocalKernel, solve_nonlocal
+from .nonlocal_solver import SLAB, NonlocalKernel, check_wavenumber, solve_nonlocal
 
 #: Default verdict tolerance, relative to the kernel max-norm.
 REL_TOL = 1e-8
@@ -74,7 +75,7 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
 
     Returns (P, Q): P is the part of rows a:b that holds one representative
     of every orbit of the index map (flip, transpose) that meets those rows,
-    and Q is K at the images of those indices, as a contiguous copy.
+    and Q is K at the images of those indices, as a view.
     Returns None when no row of the slab holds a representative.
     """
     n = len(K)
@@ -89,20 +90,22 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
         P, Q = rows, K[n - b : n - a][::-1, ::-1]
     else:  # the identity: every index is its own orbit
         P, Q = rows, rows
-    return P, np.ascontiguousarray(Q)
+    return P, Q
 
 
 def _blocked_maxima(K: np.ndarray, classes):
     """max |K - transform(K, cls)| per class.
 
     One pass over slabs of SLAB rows; classes that share an index map share
-    its slab pair.  The kernel must be finite, because a NaN would lose
-    every comparison of the running maximum.
+    its slab pair, and every difference and modulus goes to one preallocated
+    pair of slab buffers.  The kernel must be finite, because a NaN would
+    lose every comparison of the running maximum.
     """
     by_map = {}
     for cls in classes:
         by_map.setdefault(cls.value[:2], []).append(cls)
     found = dict.fromkeys(classes, 0.0)
+    diff, mod = np.empty(SLAB * len(K), dtype=complex), np.empty(SLAB * len(K))
     for a in range(0, len(K), SLAB):
         b = min(a + SLAB, len(K))
         for (flip, transpose), group in by_map.items():
@@ -110,9 +113,14 @@ def _blocked_maxima(K: np.ndarray, classes):
             if pair is None:
                 continue
             P, Q = pair
+            d, r = diff[: P.size].reshape(P.shape), mod[: P.size].reshape(P.shape)
             for cls in group:
-                d = P - np.conj(Q) if cls.value[2] else P - Q
-                found[cls] = max(found[cls], float(np.max(np.abs(d))))
+                if cls is SymmetryClass.TimeReversal:  # K - conj(K) = 2i Im K
+                    top = 2.0 * np.max(np.abs(P.imag, out=r))
+                else:
+                    np.subtract(P, np.conjugate(Q, out=d) if cls.value[2] else Q, out=d)
+                    top = np.max(np.abs(d, out=r))
+                found[cls] = max(found[cls], float(top))
     return found
 
 
@@ -238,6 +246,7 @@ def verify_predictions(
     report: Optional[SymmetryReport] = None,
 ) -> VerificationReport:
     """Solve the kernel and check every relation its symmetries predict."""
+    check_wavenumber(k)
     if report is None:
         report = classify(kernel, rel_tol)
     amps = solve_nonlocal(kernel, k)

@@ -3,8 +3,10 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from demonscatter.channels import ChannelSet, extract_channel
@@ -16,7 +18,7 @@ from demonscatter.nonlocal_solver import (
     SUPPORT_REL,
     NonlocalKernel,
     _green_weights,
-    _toeplitz_product,
+    _system_matrix,
     _trapezoid_weights,
     solve_nonlocal,
 )
@@ -198,13 +200,74 @@ def test_wavenumber_must_be_positive():
         solve_nonlocal(kernel, 0.0)
 
 
-@pytest.mark.parametrize("n", [61, 1201])
-def test_toeplitz_product_matches_dense(n):
+# ------------------------------------------------ Green's weights and sweeps
+
+
+def green_row(k, h, n):
+    """First row g of the symmetric Toeplitz Green's matrix: w[m] for m < n."""
+    w0, c, rho = _green_weights(k, h)
+    g = c * rho ** np.arange(n)
+    g[0] = w0
+    return g
+
+
+def fft_toeplitz_product(g, A):
+    """toeplitz(g, g) @ A by circulant embedding: the FFT product that the
+    two-sweep recurrence replaced, kept here as an oracle."""
+    n, block = len(g), 128
+    L = next_fast_len(2 * n - 1)
+    fc = fft(np.concatenate([g, np.zeros(L - 2 * n + 1), g[:0:-1]]))
+    out = np.empty((A.shape[1], n), dtype=complex)
+    for j in range(0, A.shape[1], block):
+        fa = fft(A[:, j:j + block].T, n=L, axis=1)
+        fa *= fc
+        out[j:j + block] = ifft(fa, axis=1, overwrite_x=True)[:, :n]
+    return out.T
+
+
+@pytest.mark.parametrize("n", [61, 1201, 2001])
+@pytest.mark.parametrize("product", [lambda g, A: toeplitz(g, g) @ A, fft_toeplitz_product],
+                         ids=["dense", "fft"])
+def test_system_matrix_matches_toeplitz_product(n, product):
+    k, h = 8.0, 3.0 / (n - 1)
     rng = np.random.default_rng(n)
-    g = _green_weights(8.0, 3.0 / (n - 1), n)
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    ref = toeplitz(g, g) @ A
-    assert np.max(np.abs(_toeplitz_product(g, A) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    wy = _trapezoid_weights(n, h)
+    ref = product(green_row(k, h, n), 2.0 * K * wy)
+    # an exact power-of-two scale makes G A of order 1, so the identity in
+    # M = I - G A costs no digits of the comparison
+    scale = 2.0 ** -np.round(np.log2(np.max(np.abs(ref))))
+    K *= scale
+    ref *= scale
+    M = _system_matrix(K, wy, k, h)
+    assert M.flags.c_contiguous
+    M.flat[::n + 1] -= 1.0
+    M += ref
+    assert np.max(np.abs(M)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def mp_green_weights(k, h):
+    """(w[0], c) at 50 digits: w[0] = (kh - sin kh - 2i sin^2(kh/2)) / (h k^3)
+    and c = -2i sin^2(kh/2) / (h k^3)."""
+    with mpmath.workdps(50):
+        k, h = mpmath.mpf(k), mpmath.mpf(h)
+        kh, hk3 = k * h, h * k**3
+        s2 = 2 * mpmath.sin(kh / 2) ** 2
+        return complex(mpmath.mpc(kh - mpmath.sin(kh), -s2) / hk3), complex(-1j * s2 / hk3)
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0, 8.0])
+@pytest.mark.parametrize("kh", np.logspace(-6, 0, 13))
+def test_green_weights_match_mpmath(k, kh):
+    # Re w[0] ~ kh^3 / 6 and Im w[0] = Im c ~ kh^2 / 2 (over h k^3) are each
+    # correct to a few ulps; 1 - cos(kh) and kh - sin(kh) taken as
+    # differences fail this by orders of magnitude
+    w0, c, rho = _green_weights(k, kh / k)
+    ref0, ref_c = mp_green_weights(k, kh / k)
+    for got, ref in ((w0.real, ref0.real), (w0.imag, ref0.imag), (c.imag, ref_c.imag)):
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+    assert c.real == 0.0
+    assert rho == np.exp(1j * k * (kh / k))
 
 
 # ------------------------------------------- solve on the kernel's support
@@ -216,16 +279,13 @@ def full_grid_solve(kernel, k):
     grid = kernel.grid
     n, h, x = grid.n, grid.spacing, grid.points
     wy = _trapezoid_weights(n, h)
-    action = 2.0 * kernel.K * wy[None, :]
-    M = _toeplitz_product(_green_weights(k, h, n), action)
-    M *= -1.0
-    M.flat[::n + 1] += 1.0
+    M = _system_matrix(kernel.K, wy, k, h)
     sqrt_k = np.sqrt(k)
     phi = np.empty((n, 2), dtype=complex)
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k
-    psi = lu_solve(lu_factor(M, overwrite_a=True), phi)
-    v_psi = (action @ psi) / 2.0
+    psi = lu_solve(lu_factor(M.T, overwrite_a=True), phi, trans=1)
+    v_psi = kernel.K @ (wy[:, None] * psi)
     e_minus = wy * np.exp(-1j * k * x)
     e_plus = wy * np.exp(1j * k * x)
     pref = sqrt_k / (1j * k)
@@ -378,6 +438,20 @@ def test_kernel_construction_makes_no_n_by_n_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6  # one complex n x n array is 64 MB at n = 2001
+
+
+def test_solve_peak_memory_is_one_system_matrix():
+    # the system matrix M is the one m x m array; no product or padded
+    # temporary of that size is made beside it
+    kernel = paper_kernel(2001)
+    m = kernel.support[1] - kernel.support[0]
+    tracemalloc.start()
+    try:
+        solve_nonlocal(kernel, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * m * 16, f"solve peak {peak / 1e6:.1f} MB at m = {m}"
 
 
 @pytest.mark.parametrize("k", [np.nan, np.inf])

@@ -173,6 +173,16 @@ def test_verify_predictions_paper_kernel():
     assert D == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("k", [0.0, -6.0, np.nan, np.inf])
+def test_verify_predictions_rejects_bad_wavenumber_before_classify(monkeypatch, k):
+    calls = []
+    monkeypatch.setattr(symmetry, "classify", lambda *args: calls.append(args))
+    kernel = NonlocalKernel(grid=GRID, K=BASE)
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_predictions(kernel, k)
+    assert calls == []
+
+
 # ------------------------------------------------- blocked residual pass
 
 
