@@ -197,8 +197,7 @@ def cmd_classify(cfg: dict) -> int:
     verification = None
     if cfg.get("verify", False):
         # solved at the ground-channel wavenumber of the kernel's energy
-        verification = verify_predictions(kernel, math.sqrt(2.0 * E), rel_tol,
-                                          report=report)
+        verification = verify_predictions(kernel, math.sqrt(2.0 * E), report=report)
     serialize.write_json(
         cfg.get("out", "symmetry.json"),
         serialize.symmetry_report_to_dict(report, verification),

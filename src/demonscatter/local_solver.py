@@ -8,11 +8,14 @@ with a Numerov-class boundary-value discretization: fourth-order interior
 stencil plus radiation boundary conditions built from the *discrete* free
 dispersion relation, so incoming/outgoing plane waves (and decaying closed
 channel exponentials) are exact solutions of the discrete equations at the
-grid ends.  The system is block tridiagonal, so it is assembled straight
-into LAPACK band storage and factored once per (model, E); only the
-incidences a caller reads are back-substituted (all of them in
-`solve_local`, one channel's two in `solve_channel`).  A boundary-value solve
-cannot overflow on strongly closed channels, unlike naive marching.
+grid ends.  One function, `_bloch`, gives the boundary rows, the incidence
+source and the gradient that dispersion without cancellation, so they keep
+full precision just above a channel threshold.  The system is block
+tridiagonal, so it is assembled straight into LAPACK band storage and
+factored once per (model, E); only the incidences a caller reads are
+back-substituted (all of them in `solve_local`, one channel's two in
+`solve_channel`).  A boundary-value solve cannot overflow on strongly closed
+channels, unlike naive marching.
 
 `solve_channel_jacobian` adds the exact derivatives of channel 0's
 amplitudes with respect to parameters of V and of the thresholds, by the
@@ -159,42 +162,31 @@ def two_level_derivatives(profile: RabiProfile, grid: Grid):
     return {(0, 1): d_coupling, (1, 0): d_coupling.conj()}, deps
 
 
-def _bloch_factors(k: np.ndarray, h: float) -> np.ndarray:
-    """Discrete Numerov propagation factor lambda_j = e^{i K_j h} per channel.
+def _bloch(k: np.ndarray, h: float):
+    """Free Numerov dispersion per channel: (lambda, s, g) with the Bloch
+    factor lambda = e^{iKh} = c + i s, s = sin Kh and g = d(-1/lambda)/d eps_j.
 
-    K_j solves the free Numerov dispersion; the root is chosen inside the
-    unit circle (decaying/outgoing), or with positive imaginary part on it.
+    lambda^2 - 2 c lambda + 1 = 0 with c = (1 + 5y/12)/(1 - y/12), y = -(kh)^2.
+    All three come from d = c - 1 = (y/2)/(1 - y/12), exact where c rounds to
+    1 near a threshold: s^2 = -d (2 + d), and g = c'/(i s lambda) with
+    c' = dc/d eps_j = h^2 (6 + d)^2/36.  The root has |lambda| <= 1 (decaying
+    or outgoing): |c + is|^2 - |c - is|^2 = 4 Im(c conj(s)), so s flips where
+    that is positive; it is exactly 0 for an open channel, which keeps s > 0.
     """
     y = -(np.asarray(k, dtype=complex) * h) ** 2  # h^2 * W_free
-    c = (1.0 + 5.0 * y / 12.0) / (1.0 - y / 12.0)
-    root = np.sqrt(c * c - 1.0)
-    lam1 = c + root
-    lam2 = c - root
-    lam = np.where(np.abs(lam1) <= np.abs(lam2), lam1, lam2)
-    on_circle = np.abs(np.abs(lam) - 1.0) < 1e-13
-    # open channel: both roots on the unit circle; rightward wave has Im > 0
-    pick_pos = np.where(lam1.imag >= lam2.imag, lam1, lam2)
-    return np.where(on_circle, pick_pos, lam)
-
-
-def _bloch_derivatives(k: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
-    """d(-1/lambda_j)/d eps_j, the boundary rows' derivative, for the Bloch
-    factors lam = _bloch_factors(k, h).
-
-    lambda solves lambda^2 - 2 c lambda + 1 = 0 with c = (1 + 5y/12)/(1 - y/12)
-    and y = -(k h)^2 = -2 h^2 (E - eps_j), so dlambda/dc = lambda/(lambda - c),
-    dc/dy = 1/(2 (1 - y/12)^2) and dy/deps_j = 2 h^2.
-    """
-    y = -(np.asarray(k, dtype=complex) * h) ** 2
-    c = (1.0 + 5.0 * y / 12.0) / (1.0 - y / 12.0)
-    return h * h / (lam * (lam - c) * (1.0 - y / 12.0) ** 2)
+    d = 0.5 * y / (1.0 - y / 12.0)
+    s = np.sqrt(-d * (2.0 + d))
+    s = np.where(((1.0 + d) * s.conj()).imag > 0, -s, s)
+    lam = 1.0 + d + 1j * s
+    with np.errstate(divide="ignore", invalid="ignore"):  # g is infinite at k = 0
+        return lam, s, h * h * (6.0 + d) ** 2 / (36j * s * lam)
 
 
 def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
-    """Numerov system in zgbtrf's band storage, and the per-channel Bloch
-    factors, at energy E where the channel wavenumbers are k.
+    """Numerov system in zgbtrf's band storage, and the per-channel
+    dispersion _bloch(k, h), at energy E where the channel wavenumbers are k.
 
-    Returns (u, ab, lam): the system has u = 2 nch - 1 sub- and
+    Returns (u, ab, bloch): the system has u = 2 nch - 1 sub- and
     super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
     0..u-1 are the LU's fill-in space).
     """
@@ -208,7 +200,7 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
     P = eye[None, :, :] - (h * h / 12.0) * W        # multiplies neighbours
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)  # multiplies centre
 
-    lam = _bloch_factors(k, h)
+    bloch = _bloch(k, h)
 
     # interior row m*nch + a couples to column (m + s)*nch + b through the
     # block entry (a, b) of P, Q, P at shift s = -1, 0, +1
@@ -225,28 +217,28 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
     top = (n - 1) * nch
     ab[2 * u - nch, nch:2 * nch] = 1.0
     ab[2 * u + nch, top - nch:top] = 1.0
-    ab[2 * u, :nch] = ab[2 * u, top:] = -1.0 / lam
-    return u, ab, lam
+    ab[2 * u, :nch] = ab[2 * u, top:] = -1.0 / bloch[0]
+    return u, ab, bloch
 
 
 def _factor(model: LocalPotentialModel, E: float):
-    """Kinematics at E and the banded LU (u, lu, piv, lam) of the Numerov system."""
+    """Kinematics at E and the banded LU (u, lu, piv, bloch) of the Numerov system."""
     kin = kinematics(model.channels, E)
     check_resolution(np.max(kin.k_open), model.grid.spacing)
-    u, ab, lam = _assemble(model, E, kin.k)
+    u, ab, bloch = _assemble(model, E, kin.k)
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
     if info > 0:
         raise SolverError("singular linear system: singular matrix")
-    return kin, (u, lu, piv, lam)
+    return kin, (u, lu, piv, bloch)
 
 
 def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
     """Blocks (T, R, Tt, Rt) of S, n_open x len(cols) each, and the solution
     psi (n nch x 2 len(cols)), back-substituting only the left and then the
     right incidences of the open channels cols."""
-    u, lu, piv, lam = factors
+    u, lu, piv, (_lam, s, _g) = factors
     grid, nch = model.grid, model.channels.n_channels
     top = (grid.n - 1) * nch
     open_idx, k_open = kin.open_indices, kin.k_open
@@ -255,9 +247,7 @@ def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
     inc = open_idx[cols]
     both = np.arange(2 * m)  # columns: left incidences, then right ones
     sqrt_k = np.sqrt(k_open)
-    src = (lam[inc] - 1.0 / lam[inc]) / sqrt_k[cols]
-    if not np.isfinite(src).all():
-        raise ValueError("array must not contain infs or NaNs")
+    src = 2j * s[inc] / sqrt_k[cols]  # lambda - 1/lambda
     B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
     # left incidence in the bottom BC row, right incidence in the top one
     B[np.concatenate((inc, top + inc)), both] = np.concatenate((src, src))
@@ -304,13 +294,13 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     Adjoint method on the one LU: A^T y = e for channel 0's two end rows is
     one more back-substitution, and then d psi_end / dp_q = -y^T (dA/dp_q) psi,
     where dA/dp_q is the analytic derivative of the Numerov rows (through
-    W = 2 V + 2 diag(eps - E)) and of the boundary rows (through -1/lambda_j).
+    W = 2 V + 2 diag(eps - E)) and of the boundary rows (through -1/lambda_j,
+    whose derivative is _bloch's g).
     """
     kin, factors = _factor(model, E)
-    check_channel_index(0, kin.n_open)
     channel = kin.open_indices[0]
     blocks, psi = _columns(model, kin, factors, [0])
-    u, lu, piv, lam = factors
+    u, lu, piv, (_lam, _s, g) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = grid.n, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")
@@ -322,7 +312,7 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
 
     # boundary rows psi_j(1) - psi_j(0)/lambda_j and psi_j(n-2) - psi_j(n-1)/lambda_j
     edges = y[:, :, [0, -1]].transpose(1, 0, 2) @ psi[:, :, [0, -1]].transpose(1, 2, 0)
-    G = (deps * _bloch_derivatives(kin.k, h, lam)) @ edges.reshape(nch, 4)
+    G = (deps * g) @ edges.reshape(nch, 4)
     # Numerov row m = 1..n-2 applies -(h^2/12) (dW[m-1], 10 dW[m], dW[m+1])
     # to psi at nodes m-1, m, m+1; gather those rows' y per node
     y[:, :, [0, -1]] = 0.0

@@ -167,12 +167,16 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
     try:
-        # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place
-        lu = lu_factor(M.T, overwrite_a=True)
-        psi = lu_solve(lu, phi, trans=1)
+        # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place.
+        # K was checked finite when the kernel was built, so neither call
+        # scans its input again.
+        lu = lu_factor(M.T, overwrite_a=True, check_finite=False)
+        psi = lu_solve(lu, phi, trans=1, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular linear system: {exc}") from exc
-    if not np.all(np.isfinite(psi)):
+    # a non-finite entry of M stays non-finite in the LU and spreads to psi,
+    # except an infinite pivot, which zeroes its unknown: check both
+    if not (np.isfinite(psi).all() and np.isfinite(lu[0].diagonal()).all()):
         raise SolverError("non-finite solution; near-singular linear system")
 
     v_psi = Ks @ (wy[:, None] * psi)                 # (V psi)(x_l), both waves

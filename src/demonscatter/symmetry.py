@@ -241,18 +241,17 @@ class VerificationReport:
 def verify_predictions(
     kernel: NonlocalKernel,
     k: float,
-    rel_tol: float = REL_TOL,
-    relation_tol: float = RELATION_TOL,
     report: Optional[SymmetryReport] = None,
 ) -> VerificationReport:
-    """Solve the kernel and check every relation its symmetries predict."""
+    """Solve the kernel and check every relation its symmetries predict, to
+    RELATION_TOL; report is classify(kernel) unless the caller has one."""
     check_wavenumber(k)
     if report is None:
-        report = classify(kernel, rel_tol)
+        report = classify(kernel)
     amps = solve_nonlocal(kernel, k)
     violations = {
         rel: _relation_violation(rel, amps) for rel in sorted(report.predictions)
     }
     return VerificationReport(
-        report=report, amplitudes=amps, violations=violations, tol=relation_tol
+        report=report, amplitudes=amps, violations=violations, tol=RELATION_TOL
     )

@@ -103,9 +103,6 @@ class RabiProfile:
         if self.w <= 0:
             raise ValueError(f"Gaussian width must be positive, got w={self.w}")
 
-    def __call__(self, x):
-        return rabi_eval(self, x)
-
 
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
@@ -139,7 +136,14 @@ def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
 
 
 def check_resolution(k: float, h: float):
-    """Warn if spacing h gives fewer than MIN_POINTS_PER_WAVELENGTH at k."""
+    """Raise GridError from kh = sqrt(6), where Numerov's free dispersion
+    cos Kh = (1 - 5t/12)/(1 + t/12), t = (kh)^2, reaches -1: there an open
+    channel has no propagating discrete wave (and the Nystrom solve, which
+    shares this floor, is far from converged).  Warn if spacing h gives
+    fewer than MIN_POINTS_PER_WAVELENGTH at k."""
+    if k * h >= math.sqrt(6.0):
+        raise GridError(f"spacing h={h:.4g} carries no wave of k={k:.4g} "
+                        f"(k h = {k * h:.3g} >= sqrt(6)); refine the grid")
     ppw = (2.0 * np.pi / k) / h
     if ppw < MIN_POINTS_PER_WAVELENGTH:
         warnings.warn(

@@ -205,6 +205,10 @@ BAD_INPUT = {
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
+    # k h > sqrt(6) on an open channel: no propagating discrete wave
+    "scatter-n-3": ["scatter"] + _with("n", "3"),
+    "sweep-n-3": ["sweep"] + _with("n", "3"),
+    "scatter-nonlocal-n-9": ["scatter-nonlocal"] + _with("n", "9"),
     "optimize-v0-inf": ["optimize", "--v0", "inf", "--budget", "200"],
     "optimize-v0-nan": ["optimize", "--v0", "nan", "--budget", "200"],
     "optimize-w-nan": ["optimize", "--w", "nan", "--budget", "200"],

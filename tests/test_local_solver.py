@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 
 import mpmath
@@ -20,7 +21,7 @@ from demonscatter.errors import ChannelIndexError, ModelError, ResolutionWarning
 from demonscatter.local_solver import (
     LocalPotentialModel,
     _assemble,
-    _bloch_factors,
+    _bloch,
     build_two_level_model,
     solve_channel,
     solve_local,
@@ -96,7 +97,7 @@ def coo_numerov_matrix(model, E):
     eye = np.eye(nch, dtype=complex)
     P = eye[None, :, :] - (h * h / 12.0) * W
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)
-    lam = _bloch_factors(branch_sqrt(2.0 * (E - eps)), h)
+    lam = _bloch(branch_sqrt(2.0 * (E - eps)), h)[0]
 
     rows, cols, data = [], [], []
     m = np.arange(1, n - 1)
@@ -312,6 +313,69 @@ def test_resolution_warning():
         solve_local(model, 800.0)
 
 
+def bloch_reference(k, h):
+    """(lambda, s, g) of the free Numerov dispersion in 60-digit arithmetic,
+    from its textbook form: lambda is the root of lambda^2 - 2 c lambda + 1
+    inside the unit circle, or with Im lambda > 0 on it, s = (lambda - c)/i,
+    and g = d(-1/lambda)/d eps by a central difference (dy/d eps = 2 h^2)."""
+    with mpmath.workdps(60):
+        k, h = mpmath.mpc(k), mpmath.mpf(h)
+
+        def root(y):
+            c = (1 + 5 * y / 12) / (1 - y / 12)
+            r = mpmath.sqrt(c * c - 1)
+            if abs(abs(c + r) - 1) < mpmath.mpf(10) ** -45:  # both on the circle
+                return c + r if (c + r).imag > 0 else c - r
+            return c + r if abs(c + r) < 1 else c - r
+
+        y = -(k * h) ** 2
+        lam = root(y)
+        c = (1 + 5 * y / 12) / (1 - y / 12)
+        step = mpmath.mpf(10) ** -15 * abs(k) ** 2
+        g = (1 / root(y - 2 * h * h * step) - 1 / root(y + 2 * h * h * step)) / (2 * step)
+        return complex(lam), complex((lam - c) / 1j), complex(g)
+
+
+@pytest.mark.parametrize("kh", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.0])
+@pytest.mark.parametrize("kind", ["open", "closed", "lossy-0.3", "lossy-0.8", "lossy-1.3"])
+def test_bloch_matches_mpmath(kind, kh):
+    """lambda, sin Kh and d(-1/lambda)/d eps to 1e-14 relative, from
+    threshold (kh = 1e-9, where c rounds to 1) to kh = 2."""
+    h = 3.0 / 2000
+    if kind == "open":
+        k = kh / h + 0j
+    elif kind == "closed":
+        k = 1j * kh / h
+    else:
+        k = kh / h * cmath.exp(1j * float(kind.split("-")[1]))
+    got = _bloch(np.array([k]), h)
+    for value, ref in zip(got, bloch_reference(k, h)):
+        assert abs(complex(value[0]) - ref) <= 1e-14 * abs(ref)
+
+
+def test_bloch_root_is_outgoing_or_decaying():
+    h = 3.0 / 2000
+    k = np.geomspace(1e-9, 2.0, 400) / h
+    lam, s, _g = _bloch(k + 0j, h)
+    # open: on the unit circle to rounding, moving away from the boundary
+    assert np.all(np.abs(np.abs(lam) - 1.0) <= 2 * np.finfo(float).eps)
+    assert np.all(lam.imag > 0) and np.array_equal(lam.imag, s.real)
+    # closed (either sign of k, and as kinematics makes it) and lossy: inside
+    for kk in (1j * k, -1j * k, branch_sqrt(-k * k + 0j), k * cmath.exp(0.3j), k * 1j ** 0.9):
+        assert np.all(np.abs(_bloch(kk, h)[0]) < 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_unitary_just_above_a_threshold(seed):
+    """Just above eps_1, (k h)^2 is far below the rounding of c = cos Kh."""
+    model = random_hermitian_model(np.random.default_rng(seed), make_grid(-1.5, 1.5, 601), 3)
+    eps1 = model.channels.thresholds[1]
+    for offset in (1e-12, 1e-9, 1e-6, 1e-3):
+        sol = solve_local(model, eps1 + offset)
+        assert sol.S.n_open == 2
+        assert sol.unitarity_defect <= 1e-10, offset
+
+
 def oracle_cases():
     """The 100 models of acceptance criterion 4, the paper point, and the
     paper profile with a lossy (closed) excited channel."""
@@ -334,7 +398,7 @@ def test_matches_superlu_oracle():
 def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
-    u, ab, lam = _assemble(model, 30.0, kinematics(model.channels, 30.0).k)
+    u, ab, (lam, _s, _g) = _assemble(model, 30.0, kinematics(model.channels, 30.0).k)
     A, lam_ref = coo_numerov_matrix(model, 30.0)
     A = A.toarray()
     i, j = np.indices(A.shape)
@@ -355,10 +419,10 @@ def solve_banded_solution(model, E):
     n, nch = grid.n, channels.n_channels
     kin = kinematics(channels, E)
     open_idx, k_open = kin.open_indices, kin.k_open
-    u, ab, lam = _assemble(model, E, kin.k)
+    u, ab, (_lam, sin_kh, _g) = _assemble(model, E, kin.k)
     n_open = len(open_idx)
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
-    src = (lam[open_idx] - 1.0 / lam[open_idx]) / np.sqrt(k_open)
+    src = 2j * sin_kh[open_idx] / np.sqrt(k_open)  # lambda - 1/lambda
     for col, (i, s) in enumerate(zip(open_idx, src)):
         B[i, col] = s
         B[(n - 1) * nch + i, n_open + col] = s

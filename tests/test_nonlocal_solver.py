@@ -10,7 +10,7 @@ from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from demonscatter.channels import ChannelSet, extract_channel
-from demonscatter.errors import ModelError, ResolutionWarning
+from demonscatter.errors import GridError, ModelError, ResolutionWarning, SolverError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
 from demonscatter.nonlocal_solver import (
@@ -191,6 +191,36 @@ def test_resolution_warning():
     grid = make_grid(-1.5, 1.5, 101)
     with pytest.warns(ResolutionWarning):
         solve_nonlocal(NonlocalKernel(grid=grid, K=np.zeros((101, 101))), 50.0)
+
+
+def test_spacing_that_cannot_carry_the_wave_is_rejected():
+    # k h = 3 > sqrt(6): the shared floor, raised before the warning
+    grid = make_grid(-1.5, 1.5, 9)
+    kernel = NonlocalKernel(grid=grid, K=np.zeros((9, 9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match="sqrt\\(6\\)"):
+            solve_nonlocal(kernel, 8.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+@pytest.mark.parametrize("entry", [(3, 5), (5, 3), (4, 4)])
+def test_non_finite_system_matrix_is_a_solver_error(monkeypatch, bad, entry):
+    """lu_factor and lu_solve do not scan for infs or NaNs; a non-finite
+    system still fails as a solve.  An infinite pivot alone would give a
+    finite psi."""
+    module = sys.modules["demonscatter.nonlocal_solver"]
+
+    def with_bad_entry(*args):
+        M = _system_matrix(*args)
+        M[entry] = bad
+        return M
+
+    monkeypatch.setattr(module, "_system_matrix", with_bad_entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverError):
+            solve_nonlocal(paper_kernel(201), 8.0)
 
 
 def test_wavenumber_must_be_positive():

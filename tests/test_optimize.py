@@ -303,12 +303,26 @@ def test_gradient_check_catches_a_dropped_bloch_factor_term(monkeypatch):
     that term of dA/dDelta the Delta component fails the check above."""
     grid = design_grid(default_grid(), 8.0)
     target = DeviceTarget.named("half-demon")
-    monkeypatch.setattr(local_solver, "_bloch_derivatives",
-                        lambda k, h, lam: np.zeros_like(lam))
+    bloch = local_solver._bloch
+
+    def without_g(k, h):
+        lam, s, g = bloch(k, h)
+        return lam, s, np.zeros_like(g)
+
+    monkeypatch.setattr(local_solver, "_bloch", without_g)
     grad, differences = gradient_and_differences(PAPER_POINT, target, grid)
     error = np.abs(grad - differences) / np.abs(differences)
     assert np.all(error[:3] <= 1e-6)
     assert error[3] > 1e-6
+
+
+@pytest.mark.parametrize("v0", [1e-7, 1e-9])
+def test_gradient_is_finite_just_above_threshold(v0):
+    """At k = v0 channel 0's (k h)^2 is far below the rounding of cos Kh;
+    the gradient handed to L-BFGS-B must still be a number."""
+    c, _amps, grad = _evaluate(PAPER_POINT, DeviceTarget.named("half-demon"), v0,
+                               DEFAULT_WIDTH, design_grid(default_grid(), v0), gradient=True)
+    assert np.isfinite(c) and np.all(np.isfinite(grad))
 
 
 @pytest.mark.parametrize("name, seed", [("A/R", 2), ("half-demon", 4)])

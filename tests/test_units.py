@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demonscatter.errors import GridError, NegativeVelocityError
+from demonscatter.errors import GridError, NegativeVelocityError, ResolutionWarning
 from demonscatter.units import (
     DEFAULT_WIDTH,
     RabiProfile,
+    check_resolution,
     default_grid,
     make_grid,
     rabi_eval,
@@ -139,3 +141,21 @@ def test_velocity_to_energy_finite(v):
 def test_velocity_to_energy_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         velocity_to_energy(bad)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.375, 1.5])
+def test_resolution_floor_is_kh_sqrt6(h):
+    """Numerov's cos Kh = (1 - 5t/12)/(1 + t/12), t = (kh)^2, is -1 at
+    kh = sqrt(6): at or above it no open wave propagates, and the check
+    raises before it warns."""
+    floor = math.sqrt(6.0)
+    for kh in (floor, math.nextafter(floor, 10.0), 3.0, 1e3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="sqrt\\(6\\)"):
+                check_resolution(kh / h, h)
+    with pytest.warns(ResolutionWarning):
+        check_resolution(math.nextafter(floor, 0.0) / h, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_resolution(2.0 * math.pi / (20.0 * h), h)
