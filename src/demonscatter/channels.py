@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AllChannelsClosedError,
     ChannelIndexError,
+    NonPositiveEnergyError,
     ShapeMismatchError,
 )
 
@@ -54,7 +54,7 @@ class ChannelKinematics:
     """Wavenumbers and open/closed status of every channel at energy E.
 
     k_j = sqrt(2 (E - eps_j)) with the branch Im k_j >= 0; open channels
-    have real k_j > 0, closed ones purely imaginary k_j.
+    have real k_j > 0, closed ones purely imaginary k_j.  Channel 0 is open.
     """
 
     k: np.ndarray = field(repr=False)
@@ -81,18 +81,24 @@ def branch_sqrt(z):
 
 
 def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:
-    """Channel wavenumbers and open/closed flags at total energy E."""
+    """Channel wavenumbers and open/closed flags at total energy E.
+
+    Channel 0 is the incident channel, the one whose amplitudes the demon
+    parameter D describes, so it must be open: NonPositiveEnergyError unless
+    its threshold is real and below E (a lossy channel 0 is never open).
+    Open channel 0 is then channel 0 of every S the solvers return.
+    """
     if not np.isfinite(E):
         raise ValueError("energy must be finite")
     eps = np.array(channels.thresholds, dtype=complex)
-    k = branch_sqrt(2.0 * (E - eps))
     open_mask = (eps.imag == 0.0) & (E > eps.real)
-    if not open_mask.any():
-        raise AllChannelsClosedError(
-            f"all channels closed at E={E} (min threshold "
-            f"{min(e.real for e in channels.thresholds)})"
+    if not open_mask[0]:
+        eps0 = channels.thresholds[0]
+        raise NonPositiveEnergyError(
+            f"channel 0 is lossy (threshold {eps0}) and never open" if eps0.imag
+            else f"energy must exceed the channel-0 threshold {eps0.real}, got E={E}"
         )
-    return ChannelKinematics(k=k, open_mask=open_mask)
+    return ChannelKinematics(k=branch_sqrt(2.0 * (E - eps)), open_mask=open_mask)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .kernels import OpticalParameters, build_kernel  # noqa: E402
 from .local_solver import build_two_level_model, solve_local  # noqa: E402
 from .nonlocal_solver import solve_nonlocal  # noqa: E402
 from .optimize import DeviceTarget, optimize, refine_paper_point  # noqa: E402
-from .symmetry import classify, verify_predictions  # noqa: E402
+from .symmetry import check_tolerance, classify, verify_predictions  # noqa: E402
 from .units import (  # noqa: E402
     DEFAULT_BOX_HALF,
     DEFAULT_NPOINTS,
@@ -84,7 +84,9 @@ def _grid_from(cfg: dict):
 
 
 def _profile_from(cfg: dict) -> RabiProfile:
-    for key in ("b", "c"):
+    """The laser profile; b, c and delta are required by every command that
+    builds a model or a kernel from it, so all three are checked here."""
+    for key in ("b", "c", "delta"):
         if key not in cfg:
             raise ConfigError(f"missing required parameter {key!r}")
     return RabiProfile(
@@ -98,11 +100,8 @@ def _profile_from(cfg: dict) -> RabiProfile:
 def _model_from(cfg: dict):
     if "model" in cfg:
         return serialize.read_model(cfg["model"])
-    profile = _profile_from(cfg)
-    if "delta" not in cfg:
-        raise ConfigError("missing required parameter 'delta'")
     return build_two_level_model(
-        profile,
+        _profile_from(cfg),
         float(cfg["delta"]),
         float(cfg.get("gamma", 0.0)),
         _grid_from(cfg),
@@ -123,9 +122,9 @@ def _energy_from(cfg: dict) -> float:
 
 def _kernel_from(cfg: dict, E: float):
     params = OpticalParameters(
-        delta=float(cfg.get("delta", 0.0)),
-        gamma=float(cfg.get("gamma", 0.0)),
         profile=_profile_from(cfg),
+        delta=float(cfg["delta"]),
+        gamma=float(cfg.get("gamma", 0.0)),
         E=E,
     )
     return build_kernel(params, _grid_from(cfg))
@@ -134,14 +133,7 @@ def _kernel_from(cfg: dict, E: float):
 def cmd_scatter(cfg: dict) -> int:
     model = _model_from(cfg)
     v = float(cfg.get("v", 8.0))
-    E = velocity_to_energy(v)
-    # S is reported for open channel 0, which must be the model's channel 0
-    if E <= model.channels.thresholds[0].real:
-        raise NonPositiveEnergyError(
-            f"energy must exceed the channel-0 threshold "
-            f"{model.channels.thresholds[0].real}, got E={E}"
-        )
-    sol = solve_local(model, E)
+    sol = solve_local(model, velocity_to_energy(v))
     amps = extract_channel(sol.S, 0)
     rep = DemonReport.from_amplitudes(amps)
     serialize.write_smatrix(
@@ -191,8 +183,9 @@ def cmd_regions(cfg: dict) -> int:
 
 def cmd_classify(cfg: dict) -> int:
     E = _energy_from(cfg)
-    kernel = _kernel_from(cfg, E)
     rel_tol = float(cfg.get("tol", 1e-8))
+    check_tolerance(rel_tol)
+    kernel = _kernel_from(cfg, E)
     report = classify(kernel, rel_tol)
     verification = None
     if cfg.get("verify", False):

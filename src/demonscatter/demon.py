@@ -240,13 +240,12 @@ def construct_boundary_smatrix(kind: str) -> SMatrix:
     return SMatrix.from_full(cols)
 
 
-def sweep_demon(
-    system: LocalPotentialModel, velocities, i0: int = 0, tol: float = CODE_TOL
-):
+def sweep_demon(system: LocalPotentialModel, velocities):
     """One (v, DemonReport) pair per velocity for a local model.
 
     Every velocity must be finite and positive, checked before the first
-    solve; each is solved at E = v^2/2 by `solve_channel` for channel i0.
+    solve; each is solved at E = v^2/2 by `solve_channel`, so channel 0
+    must be open at every E.
     """
     velocities = list(velocities)
     energies = []
@@ -254,5 +253,5 @@ def sweep_demon(
         if v <= 0:
             raise ValueError(f"velocities must be positive, got {v}")
         energies.append(velocity_to_energy(v))
-    return [(v, DemonReport.from_amplitudes(solve_channel(system, E, i0), tol))
+    return [(v, DemonReport.from_amplitudes(solve_channel(system, E)))
             for v, E in zip(velocities, energies)]

@@ -14,11 +14,8 @@ class NegativeVelocityError(DemonScatterError, ValueError):
 
 
 class NonPositiveEnergyError(DemonScatterError, ValueError):
-    """Energy must be strictly positive for this operation."""
-
-
-class AllChannelsClosedError(DemonScatterError, ValueError):
-    """No open channel at the requested energy; nothing scatters."""
+    """Energy at or below the threshold an operation needs: E <= 0 for a
+    kernel, or channel 0 (the incident channel) closed or lossy."""
 
 
 class ShapeMismatchError(DemonScatterError, ValueError):

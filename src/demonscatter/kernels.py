@@ -27,7 +27,7 @@ from .errors import (
 )
 from .local_solver import LocalPotentialModel, build_two_level_model
 from .nonlocal_solver import NonlocalKernel
-from .units import Grid, RabiProfile
+from .units import Grid, RabiProfile, check_resolution
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
     Eliminates channel 1 through its outgoing-wave Green's function (the
     +i0 energy prescription realized exactly, not by a finite shift).
     Restricted to two-channel models whose diagonal potential vanishes, the
-    family whose elimination is exactly solvable.
+    family whose elimination is exactly solvable.  The grid must resolve the
+    eliminated channel's |q| as check_resolution asks of an open channel.
     """
     if model.channels.n_channels != 2:
         raise UnsupportedModelError(
@@ -92,6 +93,7 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
         raise ThresholdSingularityError(
             "eliminated channel exactly at threshold: Green's function singular"
         )
+    check_resolution(abs(q), model.grid.spacing)
     K = _green_phase(model.grid, q)
     K *= (model.V[:, 0, 1] / (1j * q))[:, None]
     # a strided view as the broadcast operand slows the n x n product

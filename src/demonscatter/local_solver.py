@@ -13,7 +13,7 @@ source and the gradient that dispersion without cancellation, so they keep
 full precision just above a channel threshold.  The system is block
 tridiagonal, so it is assembled straight into LAPACK band storage and
 factored once per (model, E); only the incidences a caller reads are
-back-substituted (all of them in `solve_local`, one channel's two in
+back-substituted (all of them in `solve_local`, channel 0's two in
 `solve_channel`).  A boundary-value solve cannot overflow on strongly closed
 channels, unlike naive marching.
 
@@ -40,7 +40,6 @@ from .channels import (
     ChannelKinematics,
     ChannelSet,
     SMatrix,
-    check_channel_index,
     kinematics,
     unitarity_defect,
 )
@@ -274,13 +273,13 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     return ScatterSolution(S=S, unitarity_defect=defect)
 
 
-def solve_channel(model: LocalPotentialModel, E: float, i0: int = 0) -> ChannelAmplitudes:
-    """extract_channel(solve_local(model, E).S, i0), bit for bit, from only
-    open channel i0's two incidences: no rest of S and no unitarity defect."""
+def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
+    """extract_channel(solve_local(model, E).S, 0), bit for bit, from only
+    channel 0's two incidences: no rest of S and no unitarity defect.
+    Channel 0, the incident channel, must be open at E (see kinematics)."""
     kin, factors = _factor(model, E)
-    check_channel_index(i0, kin.n_open)
-    return ChannelAmplitudes(*(complex(block[i0, 0])
-                               for block in _columns(model, kin, factors, [i0])[0]))
+    return ChannelAmplitudes(*(complex(block[0, 0])
+                               for block in _columns(model, kin, factors, [0])[0]))
 
 
 def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
@@ -289,7 +288,7 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
 
     dV maps each channel pair (a, b) whose entry V_ab moves with the
     parameters to dV_ab/dp, shape (p, n); deps is d eps/dp, shape (p, nch).
-    Open channel 0's threshold is taken as fixed: its wavenumber, which sets
+    Channel 0's threshold is taken as fixed: its wavenumber, which sets
     the amplitudes' phases and flux normalization, is not differentiated.
     Adjoint method on the one LU: A^T y = e for channel 0's two end rows is
     one more back-substitution, and then d psi_end / dp_q = -y^T (dA/dp_q) psi,
@@ -298,13 +297,12 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     whose derivative is _bloch's g).
     """
     kin, factors = _factor(model, E)
-    channel = kin.open_indices[0]
     blocks, psi = _columns(model, kin, factors, [0])
     u, lu, piv, (_lam, _s, g) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = grid.n, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")
-    e[channel, 0] = e[(n - 1) * nch + channel, 1] = 1.0   # left end, right end
+    e[0, 0] = e[(n - 1) * nch, 1] = 1.0   # channel 0 at the left end, the right end
     y, _info = zgbtrs(lu, u, u, e, piv, trans=1, overwrite_b=1)
     # contiguous (end r or incidence c, channel, node) arrays
     y, psi = (np.ascontiguousarray(v.T.reshape(2, n, nch).transpose(0, 2, 1)) for v in (y, psi))

@@ -166,16 +166,14 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
     phi = np.empty((m, 2), dtype=complex)
     phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
     phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
-    try:
-        # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place.
-        # K was checked finite when the kernel was built, so neither call
-        # scans its input again.
-        lu = lu_factor(M.T, overwrite_a=True, check_finite=False)
-        psi = lu_solve(lu, phi, trans=1, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular linear system: {exc}") from exc
+    # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place.
+    # K was checked finite when the kernel was built, so neither call scans
+    # its input again.
+    lu = lu_factor(M.T, overwrite_a=True, check_finite=False)
+    psi = lu_solve(lu, phi, trans=1, check_finite=False)
     # a non-finite entry of M stays non-finite in the LU and spreads to psi,
-    # except an infinite pivot, which zeroes its unknown: check both
+    # except an infinite pivot, which zeroes its unknown: check both.  An
+    # exactly singular M only warns in lu_factor and shows up here too.
     if not (np.isfinite(psi).all() and np.isfinite(lu[0].diagonal()).all()):
         raise SolverError("non-finite solution; near-singular linear system")
 

@@ -240,9 +240,7 @@ def optimize(
 
     # cheap screening pass ranks random draws; the restarts descend from the
     # most promising ones (the landscape is multimodal)
-    n_screen = min(budget // 4, 25 * restarts)
-    draws = rng.random((max(n_screen, restarts), 4))
-    ranked = sorted(draws[:n_screen], key=f) if n_screen else list(draws)
+    ranked = sorted(rng.random((min(budget // 4, 25 * restarts), 4)), key=f)
     starts = []
     if init is not None:
         starts.append((np.asarray(init, dtype=float) - lo) / span)

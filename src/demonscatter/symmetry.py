@@ -182,14 +182,19 @@ class SymmetryReport:
         return self.satisfied == {SymmetryClass.Trivial}
 
 
+def check_tolerance(rel_tol: float):
+    """Raise ValueError unless rel_tol is finite and >= 0."""
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+
+
 def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport:
     """Classify the kernel against all eight classes.
 
     The verdict tolerance is rel_tol times the kernel max-norm.  Parity
     classes on an asymmetric grid get residual NaN and verdict False.
     """
-    if not 0.0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    check_tolerance(rel_tol)
     classes = [
         cls
         for cls in SymmetryClass

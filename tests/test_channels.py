@@ -10,8 +10,8 @@ from demonscatter.channels import (
     unitarity_defect,
 )
 from demonscatter.errors import (
-    AllChannelsClosedError,
     ChannelIndexError,
+    NonPositiveEnergyError,
     ShapeMismatchError,
 )
 
@@ -37,8 +37,19 @@ def test_kinematics_negative_threshold_matches_q():
 
 
 def test_kinematics_all_closed():
-    with pytest.raises(AllChannelsClosedError):
+    with pytest.raises(NonPositiveEnergyError,
+                       match=r"^energy must exceed the channel-0 threshold 10\.0, got E=5\.0$"):
         kinematics(ChannelSet(thresholds=(10.0,)), 5.0)
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ((10.0, 0.0), r"energy must exceed the channel-0 threshold 10\.0, got E=5\.0"),
+    ((-1 - 1j, 0.0), r"channel 0 is lossy \(threshold \(-1-1j\)\) and never open"),
+], ids=["closed", "lossy"])
+def test_kinematics_rejects_closed_channel_0_beside_an_open_one(thresholds, message):
+    # channel 1 is open, but channel 0 is the incident channel
+    with pytest.raises(NonPositiveEnergyError, match=f"^{message}$"):
+        kinematics(ChannelSet(thresholds=thresholds), 5.0)
 
 
 def test_kinematics_branch():

@@ -7,7 +7,8 @@ import pytest
 
 from demonscatter import cli
 from demonscatter.cli import main
-from demonscatter.local_solver import build_two_level_model
+from demonscatter.channels import ChannelSet
+from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
 from demonscatter.optimize import OptimizationResult
 from demonscatter.symmetry import verify_predictions
 from demonscatter.units import RabiProfile, make_grid
@@ -209,6 +210,13 @@ BAD_INPUT = {
     "scatter-n-3": ["scatter"] + _with("n", "3"),
     "sweep-n-3": ["sweep"] + _with("n", "3"),
     "scatter-nonlocal-n-9": ["scatter-nonlocal"] + _with("n", "9"),
+    # the kernel's eliminated channel, |q| = 15.7, is held to the same floor
+    "kernel-n-3": ["kernel"] + _with("n", "3"),
+    "classify-n-3": ["classify"] + _with("n", "3"),
+    # delta is required wherever a model or a kernel is built
+    "scatter-nonlocal-no-delta": ["scatter-nonlocal"] + PAPER_FLAGS[:6],
+    "kernel-no-delta": ["kernel"] + PAPER_FLAGS[:6] + ["--n", "41"],
+    "classify-no-delta": ["classify"] + PAPER_FLAGS[:6] + ["--n", "41"],
     "optimize-v0-inf": ["optimize", "--v0", "inf", "--budget", "200"],
     "optimize-v0-nan": ["optimize", "--v0", "nan", "--budget", "200"],
     "optimize-w-nan": ["optimize", "--w", "nan", "--budget", "200"],
@@ -233,6 +241,24 @@ def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
         assert run(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, thresholds, flags", [
+    ("scatter", (-1 - 1j, 0.0), ["--v", "4"]),               # lossy channel 0
+    ("sweep", (5.0, 0.0), ["--velocities", "4", "2"]),       # closed at v = 2
+], ids=["scatter-lossy", "sweep-closed"])
+def test_closed_channel_0_model_is_config_error(command, thresholds, flags, tmp_path,
+                                                monkeypatch, capsys):
+    # only channel 1 is open at some velocity: its amplitudes must not be
+    # reported as channel 0's
+    monkeypatch.chdir(tmp_path)
+    base = build_two_level_model(RabiProfile(b=50.0, c=40.0, x0=0.1), 20.0,
+                                 grid=make_grid(-1.5, 1.5, 201))
+    write_model("model.json", LocalPotentialModel(
+        grid=base.grid, channels=ChannelSet(thresholds=thresholds), V=base.V))
+    assert run([command, "--model", "model.json"] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 PROFILE_CFG = {"b": 50.0, "c": 40.0, "x0": 0.1, "w": 0.14, "delta": 20.0,

@@ -10,7 +10,6 @@ from demonscatter.channels import (
     SMatrix,
     extract_channel,
     haar_unitary,
-    kinematics,
     unitarity_defect,
 )
 from demonscatter.demon import (
@@ -24,12 +23,12 @@ from demonscatter.demon import (
     sweep_demon,
 )
 from demonscatter.errors import (
-    ChannelIndexError,
     InconsistentBoundaryError,
     InfeasiblePairError,
+    NonPositiveEnergyError,
 )
-from demonscatter.local_solver import LocalPotentialModel, build_two_level_model, solve_local
-from demonscatter.units import RabiProfile, make_grid, velocity_to_energy
+from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
+from demonscatter.units import RabiProfile, make_grid
 from test_local_solver import random_hermitian_model
 
 
@@ -236,32 +235,15 @@ def test_sweep_checks_every_velocity_before_any_solve(velocities, message, monke
     assert solves == []
 
 
-@pytest.mark.parametrize("nch", [2, 3])
-def test_sweep_other_channel_matches_full_smatrix(nch):
-    model = random_hermitian_model(np.random.default_rng(nch), make_grid(-1.5, 1.5, 601), nch)
-    eps = [e.real for e in model.channels.thresholds]
-    energies = [max(eps[-1], 0.0) + 3.0, max(eps[-1], 0.0) + 25.0]
-    if nch == 3:
-        # channels 0 and 1 open, channel 2 closed
-        assert eps[2] > max(eps[1], 0.0)
-        energies.append((max(eps[1], 0.0) + eps[2]) / 2)
-    velocities = [np.sqrt(2.0 * E) for E in energies]
-    reports = sweep_demon(model, velocities, i0=1)
-    assert [v for v, _ in reports] == velocities
-    n_open = []
-    for v, report in reports:
-        E = velocity_to_energy(v)
-        S = solve_local(model, E).S
-        assert report == DemonReport.from_amplitudes(extract_channel(S, 1))
-        n_open.append(kinematics(model.channels, E).n_open)
-    assert n_open == [nch, nch] + ([2] if nch == 3 else [])
-
-
-def test_sweep_rejects_channel_index_out_of_range():
-    model = random_hermitian_model(np.random.default_rng(2), make_grid(-1.5, 1.5, 601), 2)
-    v = np.sqrt(2.0 * (max(e.real for e in model.channels.thresholds) + 3.0))
-    with pytest.raises(ChannelIndexError, match="channel 2 out of range for 2 open"):
-        sweep_demon(model, [v], i0=2)
+def test_sweep_rejects_closed_channel_0():
+    # channel 0 is open at v = 4 (E = 8) but closed at v = 2 (E = 2), where
+    # only channel 1 is open: its amplitudes must not stand in for channel 0's
+    base = random_hermitian_model(np.random.default_rng(2), make_grid(-1.5, 1.5, 601), 2)
+    model = LocalPotentialModel(grid=base.grid, channels=ChannelSet(thresholds=(5.0, 0.0)),
+                                V=base.V)
+    with pytest.raises(NonPositiveEnergyError,
+                       match="^energy must exceed the channel-0 threshold 5.0, got E=2.0$"):
+        sweep_demon(model, [4.0, 2.0])
 
 
 def test_demon_report_fields():

@@ -17,7 +17,12 @@ from demonscatter.channels import (
     kinematics,
     unitarity_defect,
 )
-from demonscatter.errors import ChannelIndexError, ModelError, ResolutionWarning, SolverError
+from demonscatter.errors import (
+    ModelError,
+    NonPositiveEnergyError,
+    ResolutionWarning,
+    SolverError,
+)
 from demonscatter.local_solver import (
     LocalPotentialModel,
     _assemble,
@@ -459,7 +464,7 @@ def with_lossy_last_channel(model):
     return LocalPotentialModel(grid=model.grid, channels=channels, V=model.V)
 
 
-def test_solve_channel_matches_full_smatrix_for_every_open_channel():
+def test_solve_channel_matches_full_smatrix_channel_0():
     rng = np.random.default_rng(23)
     grid = make_grid(-1.5, 1.5, 801)
     n_closed = n_lossy = 0
@@ -473,23 +478,26 @@ def test_solve_channel_matches_full_smatrix_for_every_open_channel():
                     S = solve_local(m, E).S
                     n_closed += S.n_open < nch
                     n_lossy += not m.hermitian_flag
-                    for i0 in range(S.n_open):
-                        assert solve_channel(m, E, i0) == extract_channel(S, i0)
+                    assert solve_channel(m, E) == extract_channel(S, 0)
     assert n_closed >= 20 and n_lossy == 18
 
 
-def test_solve_channel_rejects_closed_or_missing_channel_before_back_substitution(monkeypatch):
+def test_closed_channel_0_is_rejected_before_factorization(monkeypatch):
     model = random_hermitian_model(np.random.default_rng(5), make_grid(-1.5, 1.5, 401), 3)
-    E = min(e.real for e in model.channels.thresholds) + 0.1
-    n_open = kinematics(model.channels, E).n_open
-    assert n_open < 3
-    back_substitutions = []
-    monkeypatch.setattr(local_solver, "zgbtrs",
-                        lambda *args, **kw: back_substitutions.append(args))
-    for i0 in (n_open, 2, -1):
-        with pytest.raises(ChannelIndexError, match=f"channel {i0} out of range"):
-            solve_channel(model, E, i0)
-    assert back_substitutions == []
+    eps = model.channels.thresholds
+    E = eps[0].real + 0.1
+    assert kinematics(model.channels, E).n_open < 3
+    # thresholds reversed: channel 0 is closed at E while the lowest one is open
+    reversed_model = LocalPotentialModel(
+        grid=model.grid, channels=ChannelSet(thresholds=eps[::-1]), V=model.V[:, ::-1, ::-1])
+    factorizations = []
+    monkeypatch.setattr(local_solver, "zgbtrf",
+                        lambda *args, **kw: factorizations.append(args))
+    for solve in (solve_local, solve_channel):
+        with pytest.raises(NonPositiveEnergyError,
+                           match=f"channel-0 threshold {eps[-1].real}, got E={E}"):
+            solve(reversed_model, E)
+    assert factorizations == []
 
 
 def test_singular_factorization_raises_solver_error(monkeypatch):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg import lu_factor, lu_solve, toeplitz
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, toeplitz
 
 from demonscatter.channels import ChannelSet, extract_channel
 from demonscatter.errors import GridError, ModelError, ResolutionWarning, SolverError
@@ -221,6 +221,17 @@ def test_non_finite_system_matrix_is_a_solver_error(monkeypatch, bad, entry):
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError):
             solve_nonlocal(paper_kernel(201), 8.0)
+
+
+def test_singular_system_matrix_is_a_solver_error(monkeypatch):
+    """lu_factor only warns on an exactly singular M; the non-finite psi
+    that follows is the SolverError."""
+    monkeypatch.setattr(sys.modules["demonscatter.nonlocal_solver"], "_system_matrix",
+                        lambda Ks, *args: np.zeros(Ks.shape, dtype=complex))
+    with pytest.warns(LinAlgWarning, match="exactly zero"), \
+            np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(SolverError, match="non-finite solution"):
+        solve_nonlocal(paper_kernel(201), 8.0)
 
 
 def test_wavenumber_must_be_positive():
