@@ -53,7 +53,6 @@ from .symmetry import (
     SymmetryReport,
     classify,
     predicted_relations,
-    residual,
     verify_predictions,
 )
 from .units import (

@@ -2,8 +2,12 @@
 
 Subcommands: scatter, scatter-nonlocal, kernel, regions, classify, sweep,
 optimize, refine-paper.  Each takes an optional JSON config (--config) whose
-keys match the command's flags; flags override file values and unknown keys
-are rejected.  Exit codes: 0 success, 2 config error, 3 compute error.
+keys match the command's flags.  Its entries are turned into flag tokens
+and parsed by the command's own parser ahead of the command line, so a file
+value is typed and checked exactly as the same flag is, and flags override
+file values; unknown keys are rejected.  Exit codes: 0 success, 2 config
+error (any ValueError or OSError, and argparse's usage errors), 3 compute
+error (any other toolkit error).
 DEMONSCATTER_THREADS caps the linear-algebra thread pools.
 """
 
@@ -30,18 +34,17 @@ import numpy as np  # noqa: E402  (thread caps must precede the import)
 from . import serialize  # noqa: E402
 from .channels import extract_channel  # noqa: E402
 from .demon import DemonReport, dzero_bounds, sweep_demon  # noqa: E402
-from .errors import (  # noqa: E402
-    ConfigError,
-    DemonScatterError,
-    GridError,
-    NegativeVelocityError,
-    NonPositiveEnergyError,
-)
+from .errors import ConfigError, DemonScatterError  # noqa: E402
 from .kernels import OpticalParameters, build_kernel  # noqa: E402
 from .local_solver import build_two_level_model, solve_local  # noqa: E402
 from .nonlocal_solver import solve_nonlocal  # noqa: E402
 from .optimize import DeviceTarget, optimize, refine_paper_point  # noqa: E402
-from .symmetry import check_tolerance, classify, verify_predictions  # noqa: E402
+from .symmetry import (  # noqa: E402
+    REL_TOL,
+    check_tolerance,
+    classify,
+    verify_predictions,
+)
 from .units import (  # noqa: E402
     DEFAULT_BOX_HALF,
     DEFAULT_NPOINTS,
@@ -56,117 +59,75 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
 
-def _merge_config(args: argparse.Namespace, parser_keys) -> dict:
-    """File config overridden by explicit flags; unknown file keys rejected."""
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(cfg) - set(parser_keys)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in parser_keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _grid_from(args):
+    return make_grid(-args.box, args.box, args.n)
 
 
-def _grid_from(cfg: dict):
-    half = float(cfg.get("box", DEFAULT_BOX_HALF))
-    n = int(cfg.get("n", DEFAULT_NPOINTS))
-    return make_grid(-half, half, n)
-
-
-def _profile_from(cfg: dict) -> RabiProfile:
+def _profile_from(args) -> RabiProfile:
     """The laser profile; b, c and delta are required by every command that
     builds a model or a kernel from it, so all three are checked here."""
     for key in ("b", "c", "delta"):
-        if key not in cfg:
+        if getattr(args, key) is None:
             raise ConfigError(f"missing required parameter {key!r}")
-    return RabiProfile(
-        b=float(cfg["b"]),
-        c=float(cfg["c"]),
-        x0=float(cfg.get("x0", 0.0)),
-        w=float(cfg.get("w", DEFAULT_WIDTH)),
-    )
+    return RabiProfile(b=args.b, c=args.c, x0=args.x0, w=args.w)
 
 
-def _model_from(cfg: dict):
-    if "model" in cfg:
-        return serialize.read_model(cfg["model"])
+def _model_from(args):
+    if args.model is not None:
+        return serialize.read_model(args.model)
     return build_two_level_model(
-        _profile_from(cfg),
-        float(cfg["delta"]),
-        float(cfg.get("gamma", 0.0)),
-        _grid_from(cfg),
+        _profile_from(args), args.delta, args.gamma, _grid_from(args)
     )
 
 
-def _energy_from(cfg: dict) -> float:
+def _energy_from(args) -> float:
     """E if given, else the ground-channel energy of v (default 8); an E and
     a v given together must agree."""
-    if "E" not in cfg:
-        return velocity_to_energy(float(cfg.get("v", 8.0)))
-    E = float(cfg["E"])
-    if "v" in cfg and not math.isclose(velocity_to_energy(float(cfg["v"])), E,
-                                       rel_tol=1e-12):
-        raise ConfigError(f"E={E} disagrees with v={cfg['v']} (E = v^2/2)")
-    return E
+    if args.E is None:
+        return velocity_to_energy(8.0 if args.v is None else args.v)
+    if args.v is not None and not math.isclose(velocity_to_energy(args.v), args.E,
+                                               rel_tol=1e-12):
+        raise ConfigError(f"E={args.E} disagrees with v={args.v} (E = v^2/2)")
+    return args.E
 
 
-def _kernel_from(cfg: dict, E: float):
+def _kernel_from(args, E: float):
     params = OpticalParameters(
-        profile=_profile_from(cfg),
-        delta=float(cfg["delta"]),
-        gamma=float(cfg.get("gamma", 0.0)),
-        E=E,
+        profile=_profile_from(args), delta=args.delta, gamma=args.gamma, E=E
     )
-    return build_kernel(params, _grid_from(cfg))
+    return build_kernel(params, _grid_from(args))
 
 
-def cmd_scatter(cfg: dict) -> int:
-    model = _model_from(cfg)
-    v = float(cfg.get("v", 8.0))
-    sol = solve_local(model, velocity_to_energy(v))
-    amps = extract_channel(sol.S, 0)
-    rep = DemonReport.from_amplitudes(amps)
+def cmd_scatter(args) -> int:
+    model = _model_from(args)
+    sol = solve_local(model, velocity_to_energy(args.v))
+    rep = DemonReport.from_amplitudes(extract_channel(sol.S, 0))
     serialize.write_smatrix(
-        cfg.get("out", "smatrix.json"),
-        sol.S,
-        diagnostics={"unitarity_defect": sol.unitarity_defect},
+        args.out, sol.S, diagnostics={"unitarity_defect": sol.unitarity_defect}
     )
-    serialize.write_sweep_csv(cfg.get("report", "demon_report.csv"), [(v, rep)])
-    print(f"v={v} D={rep.D:.6f} code={rep.code}")
+    serialize.write_sweep_csv(args.report, [(args.v, rep)])
+    print(f"v={args.v} D={rep.D:.6f} code={rep.code}")
     return EXIT_OK
 
 
-def cmd_scatter_nonlocal(cfg: dict) -> int:
-    v = float(cfg.get("v", 8.0))
-    amps = solve_nonlocal(_kernel_from(cfg, _energy_from(cfg)), v)
+def cmd_scatter_nonlocal(args) -> int:
+    amps = solve_nonlocal(_kernel_from(args, velocity_to_energy(args.v)), args.v)
     rep = DemonReport.from_amplitudes(amps)
-    serialize.write_sweep_csv(cfg.get("out", "demon_report.csv"), [(v, rep)])
-    print(f"v={v} D={rep.D:.6f} code={rep.code}")
+    serialize.write_sweep_csv(args.out, [(args.v, rep)])
+    print(f"v={args.v} D={rep.D:.6f} code={rep.code}")
     return EXIT_OK
 
 
-def cmd_kernel(cfg: dict) -> int:
-    E = _energy_from(cfg)
-    kernel = _kernel_from(cfg, E)
-    serialize.write_kernel_csv(
-        cfg.get("out", "kernel.csv"), kernel, polar=not cfg.get("cartesian", False)
-    )
+def cmd_kernel(args) -> int:
+    E = _energy_from(args)
+    kernel = _kernel_from(args, E)
+    serialize.write_kernel_csv(args.out, kernel, polar=not args.cartesian)
     print(f"E={E} max|K|={kernel.kmax:.6g}")
     return EXIT_OK
 
 
-def cmd_regions(cfg: dict) -> int:
-    res = int(cfg.get("resolution", 101))
+def cmd_regions(args) -> int:
+    res = args.resolution
     if res < 2:
         raise ConfigError(f"resolution must be >= 2, got {res}")
     ax = np.linspace(0.0, 1.0, res)
@@ -176,24 +137,22 @@ def cmd_regions(cfg: dict) -> int:
             if rt2 > 1.0 - t2 + 1e-12:
                 continue
             rows.append((t2, rt2, dzero_bounds(t2, rt2)))
-    serialize.write_regions_csv(cfg.get("out", "regions.csv"), rows)
+    serialize.write_regions_csv(args.out, rows)
     print(f"{len(rows)} feasible points at resolution {res}")
     return EXIT_OK
 
 
-def cmd_classify(cfg: dict) -> int:
-    E = _energy_from(cfg)
-    rel_tol = float(cfg.get("tol", 1e-8))
-    check_tolerance(rel_tol)
-    kernel = _kernel_from(cfg, E)
-    report = classify(kernel, rel_tol)
+def cmd_classify(args) -> int:
+    E = _energy_from(args)
+    check_tolerance(args.tol)
+    kernel = _kernel_from(args, E)
+    report = classify(kernel, args.tol)
     verification = None
-    if cfg.get("verify", False):
+    if args.verify:
         # solved at the ground-channel wavenumber of the kernel's energy
         verification = verify_predictions(kernel, math.sqrt(2.0 * E), report=report)
     serialize.write_json(
-        cfg.get("out", "symmetry.json"),
-        serialize.symmetry_report_to_dict(report, verification),
+        args.out, serialize.symmetry_report_to_dict(report, verification)
     )
     satisfied = sorted(n for n, ok in report.verdicts.items() if ok)
     print("satisfied:", " ".join(satisfied))
@@ -202,47 +161,30 @@ def cmd_classify(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict) -> int:
-    model = _model_from(cfg)
-    if "velocities" in cfg:
-        velocities = [float(v) for v in cfg["velocities"]]
-    else:
-        velocities = list(
-            np.linspace(
-                float(cfg.get("vmin", 1.0)),
-                float(cfg.get("vmax", 10.0)),
-                int(cfg.get("nv", 10)),
-            )
-        )
+def cmd_sweep(args) -> int:
+    model = _model_from(args)
+    velocities = args.velocities
+    if velocities is None:
+        velocities = list(np.linspace(args.vmin, args.vmax, args.nv))
     if not velocities:
         raise ConfigError("at least one velocity is required")
     reports = sweep_demon(model, velocities)
-    serialize.write_sweep_csv(cfg.get("out", "sweep.csv"), reports)
+    serialize.write_sweep_csv(args.out, reports)
     print(f"{len(reports)} velocities swept")
     return EXIT_OK
 
 
-def cmd_optimize(cfg: dict) -> int:
+def cmd_optimize(args) -> int:
     # the name is checked even when explicit probabilities replace it
-    named = DeviceTarget.named(cfg.get("target", "half-demon"))
-    target = DeviceTarget(
-        probabilities=tuple(cfg.get("probabilities", named.probabilities)),
-        weights=tuple(cfg.get("weights", (1.0, 1.0, 1.0, 1.0))),
-    )
-    result = optimize(
-        target,
-        v0=float(cfg.get("v0", 8.0)),
-        w=float(cfg.get("w", DEFAULT_WIDTH)),
-        seed=int(cfg.get("seed", 1)),
-        budget=int(cfg.get("budget", 5000)),
-        restarts=int(cfg.get("restarts", 8)),
-        grid=_grid_from(cfg),
-    )
-    serialize.write_json(
-        cfg.get("out", "optimize.json"), serialize.optimization_result_to_dict(result)
-    )
-    if "log" in cfg:
-        serialize.write_optimization_log_csv(cfg["log"], result.log)
+    named = DeviceTarget.named(args.target)
+    target = DeviceTarget(probabilities=args.probabilities or named.probabilities,
+                          weights=args.weights)
+    result = optimize(target, v0=args.v0, w=args.w, seed=args.seed,
+                      budget=args.budget, restarts=args.restarts,
+                      grid=_grid_from(args))
+    serialize.write_json(args.out, serialize.optimization_result_to_dict(result))
+    if args.log is not None:
+        serialize.write_optimization_log_csv(args.log, result.log)
     print(
         f"cost={result.cost:.6g} converged={result.converged} "
         f"evals={result.evaluations}"
@@ -250,15 +192,9 @@ def cmd_optimize(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_refine_paper(cfg: dict) -> int:
-    result = refine_paper_point(
-        v0=float(cfg.get("v0", 8.0)),
-        budget=int(cfg.get("budget", 2000)),
-        grid=_grid_from(cfg),
-    )
-    serialize.write_json(
-        cfg.get("out", "refine.json"), serialize.optimization_result_to_dict(result)
-    )
+def cmd_refine_paper(args) -> int:
+    result = refine_paper_point(v0=args.v0, budget=args.budget, grid=_grid_from(args))
+    serialize.write_json(args.out, serialize.optimization_result_to_dict(result))
     print(
         f"initial_cost={result.initial_cost:.6g} final_cost={result.cost:.6g} "
         f"converged={result.converged}"
@@ -266,22 +202,33 @@ def cmd_refine_paper(cfg: dict) -> int:
     return EXIT_OK
 
 
-_PROFILE = ("b", "c", "x0", "w", "delta", "gamma")
+# Config keys with their defaults; None means "not given".
+_PROFILE = {"b": None, "c": None, "x0": 0.0, "w": DEFAULT_WIDTH, "delta": None,
+            "gamma": 0.0}
+_GRID = {"n": DEFAULT_NPOINTS, "box": DEFAULT_BOX_HALF}
 
-#: Subcommand -> (handler, config keys); each key is also a --flag.
+#: Subcommand -> (handler, {config key: default}); each key is also a --flag.
 _COMMANDS = {
-    "scatter": (cmd_scatter, ("model", *_PROFILE, "v", "n", "box", "out", "report")),
-    "scatter-nonlocal": (cmd_scatter_nonlocal, (*_PROFILE, "v", "n", "box", "out")),
-    "kernel": (cmd_kernel, (*_PROFILE, "v", "E", "n", "box", "out", "cartesian")),
-    "regions": (cmd_regions, ("resolution", "out")),
-    "classify": (cmd_classify,
-                 (*_PROFILE, "v", "E", "n", "box", "tol", "verify", "out")),
-    "sweep": (cmd_sweep, ("model", *_PROFILE, "velocities", "vmin", "vmax", "nv",
-                          "n", "box", "out")),
-    "optimize": (cmd_optimize, ("target", "probabilities", "weights", "v0", "w",
-                                "seed", "budget", "restarts", "n", "box", "out",
-                                "log")),
-    "refine-paper": (cmd_refine_paper, ("v0", "budget", "n", "box", "out")),
+    "scatter": (cmd_scatter, {"model": None, **_PROFILE, "v": 8.0, **_GRID,
+                              "out": "smatrix.json", "report": "demon_report.csv"}),
+    "scatter-nonlocal": (cmd_scatter_nonlocal, {**_PROFILE, "v": 8.0, **_GRID,
+                                                "out": "demon_report.csv"}),
+    "kernel": (cmd_kernel, {**_PROFILE, "v": None, "E": None, **_GRID,
+                            "out": "kernel.csv", "cartesian": False}),
+    "regions": (cmd_regions, {"resolution": 101, "out": "regions.csv"}),
+    "classify": (cmd_classify, {**_PROFILE, "v": None, "E": None, **_GRID,
+                                "tol": REL_TOL, "verify": False,
+                                "out": "symmetry.json"}),
+    "sweep": (cmd_sweep, {"model": None, **_PROFILE, "velocities": None,
+                          "vmin": 1.0, "vmax": 10.0, "nv": 10, **_GRID,
+                          "out": "sweep.csv"}),
+    "optimize": (cmd_optimize, {"target": "half-demon", "probabilities": None,
+                                "weights": (1.0, 1.0, 1.0, 1.0), "v0": 8.0,
+                                "w": DEFAULT_WIDTH, "seed": 1, "budget": 5000,
+                                "restarts": 8, **_GRID, "out": "optimize.json",
+                                "log": None}),
+    "refine-paper": (cmd_refine_paper, {"v0": 8.0, "budget": 2000, **_GRID,
+                                        "out": "refine.json"}),
 }
 
 _FLAG_TYPES = {
@@ -293,42 +240,81 @@ _FLAG_TYPES = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _config_argv(path, keys) -> list:
+    """The config file's entries as flag tokens.
+
+    A scalar becomes --key=value (the = form lets -1e-05 parse), a list one
+    token per element, a switch the bare flag when true and nothing when
+    false.  A JSON value that no flag spelling matches is a ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(cfg) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    argv = []
+    for key, val in cfg.items():
+        kind = _FLAG_TYPES.get(key, float)
+        switch, listed = kind == "store_true", kind == "floats"
+        if switch and isinstance(val, bool):
+            argv += [f"--{key}"] if val else []
+        elif listed and isinstance(val, list) and all(map(_is_number, val)):
+            argv += [f"--{key}", *map(str, val)]
+        elif not (switch or listed) and (isinstance(val, str) or _is_number(val)):
+            argv.append(f"--{key}={val}")
+        else:
+            raise ConfigError(f"config key {key!r} cannot take the value {val!r}")
+    return argv
+
+
+def _build_parser():
+    """The top-level parser and each subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="demonscatter",
         description="1D multichannel scattering and Maxwell-demon analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, keys) in _COMMANDS.items():
-        p = sub.add_parser(name)
+    commands = {}
+    for name, (_handler, defaults) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        for key in keys:
+        for key, default in defaults.items():
             kind = _FLAG_TYPES.get(key, float)
-            flag = f"--{key}"
             if kind == "store_true":
-                p.add_argument(flag, action="store_true", default=None)
+                p.add_argument(f"--{key}", action="store_true", default=default)
             elif kind == "floats":
-                p.add_argument(flag, type=float, nargs="+")
+                p.add_argument(f"--{key}", type=float, nargs="+", default=default)
             else:
-                p.add_argument(flag, type=kind)
-    return parser
+                p.add_argument(f"--{key}", type=kind, default=default)
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler, keys = _COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    handler, defaults = _COMMANDS[args.command]
     try:
-        return handler(_merge_config(args, keys))
-    except (ConfigError, GridError, NegativeVelocityError,
-            NonPositiveEnergyError, FileNotFoundError) as exc:
+        if args.config:
+            flags = argv[argv.index(args.command) + 1:]
+            args = commands[args.command].parse_args(
+                _config_argv(args.config, defaults) + flags)
+        return handler(args)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DemonScatterError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import ChannelAmplitudes, SMatrix
+from .channels import ChannelAmplitudes, SMatrix, kinematics
 from .errors import InconsistentBoundaryError, InfeasiblePairError
 from .local_solver import LocalPotentialModel, solve_channel
 from .units import velocity_to_energy
@@ -243,9 +243,9 @@ def construct_boundary_smatrix(kind: str) -> SMatrix:
 def sweep_demon(system: LocalPotentialModel, velocities):
     """One (v, DemonReport) pair per velocity for a local model.
 
-    Every velocity must be finite and positive, checked before the first
-    solve; each is solved at E = v^2/2 by `solve_channel`, so channel 0
-    must be open at every E.
+    Every velocity must be finite and positive, and channel 0 open at its
+    E = v^2/2, all checked before the first solve; each is then solved by
+    `solve_channel`.
     """
     velocities = list(velocities)
     energies = []
@@ -253,5 +253,6 @@ def sweep_demon(system: LocalPotentialModel, velocities):
         if v <= 0:
             raise ValueError(f"velocities must be positive, got {v}")
         energies.append(velocity_to_energy(v))
+        kinematics(system.channels, energies[-1])
     return [(v, DemonReport.from_amplitudes(solve_channel(system, E)))
             for v, E in zip(velocities, energies)]

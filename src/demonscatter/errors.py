@@ -34,12 +34,8 @@ class SolverError(DemonScatterError, RuntimeError):
     """Numerical solve failed (singular or near-singular linear system)."""
 
 
-class ThresholdSingularityError(DemonScatterError, ValueError):
+class ThresholdSingularityError(DemonScatterError):
     """Effective wavenumber q = 0; the nonlocal kernel is singular there."""
-
-
-class AsymmetricGridError(DemonScatterError, ValueError):
-    """Parity-type symmetry checks need a grid symmetric about x = 0."""
 
 
 class InfeasiblePairError(DemonScatterError, ValueError):

@@ -94,8 +94,21 @@ def read_model(path) -> LocalPotentialModel:
         return model_from_dict(json.load(fh))
 
 
+def _write_csv(path, header, rows):
+    """CSV with one header row; floats as CSV_FMT, other values as str."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([CSV_FMT % x if isinstance(x, float) else x for x in row]
+                     for row in rows)
+
+
 def write_kernel_csv(path, kernel: NonlocalKernel, polar: bool = True):
-    """Kernel surface CSV: x, y, |K|, arg K (polar) or x, y, Re K, Im K."""
+    """Kernel surface CSV: x, y, |K|, arg K (polar) or x, y, Re K, Im K.
+
+    Formats every cell itself rather than through _write_csv: at n = 1001
+    that is a million rows, where a per-cell type test costs measurable time.
+    """
     x = kernel.grid.points
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -114,28 +127,14 @@ def write_kernel_csv(path, kernel: NonlocalKernel, polar: bool = True):
 
 def write_sweep_csv(path, reports):
     """Demon sweep CSV: v, |T|^2, |R|^2, |Tt|^2, |Rt|^2, D, code."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["v", "T2", "R2", "Tt2", "Rt2", "D", "code"])
-        for v, rep in reports:
-            t2, r2, tt2, rt2 = rep.probabilities
-            wr.writerow(
-                [CSV_FMT % v]
-                + [CSV_FMT % p for p in (t2, r2, tt2, rt2, rep.D)]
-                + [rep.code]
-            )
+    _write_csv(path, ["v", "T2", "R2", "Tt2", "Rt2", "D", "code"],
+               ((v, *rep.probabilities, rep.D, rep.code) for v, rep in reports))
 
 
 def write_regions_csv(path, rows):
     """D=0 region CSV: t2, rt2, lower, upper, region."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t2", "rt2", "lower", "upper", "region"])
-        for t2, rt2, bounds in rows:
-            wr.writerow(
-                [CSV_FMT % t2, CSV_FMT % rt2, CSV_FMT % bounds.lower,
-                 CSV_FMT % bounds.upper, bounds.region]
-            )
+    _write_csv(path, ["t2", "rt2", "lower", "upper", "region"],
+               ((t2, rt2, b.lower, b.upper, b.region) for t2, rt2, b in rows))
 
 
 def symmetry_report_to_dict(report, verification=None) -> dict:
@@ -175,8 +174,5 @@ def optimization_result_to_dict(result) -> dict:
 
 def write_optimization_log_csv(path, log):
     """Evaluation log CSV: index, b, c, x0, delta, cost."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["eval", "b", "c", "x0", "delta", "cost"])
-        for idx, params, c in log:
-            wr.writerow([idx] + [CSV_FMT % p for p in params] + [CSV_FMT % c])
+    _write_csv(path, ["eval", "b", "c", "x0", "delta", "cost"],
+               ((idx, *params, c) for idx, params, c in log))

@@ -26,7 +26,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from .demon import demon_parameter
-from .errors import AsymmetricGridError
 from .nonlocal_solver import SLAB, NonlocalKernel, check_wavenumber, solve_nonlocal
 
 #: Default verdict tolerance, relative to the kernel max-norm.
@@ -122,18 +121,6 @@ def _blocked_maxima(K: np.ndarray, classes):
                     top = np.max(np.abs(d, out=r))
                 found[cls] = max(found[cls], float(top))
     return found
-
-
-def residual(kernel: NonlocalKernel, cls: SymmetryClass) -> float:
-    """Max-norm of K minus its transformed image; 0 means the symmetry holds."""
-    if cls.involves_parity and not kernel.grid.symmetric:
-        raise AsymmetricGridError(
-            f"{cls.name} requires a grid symmetric about x = 0, "
-            f"got [{kernel.grid.x_min}, {kernel.grid.x_max}]"
-        )
-    if cls is SymmetryClass.Trivial:
-        return 0.0
-    return _blocked_maxima(kernel.K, [cls])[cls]
 
 
 def predicted_relations(classes) -> set:

@@ -334,3 +334,77 @@ def test_optimize_target_takes_the_configured_weights(
     (target,) = targets
     assert target.probabilities == probabilities
     assert target.weights == weights
+
+
+def exit_code(argv):
+    """main's return value, or the code of argparse's usage error."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SMALL_CFG = {**PROFILE_CFG, "n": 201, "box": 1.5}
+
+#: Config values that the same flag would reject, or that no flag can spell.
+BAD_CONFIGS = {
+    "scatter-v-list": ("scatter", {**SMALL_CFG, "v": [1]}),
+    "scatter-v-bool": ("scatter", {**SMALL_CFG, "v": True}),
+    "scatter-n-fraction": ("scatter", {**SMALL_CFG, "n": 200.9}),
+    "sweep-velocities-scalar": ("sweep", {**SMALL_CFG, "velocities": 5}),
+    "classify-verify-string": ("classify", {**SMALL_CFG, "verify": "no"}),
+}
+
+
+@pytest.mark.parametrize("command, cfg", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_value_exits_2(command, cfg, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert exit_code([command, "--config", "cfg.json"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_value_parses_as_its_flag(tmp_path, monkeypatch):
+    # a negative exponent reaches the flag as --x0=-1e-05
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_CFG, "x0": -1e-05}))
+    assert run(["scatter", "--config", "cfg.json", "--report", "file.csv"]) == 0
+    flags = [f"--{key}={val}" for key, val in SMALL_CFG.items() if key != "x0"]
+    assert run(["scatter", *flags, "--x0=-1e-05", "--report", "flag.csv"]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_flags_override_config_values(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {**SMALL_CFG, "velocities": [2.0, 3.0], "out": "file.csv"}))
+    assert run(["sweep", "--config", "sweep.json", "--velocities", "4", "5", "6",
+                "--out", "flag.csv"]) == 0
+    assert [float(r["v"]) for r in read_csv("flag.csv")] == [4.0, 5.0, 6.0]
+    assert not (tmp_path / "file.csv").exists()
+    (tmp_path / "classify.json").write_text(json.dumps({**SMALL_CFG, "verify": False}))
+    assert run(["classify", "--config", "classify.json", "--verify"]) == 0
+    assert "verification" in json.loads((tmp_path / "symmetry.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--model", "model.json"],
+    ["scatter", "--b", "1", "--c", "1", "--delta", "1", "--box", "0.5"],
+], ids=["nan-sample", "box-cuts-the-profile"])
+def test_model_error_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_model("model.json", build_two_level_model(
+        RabiProfile(b=50.0, c=40.0, x0=0.1), 20.0, grid=make_grid(-1.5, 1.5, 201)))
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["V"][100][1] = [float("nan"), 0.0]  # one sample of V_01
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_output_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    assert run(["regions", "--resolution", "5", "--out", "out"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from demonscatter import local_solver
 from demonscatter.channels import (
     ChannelAmplitudes,
     ChannelSet,
@@ -235,15 +236,20 @@ def test_sweep_checks_every_velocity_before_any_solve(velocities, message, monke
     assert solves == []
 
 
-def test_sweep_rejects_closed_channel_0():
+def test_sweep_rejects_closed_channel_0(monkeypatch):
     # channel 0 is open at v = 4 (E = 8) but closed at v = 2 (E = 2), where
-    # only channel 1 is open: its amplitudes must not stand in for channel 0's
+    # only channel 1 is open: its amplitudes must not stand in for channel 0's,
+    # and the sweep fails before it factors the v = 4 point
     base = random_hermitian_model(np.random.default_rng(2), make_grid(-1.5, 1.5, 601), 2)
     model = LocalPotentialModel(grid=base.grid, channels=ChannelSet(thresholds=(5.0, 0.0)),
                                 V=base.V)
+    factorizations = []
+    monkeypatch.setattr(local_solver, "zgbtrf",
+                        lambda *args, **kw: factorizations.append(args))
     with pytest.raises(NonPositiveEnergyError,
                        match="^energy must exceed the channel-0 threshold 5.0, got E=2.0$"):
         sweep_demon(model, [4.0, 2.0])
+    assert factorizations == []
 
 
 def test_demon_report_fields():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demonscatter import symmetry
-from demonscatter.errors import AsymmetricGridError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
 from demonscatter.symmetry import (
@@ -15,7 +14,6 @@ from demonscatter.symmetry import (
     SymmetryClass,
     classify,
     predicted_relations,
-    residual,
     transform,
     verify_predictions,
 )
@@ -58,11 +56,11 @@ def test_real_symmetric_even_kernel_all_residuals_zero():
     K = np.exp(-((x[:, None]) ** 2 + (x[None, :]) ** 2) / 0.1)
     K[np.abs(x) > 1.4, :] = 0.0
     K[:, np.abs(x) > 1.4] = 0.0
-    kernel = NonlocalKernel(grid=GRID, K=K)
+    residuals = classify(NonlocalKernel(grid=GRID, K=K)).residuals
     for cls in SymmetryClass:
         # grid points are not exactly sign-symmetric in floating point, so
         # allow roundoff-level residuals on the parity classes
-        assert residual(kernel, cls) < 1e-14
+        assert residuals[cls.name] < 1e-14
 
 
 def test_symmetrized_kernels_have_zero_residual():
@@ -70,7 +68,7 @@ def test_symmetrized_kernels_have_zero_residual():
         if cls is SymmetryClass.Trivial:
             continue
         kernel = NonlocalKernel(grid=GRID, K=symmetrized(BASE, cls))
-        assert residual(kernel, cls) < 1e-13 * np.max(np.abs(BASE))
+        assert classify(kernel).residuals[cls.name] < 1e-13 * np.max(np.abs(BASE))
 
 
 def test_paper_kernel_trivial_only():
@@ -95,9 +93,9 @@ def test_pt_odd_imaginary_local_kernel():
     da = np.exp(-(((x[:, None] - x[None, :]) / sigma) ** 2))
     mask = (np.abs(x) <= 1.201).astype(float)
     K = 1j * 0.5 * (f[:, None] + f[None, :]) * da * mask[:, None] * mask[None, :]
-    kernel = NonlocalKernel(grid=GRID, K=K)
-    assert residual(kernel, SymmetryClass.PT) < 1e-13
-    assert residual(kernel, SymmetryClass.Hermiticity) > 1e-3
+    residuals = classify(NonlocalKernel(grid=GRID, K=K)).residuals
+    assert residuals["PT"] < 1e-13
+    assert residuals["Hermiticity"] > 1e-3
 
 
 def test_local_real_kernel_tr_pseudohermitian():
@@ -108,7 +106,7 @@ def test_local_real_kernel_tr_pseudohermitian():
     mask = (np.abs(x) <= 1.201).astype(float)
     K = 0.5 * (f[:, None] + f[None, :]) * da * mask[:, None] * mask[None, :]
     kernel = NonlocalKernel(grid=GRID, K=K)
-    assert residual(kernel, SymmetryClass.TimeReversalPseudohermiticity) == 0.0
+    assert classify(kernel).residuals["TimeReversalPseudohermiticity"] == 0.0
 
 
 def test_parity_requires_symmetric_grid():
@@ -117,10 +115,7 @@ def test_parity_requires_symmetric_grid():
     K = np.exp(-(((x[:, None] - 0.5) ** 2 + (x[None, :] - 0.5) ** 2) / 0.05))
     K[np.abs(x - 0.5) > 0.45, :] = 0.0
     K[:, np.abs(x - 0.5) > 0.45] = 0.0
-    kernel = NonlocalKernel(grid=grid, K=K)
-    with pytest.raises(AsymmetricGridError):
-        residual(kernel, SymmetryClass.Parity)
-    report = classify(kernel)
+    report = classify(NonlocalKernel(grid=grid, K=K))
     assert np.isnan(report.residuals["Parity"])
     assert not report.verdicts["Parity"]
 
@@ -141,10 +136,10 @@ def test_predicted_relations():
 def test_closure_hermiticity_and_tr():
     A = BASE
     K = symmetrized(symmetrized(A, SymmetryClass.Hermiticity), SymmetryClass.TimeReversal)
-    kernel = NonlocalKernel(grid=GRID, K=K)
-    r_h = residual(kernel, SymmetryClass.Hermiticity)
-    r_t = residual(kernel, SymmetryClass.TimeReversal)
-    r_tp = residual(kernel, SymmetryClass.TimeReversalPseudohermiticity)
+    residuals = classify(NonlocalKernel(grid=GRID, K=K)).residuals
+    r_h = residuals["Hermiticity"]
+    r_t = residuals["TimeReversal"]
+    r_tp = residuals["TimeReversalPseudohermiticity"]
     assert r_tp <= r_h + r_t + 1e-12
 
 
@@ -207,13 +202,12 @@ def paper_kernel(n):
 
 
 def assert_matches_reference(kernel):
-    """classify and residual equal the unblocked formula bit for bit."""
+    """classify's residuals equal the unblocked formula bit for bit."""
     report = classify(kernel)
     assert report.tol == REL_TOL * float(np.max(np.abs(kernel.K)))
     for cls in SymmetryClass:
         ref = reference_residual(kernel.K, cls)
         assert report.residuals[cls.name] == ref, cls
-        assert residual(kernel, cls) == ref, cls
         assert report.verdicts[cls.name] == (ref <= report.tol), cls
 
 
@@ -257,7 +251,6 @@ def test_blocked_residuals_match_reference_asymmetric_grid():
         else:
             ref = reference_residual(kernel.K, cls)
             assert report.residuals[cls.name] == ref
-            assert residual(kernel, cls) == ref
 
 
 @pytest.mark.parametrize("slab", [1, 2, 3, SLAB])
