@@ -73,11 +73,16 @@ def _profile_from(args) -> RabiProfile:
 
 
 def _model_from(args):
-    if args.model is not None:
-        return serialize.read_model(args.model)
-    return build_two_level_model(
-        _profile_from(args), args.delta, args.gamma, _grid_from(args)
-    )
+    """The --model file (with no profile or grid flag), else the flags' model."""
+    if args.model is None:
+        return build_two_level_model(
+            _profile_from(args), args.delta, args.gamma, _grid_from(args)
+        )
+    given = [key for key, default in {**_PROFILE, **_GRID}.items()
+             if getattr(args, key) != default]  # NaN differs from every default
+    if given:
+        raise ConfigError(f"--model sets the profile and grid; drop {given}")
+    return serialize.read_model(args.model)
 
 
 def _energy_from(args) -> float:

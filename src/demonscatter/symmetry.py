@@ -6,14 +6,17 @@ Any class other than the trivial one forces relations among the four
 scattering amplitudes; in particular Hermiticity or parity forces D = 0, so
 a device with D != 0 can satisfy no symmetry but the trivial one.
 
-The residuals max |K - gK| of all classes come from one pass over slabs of
-SLAB rows of K; the max-norm that scales the verdict tolerance is the
-kernel's own kmax.  Each transform g is an involution: an index permutation
-plus an exact conjugation.  Float subtraction is exactly antisymmetric, so
-|K - gK| is equal at an index p and at its image g(p), and the pass reduces
-each class over one representative of every orbit of g's index map only.
-TimeReversal needs no difference: K - conj(K) is exactly 2i Im K, so its
-residual is 2 max |Im K|.  The maxima are bit-identical to
+The residuals max |K - gK| come from one pass over slabs of SLAB rows of
+the support hull [a, b)^2, a = min(lo, n - hi) and b = max(hi, n - lo) for
+the support [lo, hi); as a + b = n, each transform g maps it onto itself.
+g is an involution, an index permutation plus an exact conjugation, and
+float subtraction is exactly antisymmetric, so |K - gK| is equal at p and
+g(p): the pass reduces each class over one representative of every orbit
+only.  TimeReversal's residual is 2 max |Im K|, as K - conj(K) = 2i Im K.
+Off the hull, K and gK are at most SUPPORT_REL kmax in modulus, so the
+residual there is below 4 SUPPORT_REL kmax (or the smallest normal float);
+a class whose hull residual does not exceed that is scanned again over all
+of K.  Residuals and verdicts are thus bit-identical to the whole-kernel
 max |K - transform(K, g)|, and no temporary is larger than SLAB x n.
 """
 
@@ -26,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .demon import demon_parameter
-from .nonlocal_solver import SLAB, NonlocalKernel, check_wavenumber, solve_nonlocal
+from .nonlocal_solver import SLAB, SUPPORT_REL, NonlocalKernel, check_wavenumber, solve_nonlocal
 
 #: Default verdict tolerance, relative to the kernel max-norm.
 REL_TOL = 1e-8
@@ -96,15 +99,16 @@ def _blocked_maxima(K: np.ndarray, classes):
     """max |K - transform(K, cls)| per class.
 
     One pass over slabs of SLAB rows; classes that share an index map share
-    its slab pair, and every difference and modulus goes to one preallocated
-    pair of slab buffers.  The kernel must be finite, because a NaN would
-    lose every comparison of the running maximum.
+    its slab pair and one contiguous copy of its image, and every image,
+    difference and modulus goes to preallocated slab buffers.  The kernel
+    must be finite: a NaN would lose every comparison of the running maximum.
     """
     by_map = {}
     for cls in classes:
         by_map.setdefault(cls.value[:2], []).append(cls)
     found = dict.fromkeys(classes, 0.0)
-    diff, mod = np.empty(SLAB * len(K), dtype=complex), np.empty(SLAB * len(K))
+    image, diff = (np.empty(SLAB * len(K), dtype=complex) for _ in range(2))
+    mod = np.empty(SLAB * len(K))
     for a in range(0, len(K), SLAB):
         b = min(a + SLAB, len(K))
         for (flip, transpose), group in by_map.items():
@@ -112,7 +116,10 @@ def _blocked_maxima(K: np.ndarray, classes):
             if pair is None:
                 continue
             P, Q = pair
-            d, r = diff[: P.size].reshape(P.shape), mod[: P.size].reshape(P.shape)
+            q, d, r = (buf[: P.size].reshape(P.shape) for buf in (image, diff, mod))
+            if len(group) > 1:  # both classes then read one contiguous copy
+                np.copyto(q, Q)
+                Q = q
             for cls in group:
                 if cls is SymmetryClass.TimeReversal:  # K - conj(K) = 2i Im K
                     top = 2.0 * np.max(np.abs(P.imag, out=r))
@@ -182,13 +189,15 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
     classes on an asymmetric grid get residual NaN and verdict False.
     """
     check_tolerance(rel_tol)
-    classes = [
-        cls
-        for cls in SymmetryClass
-        if cls is not SymmetryClass.Trivial
-        and (kernel.grid.symmetric or not cls.involves_parity)
-    ]
-    found = _blocked_maxima(kernel.K, classes)
+    classes = [cls for cls in SymmetryClass if cls is not SymmetryClass.Trivial
+               and (kernel.grid.symmetric or not cls.involves_parity)]
+    (lo, hi), n = kernel.support, kernel.grid.n
+    a, b = min(lo, n - hi), max(hi, n - lo)
+    found = _blocked_maxima(kernel.K[a:b, a:b], classes)
+    cut = max(4 * SUPPORT_REL * kernel.kmax, np.finfo(float).tiny)
+    rescan = [cls for cls in classes if found[cls] <= cut]
+    if rescan:
+        found.update(_blocked_maxima(kernel.K, rescan))
     tol = rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol
     residuals, verdicts = {}, {}
     for cls in SymmetryClass:

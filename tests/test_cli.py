@@ -261,6 +261,26 @@ def test_closed_channel_0_model_is_config_error(command, thresholds, flags, tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("scatter", ["--v", "4", "--n", "3", "--box", "0.2", "--b", "nan"]),
+    ("scatter", ["--v", "4", "--x0", "0.1"]),
+    ("sweep", ["--velocities", "4", "--n", "601"]),
+    ("sweep", ["--velocities", "4", "--gamma", "nan"]),
+], ids=["scatter-grid-and-nan", "scatter-x0", "sweep-n", "sweep-nan"])
+def test_profile_or_grid_flag_next_to_model_is_config_error(command, flags, tmp_path,
+                                                             monkeypatch, capsys):
+    # the file fixes the profile and the grid: such a flag would do nothing
+    monkeypatch.chdir(tmp_path)
+    write_model("model.json", build_two_level_model(
+        RabiProfile(b=50.0, c=40.0, x0=0.1), 20.0, grid=make_grid(-1.5, 1.5, 201)))
+    assert run([command, "--model", "model.json"] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error: --model")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    # a flag at its default is indistinguishable from no flag
+    assert run([command, "--model", "model.json", "--x0", "0", "--n", "2001"]
+               + flags[:2]) == 0
+
+
 PROFILE_CFG = {"b": 50.0, "c": 40.0, "x0": 0.1, "w": 0.14, "delta": 20.0,
                "gamma": 0.0}
 
@@ -294,8 +314,15 @@ def test_config_with_every_key_is_accepted(command, tmp_path, monkeypatch):
     model = build_two_level_model(RabiProfile(b=50.0, c=40.0, x0=0.1), 20.0,
                                   grid=make_grid(-1.5, 1.5, 201))
     write_model("model.json", model)
-    (tmp_path / "cfg.json").write_text(json.dumps(FULL_CONFIGS[command]))
-    assert run([command, "--config", "cfg.json"]) == 0
+    cfg = FULL_CONFIGS[command]
+    # a model file excludes the profile and grid keys, so each set runs alone
+    grid_keys = set(PROFILE_CFG) | {"n", "box"}
+    configs = [cfg] if "model" not in cfg else [
+        {k: v for k, v in cfg.items() if k != "model"},
+        {k: v for k, v in cfg.items() if k not in grid_keys}]
+    for config in configs:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run([command, "--config", "cfg.json"]) == 0
 
 
 @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))

@@ -201,10 +201,10 @@ def paper_kernel(n):
     return build_kernel(params, make_grid(-1.5, 1.5, n))
 
 
-def assert_matches_reference(kernel):
+def assert_matches_reference(kernel, rel_tol=REL_TOL):
     """classify's residuals equal the unblocked formula bit for bit."""
-    report = classify(kernel)
-    assert report.tol == REL_TOL * float(np.max(np.abs(kernel.K)))
+    report = classify(kernel, rel_tol)
+    assert report.tol == rel_tol * float(np.max(np.abs(kernel.K)))
     for cls in SymmetryClass:
         ref = reference_residual(kernel.K, cls)
         assert report.residuals[cls.name] == ref, cls
@@ -295,3 +295,65 @@ def test_classify_makes_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6, f"classify peak {peak / 1e6:.1f} MB"
+
+
+# ------------------------------------------------------- support-hull scan
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in SymmetryClass if c is not SymmetryClass.Trivial]
+)
+def test_classes_satisfied_on_the_hull_are_rescanned(cls):
+    # exactly cls-symmetric on the support [100, 201)^2; off it, noise of
+    # about eps kmax that no class maps onto itself: only the whole-kernel
+    # scan sees it, so a class whose hull residual is 0 must be scanned again
+    n, lo, hi = 301, 100, 201
+    rng = np.random.default_rng(19)
+    A = np.zeros((n, n), dtype=complex)
+    m = hi - lo
+    A[lo:hi, lo:hi] = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    K = symmetrized(A, cls)
+    kmax = float(np.max(np.abs(K)))
+    eps = np.finfo(float).eps
+    noise = rng.uniform(0.25, 0.5, (n, n)) * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    off = np.ones((n, n), dtype=bool)
+    off[lo:hi, lo:hi] = False
+    K[off] = noise[off] * eps * kmax
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=K)
+    assert kernel.support == (lo, hi)
+    assert 0.0 < reference_residual(K, cls) <= 4 * eps * kmax
+    assert_matches_reference(kernel)
+    assert_matches_reference(kernel, 0.0)
+
+
+def test_hull_is_closed_under_the_grid_flip():
+    # a positive bump on the off-centre support [20, 120): its parity image
+    # lies in the mirrored band [181, 281), so the parity residuals need the
+    # hull [20, 281), and a flip about the support's own centre gets them wrong
+    grid = make_grid(-1.5, 1.5, 301)
+    x = grid.points
+    lo, hi = 20, 120
+    bump = np.zeros(grid.n)
+    bump[lo:hi] = np.exp(-(((x[lo:hi] - x[50]) / 0.3) ** 2))
+    K = np.outer(bump, bump * np.exp(1j * x))
+    kernel = NonlocalKernel(grid=grid, K=K)
+    assert kernel.support == (lo, hi)
+    assert reference_residual(K, SymmetryClass.Parity) == float(np.max(np.abs(K)))
+    assert_matches_reference(kernel)
+    assert_matches_reference(kernel, 0.0)
+
+
+def test_paper_kernel_scans_only_its_support_hull(monkeypatch):
+    shapes = []
+    blocked = symmetry._blocked_maxima
+
+    def recording(K, classes):
+        shapes.append((K.shape, len(classes)))
+        return blocked(K, classes)
+
+    monkeypatch.setattr(symmetry, "_blocked_maxima", recording)
+    kernel = paper_kernel(2001)
+    assert classify(kernel).trivial_only
+    # support (328, 1676), mirrored (325, 1673): the hull is [325, 1676)
+    assert kernel.support == (328, 1676)
+    assert shapes == [((1351, 1351), 7)]  # Trivial-only: no class is rescanned
