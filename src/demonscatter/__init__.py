@@ -4,7 +4,16 @@ Computes flux-normalized S-matrices for local matrix potentials and
 nonlocal complex kernels, quantifies distance-to-demon behavior through
 the parameter D, classifies kernel symmetries, and numerically designs
 quantum-optical asymmetric devices.
+
+DEMONSCATTER_THREADS caps the BLAS thread pools if this package is imported
+before numpy; an explicit OMP_, OPENBLAS_ or MKL_NUM_THREADS value wins.
 """
+
+import os
+
+if os.environ.get("DEMONSCATTER_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["DEMONSCATTER_THREADS"])
 
 from .channels import (
     ChannelAmplitudes,

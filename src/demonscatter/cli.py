@@ -8,7 +8,7 @@ value is typed and checked exactly as the same flag is, and flags override
 file values; unknown keys are rejected.  Exit codes: 0 success, 2 config
 error (any ValueError or OSError, and argparse's usage errors), 3 compute
 error (any other toolkit error).
-DEMONSCATTER_THREADS caps the linear-algebra thread pools.
+DEMONSCATTER_THREADS caps the linear-algebra thread pools (see the package).
 """
 
 from __future__ import annotations
@@ -16,36 +16,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
+import numpy as np
 
-def _cap_threads():
-    n = os.environ.get("DEMONSCATTER_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_cap_threads()
-
-import numpy as np  # noqa: E402  (thread caps must precede the import)
-
-from . import serialize  # noqa: E402
-from .channels import extract_channel  # noqa: E402
-from .demon import DemonReport, dzero_bounds, sweep_demon  # noqa: E402
-from .errors import ConfigError, DemonScatterError  # noqa: E402
-from .kernels import OpticalParameters, build_kernel  # noqa: E402
-from .local_solver import build_two_level_model, solve_local  # noqa: E402
-from .nonlocal_solver import solve_nonlocal  # noqa: E402
-from .optimize import DeviceTarget, optimize, refine_paper_point  # noqa: E402
-from .symmetry import (  # noqa: E402
+from . import serialize
+from .channels import extract_channel
+from .demon import DemonReport, dzero_bounds, sweep_demon
+from .errors import ConfigError, DemonScatterError
+from .kernels import OpticalParameters, build_kernel
+from .local_solver import build_two_level_model, solve_local
+from .nonlocal_solver import solve_nonlocal
+from .optimize import DeviceTarget, optimize, refine_paper_point
+from .symmetry import (
     REL_TOL,
     check_tolerance,
     classify,
     verify_predictions,
 )
-from .units import (  # noqa: E402
+from .units import (
     DEFAULT_BOX_HALF,
     DEFAULT_NPOINTS,
     DEFAULT_WIDTH,

@@ -16,6 +16,7 @@ the caller's box, with only as many points as the shortest local wavelength
 over PARAM_BOX needs.  The search log holds design-grid costs.  The returned
 point is solved once more on the caller's grid, so a result's cost,
 probabilities, D and converged flag are those of the caller's grid.
+`scipy.optimize` loads on the first `optimize` call, not on import.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .demon import demon_parameter
 from .local_solver import (
@@ -203,6 +203,7 @@ def optimize(
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    from scipy.optimize import minimize   # deferred: costs ~0.2 s to import
     caller = grid if grid is not None else default_grid()
     grid = design_grid(caller, v0, w)
     rng = np.random.default_rng(seed)

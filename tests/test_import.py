@@ -1,0 +1,77 @@
+"""What a fresh interpreter pays for on `import demonscatter`.
+
+Each test runs its script in a new `sys.executable` with `PYTHONPATH=src`,
+so no module loaded by the test session can hide an import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh(script, cwd, **env):
+    """Run `script` in a new interpreter; return the JSON on its last line."""
+    environ = {k: v for k, v in os.environ.items()
+               if k not in BLAS_VARS + ("DEMONSCATTER_THREADS",)}
+    environ.update(env, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+IMPORT_GUARD = """
+import json, sys
+import demonscatter, demonscatter.cli
+loaded = {"import": "scipy.optimize" in sys.modules}
+rc = demonscatter.cli.main(["scatter", "--b", "50", "--c", "40", "--x0", "0.1",
+                            "--delta", "20", "--n", "201", "--v", "4"])
+loaded["scatter"] = "scipy.optimize" in sys.modules
+result = demonscatter.optimize(demonscatter.DeviceTarget.named("half-demon"),
+                               budget=100, restarts=1,
+                               grid=demonscatter.make_grid(-1.5, 1.5, 401))
+loaded["optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps({"rc": rc, "loaded": loaded, "evaluations": result.evaluations}))
+"""
+
+
+def test_scipy_optimize_loads_on_the_first_design_only(tmp_path):
+    out = run_fresh(IMPORT_GUARD, tmp_path)
+    assert out["rc"] == 0
+    assert out["loaded"] == {"import": False, "scatter": False, "optimize": True}
+    assert 0 < out["evaluations"] <= 100
+
+
+THREAD_CAP = """
+import json, os, sys
+
+seen = {}
+
+
+class NumpySpy:
+    # records the BLAS variables as numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((var, os.environ.get(var)) for var in %r)
+
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, NumpySpy())
+import demonscatter.cli
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({"DEMONSCATTER_THREADS": "1"}, ("1", "1", "1")),
+    ({"DEMONSCATTER_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, ("1", "2", "1")),
+], ids=["cap", "explicit-openblas-wins"])
+def test_thread_cap_is_set_before_numpy_loads(env, expected, tmp_path):
+    assert run_fresh(THREAD_CAP, tmp_path, **env) == dict(zip(BLAS_VARS, expected))
