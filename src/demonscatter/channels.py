@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,20 +65,19 @@ class ChannelKinematics:
     def n_open(self) -> int:
         return int(np.count_nonzero(self.open_mask))
 
-    @property
+    @cached_property
     def open_indices(self) -> np.ndarray:
         return np.flatnonzero(self.open_mask)
 
-    @property
+    @cached_property
     def k_open(self) -> np.ndarray:
         return self.k[self.open_mask].real
 
 
 def branch_sqrt(z):
     """sqrt with branch Im >= 0 (and Re >= 0 on the real line)."""
-    r = np.sqrt(np.asarray(z, dtype=complex))
-    flip = (r.imag < 0) | ((r.imag == 0) & (r.real < 0))
-    return np.where(flip, -r, r)
+    r = np.sqrt(np.asarray(z, dtype=complex))  # Re r >= 0, as C99's csqrt
+    return np.where(r.imag < 0, -r, r)
 
 
 def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:

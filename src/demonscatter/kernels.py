@@ -80,11 +80,7 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
             f"elimination implemented for 2 channels, got "
             f"{model.channels.n_channels}"
         )
-    vmax = np.max(np.abs(model.V))
-    diag_mag = max(
-        np.max(np.abs(model.V[:, 0, 0])), np.max(np.abs(model.V[:, 1, 1]))
-    )
-    if vmax > 0 and diag_mag > 1e-12 * vmax:
+    if model.vmax > 0 and np.abs(model.V[:, (0, 1), (0, 1)]).max() > 1e-12 * model.vmax:
         raise UnsupportedModelError(
             "elimination requires vanishing diagonal potential blocks"
         )

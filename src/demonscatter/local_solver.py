@@ -15,7 +15,8 @@ tridiagonal, so it is assembled straight into LAPACK band storage and
 factored once per (model, E); only the incidences a caller reads are
 back-substituted (all of them in `solve_local`, channel 0's two in
 `solve_channel`).  A boundary-value solve cannot overflow on strongly closed
-channels, unlike naive marching.
+channels, unlike naive marching, and scalar checks on h, the model's vmax =
+max|V| and |E - eps_j| show the band finite before it is built (`_factor`).
 
 `solve_channel_jacobian` adds the exact derivatives of channel 0's
 amplitudes with respect to parameters of V and of the thresholds, by the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,7 +45,7 @@ from .channels import (
     kinematics,
     unitarity_defect,
 )
-from .errors import ModelError, SolverError
+from .errors import GridError, ModelError, SolverError
 from .units import (
     END_DECAY_REL,
     Grid,
@@ -62,15 +64,15 @@ class LocalPotentialModel:
     V has shape (n, N, N).  The potential must be negligible at both grid
     ends (radiation boundary conditions are imposed there).  The model is
     immutable: V is held as a read-only view of the caller's complex array
-    (not a copy), so hermitian_flag, derived from the samples once, cannot
-    go stale.  It is true for real thresholds and V = V^H within 1e-12 of
-    the max-norm.
+    (not a copy), so vmax and hermitian_flag, derived from the samples once
+    (hermitian_flag on first use), cannot go stale.
     """
 
     grid: Grid
     channels: ChannelSet
     V: np.ndarray
-    hermitian_flag: bool = field(init=False)
+    #: Max-norm max |V|, derived from V; it bounds the Numerov band (_factor).
+    vmax: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=complex).view()
@@ -82,8 +84,8 @@ class LocalPotentialModel:
             )
         object.__setattr__(self, "V", V)
         modulus = np.abs(V)
-        vmax = modulus.max()
-        if not np.isfinite(vmax):
+        vmax = float(modulus.max())
+        if not math.isfinite(vmax):  # max propagates NaN
             raise ModelError("potential samples must be finite")
         if vmax > 0:
             end_mag = max(modulus[0].max(), modulus[-1].max())
@@ -92,10 +94,14 @@ class LocalPotentialModel:
                     f"potential not negligible at grid ends "
                     f"(|V_end|/|V|_max = {end_mag / vmax:.3e})"
                 )
-        eps_real = all(e.imag == 0 for e in self.channels.thresholds)
-        object.__setattr__(self, "hermitian_flag", bool(eps_real and (
-            vmax == 0 or np.max(np.abs(V - V.conj().transpose(0, 2, 1))) <= 1e-12 * vmax
-        )))
+        object.__setattr__(self, "vmax", vmax)
+
+    @cached_property
+    def hermitian_flag(self) -> bool:
+        """True for real thresholds and V = V^H within 1e-12 of the max-norm."""
+        V, vmax = self.V, self.vmax
+        return bool(all(e.imag == 0 for e in self.channels.thresholds) and (
+            vmax == 0 or np.max(np.abs(V - V.conj().transpose(0, 2, 1))) <= 1e-12 * vmax))
 
 
 @dataclass
@@ -142,10 +148,10 @@ def build_two_level_model(
     # incidence-axis orientation: the -i*b lobe sits at +x0 (downstream of
     # left incidence), which makes the reference design left-transmitting
     omega = rabi_eval(profile, -grid.points)
-    V = np.zeros((grid.n, 2, 2), dtype=complex)
-    V[:, 0, 1] = omega / 2.0
-    V[:, 1, 0] = np.conj(omega) / 2.0
-    return LocalPotentialModel(grid=grid, channels=channels, V=V)
+    V = np.zeros((2, 2, grid.n), dtype=complex)  # channel-major, as _assemble reads it
+    np.divide(omega, 2.0, out=V[0, 1])
+    np.divide(np.conj(omega, out=omega), 2.0, out=V[1, 0])
+    return LocalPotentialModel(grid=grid, channels=channels, V=V.transpose(2, 0, 1))
 
 
 def two_level_derivatives(profile: RabiProfile, grid: Grid):
@@ -161,6 +167,10 @@ def two_level_derivatives(profile: RabiProfile, grid: Grid):
     return {(0, 1): d_coupling, (1, 0): d_coupling.conj()}, deps
 
 
+#: Bound on max(1, h^2) (max|V| + max_j |E - eps_j|) for a finite band (_factor).
+BAND_LIMIT = 1e300
+
+
 def _bloch(k: np.ndarray, h: float):
     """Free Numerov dispersion per channel: (lambda, s, g) with the Bloch
     factor lambda = e^{iKh} = c + i s, s = sin Kh and g = d(-1/lambda)/d eps_j.
@@ -174,9 +184,10 @@ def _bloch(k: np.ndarray, h: float):
     """
     y = -(np.asarray(k, dtype=complex) * h) ** 2  # h^2 * W_free
     d = 0.5 * y / (1.0 - y / 12.0)
+    c = 1.0 + d
     s = np.sqrt(-d * (2.0 + d))
-    s = np.where(((1.0 + d) * s.conj()).imag > 0, -s, s)
-    lam = 1.0 + d + 1j * s
+    np.negative(s, out=s, where=(c * s.conj()).imag > 0)
+    lam = c + 1j * s
     with np.errstate(divide="ignore", invalid="ignore"):  # g is infinite at k = 0
         return lam, s, h * h * (6.0 + d) ** 2 / (36j * s * lam)
 
@@ -194,59 +205,81 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
     h = grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
 
-    W = 2.0 * model.V + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
-    eye = np.eye(nch, dtype=complex)
-    P = eye[None, :, :] - (h * h / 12.0) * W        # multiplies neighbours
-    Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)  # multiplies centre
-
+    # W = 2 V + 2 diag(eps - E), channel-major: W[a, b] runs over the nodes
+    W = np.multiply(model.V.transpose(1, 2, 0), 2.0, out=np.empty((nch, nch, n), dtype=complex))
+    W.reshape(nch * nch, n)[::nch + 1] += (2.0 * (eps - E))[:, None]
     bloch = _bloch(k, h)
 
-    # interior row m*nch + a couples to column (m + s)*nch + b through the
-    # block entry (a, b) of P, Q, P at shift s = -1, 0, +1
-    u = 2 * nch - 1
-    ab = np.zeros((3 * u + 1, n * nch), dtype=complex, order="F")
-    for s, blocks in ((-1, P[:-2]), (0, Q[1:-1]), (1, P[2:])):
-        for a in range(nch):
-            for b in range(nch):
-                start = (1 + s) * nch + b
-                ab[2 * u + a - b - s * nch, start:start + (n - 2) * nch:nch] = blocks[:, a, b]
+    # column c nch + b of A holds, in rows (c - 1) nch .. (c + 2) nch - 1,
+    # entry (a, b) of P[c] = I - (h^2/12) W[c], Q[c] = -2 I - (10 h^2/12) W[c]
+    # and P[c]: cols[b, t nch + a, c] for t = 0, 1, 2.  Row nodes 0 and n - 1
+    # are the boundary rows psi_j(1) - psi_j(0)/lam_j, psi_j(n-2) - psi_j(n-1)/lam_j
+    cols = np.empty((nch, 3 * nch, n), dtype=complex)
+    P, Q, P2 = (cols[:, t * nch:(t + 1) * nch].transpose(1, 0, 2) for t in range(3))
+    np.multiply(W, -h * h / 12.0, out=P)
+    np.multiply(W, -10.0 * h * h / 12.0, out=Q)
+    diagonals = cols.reshape(3 * nch * nch, n)  # row b 3 nch + t nch + a
+    diagonals[::3 * nch + 1] += 1.0     # P's diagonal
+    diagonals[nch::3 * nch + 1] -= 2.0  # Q's diagonal
+    P2[...] = P
+    P[..., 0] = P2[..., -1] = 0.0  # rows outside A
+    P[..., 1] = P2[..., -2] = np.eye(nch)
+    Q[..., 0] = Q[..., -1] = np.diag(-1.0 / bloch[0])
 
-    # boundary rows: psi_j(1) - lam_j^-1 psi_j(0) and
-    #                psi_j(n-2) - lam_j^-1 psi_j(n-1)
-    top = (n - 1) * nch
-    ab[2 * u - nch, nch:2 * nch] = 1.0
-    ab[2 * u + nch, top - nch:top] = 1.0
-    ab[2 * u, :nch] = ab[2 * u, top:] = -1.0 / bloch[0]
+    u = 2 * nch - 1
+    rows = 3 * u + 1
+    ab = np.zeros((rows, n * nch), dtype=complex, order="F")
+    # column c nch + b's run starts at ab[2u - nch - b, c nch + b]
+    band = np.ndarray(cols.shape, dtype=complex, buffer=ab, offset=(2 * u - nch) * ab.itemsize,
+                      strides=tuple(ab.itemsize * s for s in (rows - 1, 1, rows * nch)))
+    band[...] = cols
     return u, ab, bloch
 
 
 def _factor(model: LocalPotentialModel, E: float):
-    """Kinematics at E and the banded LU (u, lu, piv, bloch) of the Numerov system."""
+    """Kinematics at E and the banded LU (u, lu, piv, bloch) of the Numerov system.
+
+    Scalar checks show the band finite before it is built, or raise a
+    ValueError with no numpy warning.  A Numerov-row entry is at most
+    2 + 2 max(1, h^2) (vmax + max_j |E - eps_j|): ModelError above BAND_LIMIT.
+    A boundary row holds 1 and -1/lambda_j, and _bloch divides by 1 - y/12,
+    |y| = |k_j h|^2 = 2 h^2 |E - eps_j|.  An open channel has y < 0 (and
+    |y| < 6, check_resolution); any other must keep |y| <= 6 or |y| >= 24
+    (GridError between).  Then |1 - y/12| >= max(1/2, |y|/24), |c - 1| <= 12
+    and 1/27 <= |lambda_j| <= 1.
+    """
+    h = model.grid.spacing
+    gaps = [complex(E) - eps for eps in model.channels.thresholds]  # no numpy, no warning
+    e = [math.hypot(d.real, d.imag) for d in gaps]
+    if max(h * h, 1.0) * (model.vmax + max(e)) > BAND_LIMIT:
+        raise ModelError(f"Numerov band would overflow: max|V| = {model.vmax:.3g}, "
+                         f"max|E - eps_j| = {max(e):.3g}, h = {h:.4g}")
+    if any(6.0 < 2.0 * h * h * ej < 24.0 and not (d.imag == 0.0 and d.real > 0.0)
+           for d, ej in zip(gaps, e)):
+        raise GridError(f"spacing h={h:.4g} puts a closed channel's |k| h between "
+                        f"sqrt(6) and 2 sqrt(6); refine the grid")
     kin = kinematics(model.channels, E)
-    check_resolution(np.max(kin.k_open), model.grid.spacing)
+    check_resolution(max(kin.k_open.tolist()), h)
     u, ab, bloch = _assemble(model, E, kin.k)
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
     if info > 0:
         raise SolverError("singular linear system: singular matrix")
     return kin, (u, lu, piv, bloch)
 
 
-def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
-    """Blocks (T, R, Tt, Rt) of S, n_open x len(cols) each, and the solution
-    psi (n nch x 2 len(cols)), back-substituting only the left and then the
-    right incidences of the open channels cols."""
+def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int):
+    """Amplitudes out[end, j, c] of the open channels j at the left (0) and
+    right (1) ends, under the left (c < m) and then the right incidences of
+    the first m open channels, and the solution psi (n nch x 2m),
+    back-substituting only those incidences."""
     u, lu, piv, (_lam, s, _g) = factors
     grid, nch = model.grid, model.channels.n_channels
     top = (grid.n - 1) * nch
     open_idx, k_open = kin.open_indices, kin.k_open
-    n_open, cols = len(open_idx), np.asarray(cols)
-    m = len(cols)
-    inc = open_idx[cols]
+    n_open, inc = len(open_idx), open_idx[:m]
     both = np.arange(2 * m)  # columns: left incidences, then right ones
     sqrt_k = np.sqrt(k_open)
-    src = 2j * s[inc] / sqrt_k[cols]  # lambda - 1/lambda
+    src = 2j * s[inc] / sqrt_k[:m]  # lambda - 1/lambda
     B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
     # left incidence in the bottom BC row, right incidence in the top one
     B[np.concatenate((inc, top + inc)), both] = np.concatenate((src, src))
@@ -255,22 +288,29 @@ def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, cols):
         raise SolverError("non-finite solution; near-singular linear system")
 
     # outgoing coefficients at the left (0) and right (1) ends, incident wave
-    # removed, flux normalized and converted to e^{+ikx} / e^{-ikx} waves
+    # removed (ends[j, j] and ends[n_open + j, m + j], j < m), flux
+    # normalized and converted to e^{+ikx} / e^{-ikx} waves
     ends = psi[np.concatenate((open_idx, top + open_idx))]
-    incident = 1.0 / sqrt_k[cols]
-    ends[np.concatenate((cols, n_open + cols)), both] -= np.concatenate((incident, incident))
+    flat, step, incident = ends.reshape(-1), 2 * m + 1, 1.0 / sqrt_k[:m]
+    flat[:m * step:step] -= incident
+    flat[2 * m * n_open + m:][:m * step:step] -= incident
     phase = np.exp(1j * np.multiply.outer((grid.x_min, -grid.x_max), k_open))
-    out = (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * phase[:, :, None]
-           * phase[:, cols].reshape(2 * m))
-    return (out[1, :, :m], out[0, :, :m], out[0, :, m:], out[1, :, m:]), psi
+    return (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * phase[:, :, None]
+            * phase[:, :m].reshape(2 * m)), psi
 
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
     kin, factors = _factor(model, E)
-    S = SMatrix(*_columns(model, kin, factors, np.arange(kin.n_open))[0])
+    m = kin.n_open
+    out, _psi = _columns(model, kin, factors, m)
+    S = SMatrix(out[1, :, :m], out[0, :, :m], out[0, :, m:], out[1, :, m:])
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)
+
+
+#: out[end, 0, incidence] of _columns at (1, 0), (0, 0), (0, 1), (1, 1): T, R, Tt, Rt.
+_CHANNEL_0 = ((1, 0, 0, 1), 0, (0, 0, 1, 1))
 
 
 def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
@@ -278,8 +318,7 @@ def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
     channel 0's two incidences: no rest of S and no unitarity defect.
     Channel 0, the incident channel, must be open at E (see kinematics)."""
     kin, factors = _factor(model, E)
-    return ChannelAmplitudes(*(complex(block[0, 0])
-                               for block in _columns(model, kin, factors, [0])[0]))
+    return ChannelAmplitudes(*_columns(model, kin, factors, 1)[0][_CHANNEL_0].tolist())
 
 
 def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
@@ -297,7 +336,7 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     whose derivative is _bloch's g).
     """
     kin, factors = _factor(model, E)
-    blocks, psi = _columns(model, kin, factors, [0])
+    out, psi = _columns(model, kin, factors, 1)
     u, lu, piv, (_lam, _s, g) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = grid.n, grid.spacing
@@ -309,14 +348,17 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
 
     # boundary rows psi_j(1) - psi_j(0)/lambda_j and psi_j(n-2) - psi_j(n-1)/lambda_j
-    edges = y[:, :, [0, -1]].transpose(1, 0, 2) @ psi[:, :, [0, -1]].transpose(1, 2, 0)
+    y_ends, psi_ends = (v[:, :, ::n - 1].copy() for v in (y, psi))
+    edges = y_ends.transpose(1, 0, 2) @ psi_ends.transpose(1, 2, 0)
     G = (deps * g) @ edges.reshape(nch, 4)
     # Numerov row m = 1..n-2 applies -(h^2/12) (dW[m-1], 10 dW[m], dW[m+1])
-    # to psi at nodes m-1, m, m+1; gather those rows' y per node
-    y[:, :, [0, -1]] = 0.0
+    # to psi at nodes m-1, m, m+1; gather those rows' y per node (the end
+    # nodes' y zeroed, so the shifts run over the flattened arrays)
+    y[:, :, 0] = y[:, :, -1] = 0.0
     Y = 10.0 * y
-    Y[:, :, 1:] += y[:, :, :-1]
-    Y[:, :, :-1] += y[:, :, 1:]
+    flat_y, flat_Y = y.reshape(-1), Y.reshape(-1)
+    flat_Y[1:] += flat_y[:-1]
+    flat_Y[:-1] += flat_y[1:]
     # sum_j Y[r, a, j] dW_ab[j] psi[c, b, j] with dW = 2 dV + 2 diag(deps),
     # (r, c) flattened to r * 2 + c
     diagonal = Y.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)
@@ -331,5 +373,4 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     k = float(kin.k_open[0])
     left, right = cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max)
     scale = math.sqrt(k) * np.array([right * left, left * left, left * right, right * right])
-    amps = ChannelAmplitudes(*(complex(block[0, 0]) for block in blocks))
-    return amps, -(G[:, [2, 0, 1, 3]] * scale).T
+    return ChannelAmplitudes(*out[_CHANNEL_0].tolist()), -(G[:, [2, 0, 1, 3]] * scale).T

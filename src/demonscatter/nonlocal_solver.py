@@ -145,9 +145,11 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def check_wavenumber(k: float):
-    """Raise ValueError unless k is positive and finite."""
-    if not (np.isfinite(k) and k > 0):
-        raise ValueError(f"wavenumber must be positive and finite, got k={k}")
+    """Raise ValueError unless k is finite and k^3, which the Green's weights
+    divide by, is a positive normal float."""
+    if not (np.isfinite(k) and k > 0 and k**3 >= np.finfo(float).tiny):
+        raise ValueError(f"wavenumber must be positive and finite, with k^3 >= 2.2e-308, "
+                         f"got k={k}")
 
 
 def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:

@@ -100,15 +100,16 @@ class RabiProfile:
         for name in ("b", "c", "x0", "w"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.w <= 0:
-            raise ValueError(f"Gaussian width must be positive, got w={self.w}")
+        if not (self.w > 0 and math.isfinite(self.w * self.w)):  # rabi_eval divides by w^2
+            raise ValueError(f"Gaussian width must be positive with a finite square, "
+                             f"got w={self.w}")
 
 
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
     x = np.asarray(x, dtype=float)
-    g_plus = np.exp(-((x + profile.x0) ** 2) / profile.w**2)
-    g_minus = np.exp(-((x - profile.x0) ** 2) / profile.w**2)
+    g_plus = np.exp(np.square(x + profile.x0) / -profile.w**2)
+    g_minus = np.exp(np.square(x - profile.x0) / -profile.w**2)
     omega = -1j * profile.b * g_plus + profile.c * g_minus
     omega = np.where(np.abs(x) >= DEFAULT_BOX_HALF, 0.0 + 0.0j, omega)
     if omega.ndim == 0:
@@ -125,13 +126,13 @@ def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < DEFAULT_BOX_HALF
     t_plus, t_minus = x + profile.x0, x - profile.x0
-    g_plus = np.exp(-(t_plus**2) / profile.w**2) * inside
-    g_minus = np.exp(-(t_minus**2) / profile.w**2) * inside
+    g_plus = np.exp(np.square(t_plus) / -profile.w**2) * inside
+    g_minus = np.exp(np.square(t_minus) / -profile.w**2) * inside
     grad = np.zeros((3,) + x.shape, dtype=complex)
-    grad[0].imag = -g_plus
+    np.negative(g_plus, out=grad[0].imag)
     grad[1].real = g_minus
-    grad[2].real = (2.0 * profile.c / profile.w**2) * t_minus * g_minus
-    grad[2].imag = (2.0 * profile.b / profile.w**2) * t_plus * g_plus
+    np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)
+    np.multiply((2.0 * profile.b / profile.w**2) * t_plus, g_plus, out=grad[2].imag)
     return grad
 
 

@@ -243,6 +243,30 @@ def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+#: A width whose square overflows a float (w^2 in rabi_eval), on every
+#: command that builds the profile, and a wavenumber whose cube underflows
+#: (k^3 in the Green's weights): an OverflowError and a ZeroDivisionError
+#: out of main before they were rejected where the input enters.
+OUT_OF_RANGE = {
+    **{f"{cmd}-w-1e300": [cmd, "--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20",
+                          "--w", "1e300", "--n", "201"]
+       for cmd in ("scatter", "scatter-nonlocal", "kernel", "classify", "sweep")},
+    "optimize-w-1e300": ["optimize", "--w", "1e300", "--budget", "100", "--n", "201"],
+    "classify-E-1e-300-verify": ["classify", "--b", "50", "--c", "40", "--delta", "20",
+                                 "--n", "301", "--E", "1e-300", "--verify"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_width_or_wavenumber_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, thresholds, flags", [
     ("scatter", (-1 - 1j, 0.0), ["--v", "4"]),               # lossy channel 0
     ("sweep", (5.0, 0.0), ["--velocities", "4", "2"]),       # closed at v = 2

@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -18,6 +20,7 @@ from demonscatter.channels import (
     unitarity_defect,
 )
 from demonscatter.errors import (
+    GridError,
     ModelError,
     NonPositiveEnergyError,
     ResolutionWarning,
@@ -29,6 +32,7 @@ from demonscatter.local_solver import (
     _bloch,
     build_two_level_model,
     solve_channel,
+    solve_channel_jacobian,
     solve_local,
 )
 from demonscatter.units import RabiProfile, make_grid
@@ -515,12 +519,171 @@ def test_singular_factorization_raises_solver_error(monkeypatch):
 
 
 def test_non_finite_band_is_rejected():
-    # finite samples whose Numerov band overflows: W = 2 V = inf
+    # finite samples whose Numerov band would overflow: W = 2 V = inf
     grid = make_grid(-1.5, 1.5, 101)
     V = np.zeros((101, 1, 1), dtype=complex)
     V[50] = 1e308
     model = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0,)), V=V)
     for solve in (solve_local, solve_channel):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        with pytest.raises(ModelError, match="Numerov band would overflow"):
             solve(model, 8.0)
+
+
+def overflowing_model(kind):
+    """|V| = 1e308 inside the box, or a channel closed by 1e308."""
+    grid = make_grid(-1.5, 1.5, 101)
+    V = np.zeros((101, 2, 2), dtype=complex)
+    if kind == "potential":
+        V[50, 0, 1] = V[50, 1, 0] = 1e308
+        return LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0, 1.0)), V=V)
+    V[40:60, 0, 1] = V[40:60, 1, 0] = 3.0
+    return LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0, 1e308)), V=V)
+
+
+JACOBIAN_ARGS = ({(0, 1): np.ones((1, 101))}, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("solve", [
+    solve_local, solve_channel, lambda m, E: solve_channel_jacobian(m, E, *JACOBIAN_ARGS),
+], ids=["solve_local", "solve_channel", "solve_channel_jacobian"])
+@pytest.mark.parametrize("kind", ["potential", "threshold"])
+def test_overflow_fails_early_and_quietly(kind, solve, monkeypatch):
+    """The scalar guard in _factor rejects the model before any band
+    arithmetic, with no numpy RuntimeWarning on the way."""
+    assembled = []
+    monkeypatch.setattr(local_solver, "_assemble", lambda *args: assembled.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = overflowing_model(kind)
+        with pytest.raises(ValueError):
+            solve(model, 8.0)
+    assert assembled == []
+
+
+@pytest.mark.parametrize("kind, inside, outside", [
+    ("potential", 1.0 - 1e-9, 1.0 + 1e-9),    # max(1, h^2) (vmax + e) / BAND_LIMIT
+    ("closed", 6.0 * (1.0 - 1e-9), 6.0 * (1.0 + 1e-9)),   # (|k| h)^2 of channel 1
+    ("far-closed", 24.0 * (1.0 + 1e-9), 24.0 * (1.0 - 1e-9)),
+    ("lossy", 1e6, 12.0),
+], ids=["potential", "closed", "far-closed", "lossy"])
+def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
+    """Just inside the guard of _factor every band entry is finite and every
+    Bloch factor has |lambda| >= 1/27, as its docstring proves; just outside
+    it the solve refuses.  Far above the window around |k| h = sqrt(12) a
+    closed channel is solved, as before the guard."""
+    grid = make_grid(-1.5, 1.5, 101)
+    h2, E = grid.spacing ** 2, 8.0
+    V = np.zeros((101, 2, 2), dtype=complex)
+    V[40:60, 0, 1] = V[40:60, 1, 0] = 3.0
+
+    def model(x):
+        if kind == "potential":
+            V[50, 0, 1] = V[50, 1, 0] = x * local_solver.BAND_LIMIT - 1.0
+            return LocalPotentialModel(grid=grid, channels=ChannelSet((0.0, -1.0)), V=V)
+        eps1 = E + x / (2.0 * h2) if kind != "lossy" else E - 1j * x / (2.0 * h2)
+        return LocalPotentialModel(grid=grid, channels=ChannelSet((0.0, eps1)), V=V)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        admitted = model(inside)
+        kin = kinematics(admitted.channels, E)
+        _u, ab, (lam, _s, _g) = _assemble(admitted, E, kin.k)
+        assert np.isfinite(ab).all() and np.all(np.abs(lam) >= 1.0 / 27.0)
+        if kind != "potential":
+            assert all(map(cmath.isfinite, solve_channel(admitted, E).probabilities))
+        with pytest.raises(ModelError if kind == "potential" else GridError):
+            solve_channel(model(outside), E)
+
+
+def strided_band_assembly(model, E, k):
+    """The band assembly that _assemble replaced, kept as its oracle: W, P
+    and Q temporaries node by node, then one strided write per block entry."""
+    grid, channels = model.grid, model.channels
+    n, nch = grid.n, channels.n_channels
+    h = grid.spacing
+    eps = np.array(channels.thresholds, dtype=complex)
+    W = 2.0 * model.V + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
+    eye = np.eye(nch, dtype=complex)
+    P = eye[None, :, :] - (h * h / 12.0) * W
+    Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)
+    u = 2 * nch - 1
+    ab = np.zeros((3 * u + 1, n * nch), dtype=complex, order="F")
+    for s, blocks in ((-1, P[:-2]), (0, Q[1:-1]), (1, P[2:])):
+        for a in range(nch):
+            for b in range(nch):
+                start = (1 + s) * nch + b
+                ab[2 * u + a - b - s * nch, start:start + (n - 2) * nch:nch] = blocks[:, a, b]
+    top = (n - 1) * nch
+    ab[2 * u - nch, nch:2 * nch] = 1.0
+    ab[2 * u + nch, top - nch:top] = 1.0
+    ab[2 * u, :nch] = ab[2 * u, top:] = -1.0 / _bloch(k, h)[0]
+    return u, ab
+
+
+def adjoint_reference(model, E, dV, deps):
+    """solve_channel_jacobian's derivatives by the arithmetic it replaced
+    (fancy-indexed end gathers, neighbour sums along the node axis), on the
+    oracle band: kept as its oracle."""
+    grid, nch = model.grid, model.channels.n_channels
+    n, h, top = grid.n, grid.spacing, (grid.n - 1) * nch
+    k = kinematics(model.channels, E).k
+    u, ab = strided_band_assembly(model, E, k)
+    _lam, s, g = _bloch(k, h)
+    lu, piv, _info = zgbtrf(ab, u, u)
+    B = np.zeros((n * nch, 2), dtype=complex, order="F")
+    B[0, 0] = B[top, 1] = 2j * s[0] / np.sqrt(k[0].real)
+    psi, _info = zgbtrs(lu, u, u, B, piv)
+    e = np.zeros((n * nch, 2), dtype=complex, order="F")
+    e[0, 0] = e[top, 1] = 1.0
+    y, _info = zgbtrs(lu, u, u, e, piv, trans=1)
+    y, psi = (np.ascontiguousarray(v.T.reshape(2, n, nch).transpose(0, 2, 1)) for v in (y, psi))
+    deps = np.asarray(deps, dtype=complex)
+    edges = y[:, :, [0, -1]].transpose(1, 0, 2) @ psi[:, :, [0, -1]].transpose(1, 2, 0)
+    G = (deps * g) @ edges.reshape(nch, 4)
+    y[:, :, [0, -1]] = 0.0
+    Y = 10.0 * y
+    Y[:, :, 1:] += y[:, :, :-1]
+    Y[:, :, :-1] += y[:, :, 1:]
+    interior = deps @ (Y.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)).reshape(nch, 4)
+    for (a, b), d in dV.items():
+        interior += d @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
+    G -= (h * h / 6.0) * interior
+    k0 = float(k[0].real)
+    left, right = cmath.exp(1j * k0 * grid.x_min), cmath.exp(-1j * k0 * grid.x_max)
+    scale = np.sqrt(k0) * np.array([right * left, left * left, left * right, right * right])
+    return -(G[:, [2, 0, 1, 3]] * scale).T
+
+
+def with_non_hermitian_coupling(model, rng):
+    """The model with a bump added to V_01 alone."""
+    x = model.grid.points
+    V = model.V.copy()
+    V[:, 0, -1] += (rng.normal() + 1j * rng.normal()) * 3.0 * np.exp(-((x / 0.25) ** 2))
+    return LocalPotentialModel(grid=model.grid, channels=model.channels, V=V)
+
+
+@pytest.mark.parametrize("nch", [1, 2, 3, 4])
+def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
+    """_assemble's band equals the oracle's (signed zeros aside), and the
+    Jacobian matches the oracle's adjoint to 1e-14 relative, for Hermitian,
+    lossy and non-Hermitian models, at E = 30 and just above thresholds."""
+    rng = np.random.default_rng(40 + nch)
+    grid = make_grid(-1.5, 1.5, 301)
+    for _ in range(2):
+        base = random_hermitian_model(rng, grid, nch)
+        models = [base, with_non_hermitian_coupling(base, rng)]
+        models += [with_lossy_last_channel(base)] if nch > 1 else []
+        for model in models:
+            eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
+            for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
+                k = kinematics(model.channels, E).k
+                assert np.array_equal(_assemble(model, E, k)[1],
+                                      strided_band_assembly(model, E, k)[1])
+                p = 3
+                dV = {(a, b): rng.normal(size=(p, grid.n)) + 1j * rng.normal(size=(p, grid.n))
+                      for a in range(nch) for b in range(nch) if rng.random() < 0.7}
+                deps = rng.normal(size=(p, nch))
+                deps[:, 0] = 0.0
+                jac = solve_channel_jacobian(model, E, dV, deps)[1]
+                ref = adjoint_reference(model, E, dV, deps)
+                assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
