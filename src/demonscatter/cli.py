@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize
 from .channels import extract_channel
-from .demon import DemonReport, dzero_bounds, sweep_demon
+from .demon import FEAS_TOL, DemonReport, dzero_bounds, sweep_demon
 from .errors import ConfigError, DemonScatterError
 from .kernels import OpticalParameters, build_kernel
 from .local_solver import build_two_level_model, solve_local
@@ -128,7 +128,7 @@ def cmd_regions(args) -> int:
     rows = []
     for t2 in ax:
         for rt2 in ax:
-            if rt2 > 1.0 - t2 + 1e-12:
+            if rt2 > 1.0 - t2 + FEAS_TOL:
                 continue
             rows.append((t2, rt2, dzero_bounds(t2, rt2)))
     serialize.write_regions_csv(args.out, rows)
@@ -159,6 +159,8 @@ def cmd_sweep(args) -> int:
     model = _model_from(args)
     velocities = args.velocities
     if velocities is None:
+        if not (math.isfinite(args.vmin) and math.isfinite(args.vmax)):
+            raise ConfigError(f"vmin and vmax must be finite, got {args.vmin}, {args.vmax}")
         velocities = list(np.linspace(args.vmin, args.vmax, args.nv))
     if not velocities:
         raise ConfigError("at least one velocity is required")

@@ -20,7 +20,7 @@ from .errors import InconsistentBoundaryError, InfeasiblePairError
 from .local_solver import LocalPotentialModel, solve_channel
 from .units import velocity_to_energy
 
-#: Default tolerance for device-code / boundary classification.
+#: Tolerance of the device codes, and classify_boundary's default.
 CODE_TOL = 0.02
 
 #: Feasibility slack for the D=0 bounds (roundoff on exactly-unitary input).
@@ -96,26 +96,26 @@ def classify_boundary(
     return BoundaryClassification(None, details)
 
 
-def _side_code(p_t: float, p_r: float, tol: float) -> str:
-    """Letter code of one incidence side from its two probabilities."""
-    if p_t >= 1.0 - tol:
+def _side_code(p_t: float, p_r: float) -> str:
+    """Letter code of one incidence side from its two probabilities, to CODE_TOL."""
+    if p_t >= 1.0 - CODE_TOL:
         return "T"
-    if p_r >= 1.0 - tol:
+    if p_r >= 1.0 - CODE_TOL:
         return "R"
-    if p_t <= tol and p_r <= tol:
+    if p_t <= CODE_TOL and p_r <= CODE_TOL:
         return "A"
     parts = []
     for p, letter in ((p_t, "T"), (p_r, "R")):
-        if p <= tol:
+        if p <= CODE_TOL:
             continue
-        if abs(p - 0.5) <= tol:
+        if abs(p - 0.5) <= CODE_TOL:
             parts.append(f"½{letter}")
         else:
             parts.append(f"{letter}({p:.2f})")
     return "".join(parts) if parts else "A"
 
 
-def device_code(a: ChannelAmplitudes, tol: float = CODE_TOL) -> str:
+def device_code(a: ChannelAmplitudes) -> str:
     """Two-sided letter code "left-effect/right-effect".
 
     T = transmitted, R = reflected, A = absorbed out of the channel;
@@ -123,7 +123,7 @@ def device_code(a: ChannelAmplitudes, tol: float = CODE_TOL) -> str:
     "half-T/half-R" rendered with vulgar fractions).
     """
     t2, r2, tt2, rt2 = a.probabilities
-    return f"{_side_code(t2, r2, tol)}/{_side_code(tt2, rt2, tol)}"
+    return f"{_side_code(t2, r2)}/{_side_code(tt2, rt2)}"
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,11 @@ class DemonReport:
     boundary: Optional[str]
 
     @classmethod
-    def from_amplitudes(cls, a: ChannelAmplitudes, tol: float = CODE_TOL):
+    def from_amplitudes(cls, a: ChannelAmplitudes):
         D = demon_parameter(a)
         slacks, violation = check_bounds(a)
         try:
-            boundary = classify_boundary(a, tol).boundary
+            boundary = classify_boundary(a).boundary
         except InconsistentBoundaryError:
             boundary = "inconsistent"
         return cls(
@@ -150,7 +150,7 @@ class DemonReport:
             probabilities=a.probabilities,
             slacks=slacks,
             violation=violation,
-            code=device_code(a, tol),
+            code=device_code(a),
             boundary=boundary,
         )
 

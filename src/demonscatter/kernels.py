@@ -21,11 +21,12 @@ from scipy.linalg import toeplitz
 
 from .channels import branch_sqrt
 from .errors import (
+    ModelError,
     NonPositiveEnergyError,
     ThresholdSingularityError,
     UnsupportedModelError,
 )
-from .local_solver import LocalPotentialModel, build_two_level_model
+from .local_solver import BAND_LIMIT, LocalPotentialModel, build_two_level_model
 from .nonlocal_solver import NonlocalKernel
 from .units import Grid, RabiProfile, check_resolution
 
@@ -90,6 +91,8 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
             "eliminated channel exactly at threshold: Green's function singular"
         )
     check_resolution(abs(q), model.grid.spacing)
+    if model.vmax * model.vmax / abs(q) > BAND_LIMIT:  # bounds every |K(x, y)|
+        raise ModelError(f"kernel would overflow: max|V|^2/|q| > {BAND_LIMIT:.0e}")
     K = _green_phase(model.grid, q)
     K *= (model.V[:, 0, 1] / (1j * q))[:, None]
     # a strided view as the broadcast operand slows the n x n product

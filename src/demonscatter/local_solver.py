@@ -299,18 +299,19 @@ def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int
             * phase[:, :m].reshape(2 * m)), psi
 
 
+#: (end, incidence) of T, R, Tt and Rt in _columns' out[end, j, c]; 0 is left, 1 right.
+_AMPLITUDES = ((1, 0), (0, 0), (0, 1), (1, 1))
+_ENDS, _INCIDENCES = zip(*_AMPLITUDES)
+
+
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
     kin, factors = _factor(model, E)
     m = kin.n_open
     out, _psi = _columns(model, kin, factors, m)
-    S = SMatrix(out[1, :, :m], out[0, :, :m], out[0, :, m:], out[1, :, m:])
+    S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)
-
-
-#: out[end, 0, incidence] of _columns at (1, 0), (0, 0), (0, 1), (1, 1): T, R, Tt, Rt.
-_CHANNEL_0 = ((1, 0, 0, 1), 0, (0, 0, 1, 1))
 
 
 def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
@@ -318,7 +319,7 @@ def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
     channel 0's two incidences: no rest of S and no unitarity defect.
     Channel 0, the incident channel, must be open at E (see kinematics)."""
     kin, factors = _factor(model, E)
-    return ChannelAmplitudes(*_columns(model, kin, factors, 1)[0][_CHANNEL_0].tolist())
+    return ChannelAmplitudes(*_columns(model, kin, factors, 1)[0][_ENDS, 0, _INCIDENCES].tolist())
 
 
 def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
@@ -350,7 +351,9 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     # boundary rows psi_j(1) - psi_j(0)/lambda_j and psi_j(n-2) - psi_j(n-1)/lambda_j
     y_ends, psi_ends = (v[:, :, ::n - 1].copy() for v in (y, psi))
     edges = y_ends.transpose(1, 0, 2) @ psi_ends.transpose(1, 2, 0)
-    G = (deps * g) @ edges.reshape(nch, 4)
+    # g is infinite at an exact threshold: form deps * g only where deps is nonzero
+    deps_g = np.multiply(deps, g, out=np.zeros(deps.shape, dtype=complex), where=deps != 0)
+    G = deps_g @ edges.reshape(nch, 4)
     # Numerov row m = 1..n-2 applies -(h^2/12) (dW[m-1], 10 dW[m], dW[m+1])
     # to psi at nodes m-1, m, m+1; gather those rows' y per node (the end
     # nodes' y zeroed, so the shifts run over the flattened arrays)
@@ -368,9 +371,9 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     G -= (h * h / 6.0) * interior
 
     # as in _columns, amplitude = sqrt(k) p_end p_inc (psi_end - incident wave)
-    # with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one;
-    # (end, incidence) is (1, 0), (0, 0), (0, 1), (1, 1) for T, R, Tt, Rt
+    # with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one
     k = float(kin.k_open[0])
-    left, right = cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max)
-    scale = math.sqrt(k) * np.array([right * left, left * left, left * right, right * right])
-    return ChannelAmplitudes(*out[_CHANNEL_0].tolist()), -(G[:, [2, 0, 1, 3]] * scale).T
+    p = (cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max))
+    scale = math.sqrt(k) * np.array([p[end] * p[inc] for end, inc in _AMPLITUDES])
+    return (ChannelAmplitudes(*out[_ENDS, 0, _INCIDENCES].tolist()),
+            -(G.reshape(-1, 2, 2)[:, _ENDS, _INCIDENCES] * scale).T)

@@ -33,7 +33,8 @@ from .local_solver import (
     solve_channel_jacobian,
     two_level_derivatives,
 )
-from .units import DEFAULT_WIDTH, Grid, RabiProfile, default_grid, make_grid, velocity_to_energy
+from .units import (DEFAULT_WIDTH, Grid, RabiProfile, check_width, default_grid, make_grid,
+                    velocity_to_energy)
 
 #: Search box for (b, c, x0, Delta); covers the reference optimum.
 PARAM_BOX = np.array([(0.0, 400.0), (0.0, 400.0), (0.0, 0.5), (0.0, 200.0)])
@@ -99,11 +100,12 @@ class OptimizationResult:
 
 
 def _check_design(v0: float, w: float):
-    """Reject a design velocity or profile width that is not finite and positive."""
+    """Reject a design velocity that is not finite and positive or whose square
+    overflows (velocity_to_energy), and a width that RabiProfile rejects."""
     if not 0.0 < v0 < np.inf:
         raise ValueError(f"design velocity must be finite and positive, got {v0}")
-    if not 0.0 < w < np.inf:
-        raise ValueError(f"profile width must be finite and positive, got {w}")
+    velocity_to_energy(v0)
+    check_width(w)
 
 
 def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:

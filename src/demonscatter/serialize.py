@@ -6,8 +6,8 @@ significant digits.  Complex values are [re, im] pairs throughout.
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -20,28 +20,12 @@ from .units import make_grid
 CSV_FMT = "%.12g"
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _unpair(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(v[0], v[1])
     raise ConfigError(f"expected a number or [re, im] pair, got {v!r}")
-
-
-def smatrix_to_dict(S: SMatrix) -> dict:
-    """{n_open, blocks: {T, R, Rt, Tt}} with row-major [re, im] entries."""
-    return {
-        "n_open": S.n_open,
-        "blocks": {
-            name: [_pair(z) for z in getattr(S, name).ravel()]
-            for name in ("T", "R", "Rt", "Tt")
-        },
-    }
 
 
 def write_json(path, doc: dict):
@@ -51,11 +35,11 @@ def write_json(path, doc: dict):
         fh.write("\n")
 
 
-def write_smatrix(path, S: SMatrix, diagnostics: dict = None):
-    doc = smatrix_to_dict(S)
-    if diagnostics:
-        doc["diagnostics"] = diagnostics
-    write_json(path, doc)
+def write_smatrix(path, S: SMatrix, diagnostics: dict):
+    """{n_open, blocks: {T, R, Rt, Tt} as row-major [re, im] entries, diagnostics}."""
+    blocks = {name: [[z.real, z.imag] for z in getattr(S, name).ravel().tolist()]
+              for name in ("T", "R", "Rt", "Tt")}
+    write_json(path, {"n_open": S.n_open, "blocks": blocks, "diagnostics": diagnostics})
 
 
 def model_from_dict(d: dict) -> LocalPotentialModel:
@@ -94,46 +78,36 @@ def read_model(path) -> LocalPotentialModel:
         return model_from_dict(json.load(fh))
 
 
-def _write_csv(path, header, rows):
-    """CSV with one header row; floats as CSV_FMT, other values as str."""
+def _write_csv(path, header, row_format, rows):
+    """CSV: the header, then row_format % row per row, CRLF-ended; no field
+    needs quoting, so these are the bytes csv.writer would write."""
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows([CSV_FMT % x if isinstance(x, float) else x for x in row]
-                     for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_kernel_csv(path, kernel: NonlocalKernel, polar: bool = True):
-    """Kernel surface CSV: x, y, |K|, arg K (polar) or x, y, Re K, Im K.
-
-    Formats every cell itself rather than through _write_csv: at n = 1001
-    that is a million rows, where a per-cell type test costs measurable time.
-    """
-    x = kernel.grid.points
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "y", "absK", "argK"] if polar else ["x", "y", "reK", "imK"])
-        for i, xi in enumerate(x):
-            row_k = kernel.K[i]
-            if polar:
-                a, b = np.abs(row_k), np.angle(row_k)
-            else:
-                a, b = row_k.real, row_k.imag
-            for j, yj in enumerate(x):
-                wr.writerow(
-                    [CSV_FMT % xi, CSV_FMT % yj, CSV_FMT % a[j], CSV_FMT % b[j]]
-                )
+    """Kernel surface CSV: x, y, |K|, arg K (polar) or x, y, Re K, Im K."""
+    x = kernel.grid.points.tolist()
+    parts = (np.abs, np.angle) if polar else (np.real, np.imag)
+    rows = (row for xi, k_row in zip(x, kernel.K)
+            for row in zip(repeat(xi), x, *(f(k_row).tolist() for f in parts)))
+    _write_csv(path, ["x", "y", "absK", "argK"] if polar else ["x", "y", "reK", "imK"],
+               ",".join([CSV_FMT] * 4), rows)
 
 
 def write_sweep_csv(path, reports):
     """Demon sweep CSV: v, |T|^2, |R|^2, |Tt|^2, |Rt|^2, D, code."""
     _write_csv(path, ["v", "T2", "R2", "Tt2", "Rt2", "D", "code"],
+               ",".join([CSV_FMT] * 6 + ["%s"]),
                ((v, *rep.probabilities, rep.D, rep.code) for v, rep in reports))
 
 
 def write_regions_csv(path, rows):
     """D=0 region CSV: t2, rt2, lower, upper, region."""
     _write_csv(path, ["t2", "rt2", "lower", "upper", "region"],
+               ",".join([CSV_FMT] * 4 + ["%s"]),
                ((t2, rt2, b.lower, b.upper, b.region) for t2, rt2, b in rows))
 
 
@@ -175,4 +149,5 @@ def optimization_result_to_dict(result) -> dict:
 def write_optimization_log_csv(path, log):
     """Evaluation log CSV: index, b, c, x0, delta, cost."""
     _write_csv(path, ["eval", "b", "c", "x0", "delta", "cost"],
+               ",".join(["%d"] + [CSV_FMT] * 5),
                ((idx, *params, c) for idx, params, c in log))

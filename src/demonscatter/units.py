@@ -10,6 +10,7 @@ converts; grids, profiles and velocities reject non-finite values.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,7 +42,8 @@ class Grid:
     x_min: float
     x_max: float
     n: int
-    points: np.ndarray = field(repr=False, compare=False, default=None)
+    #: The n nodes, derived from x_min, x_max and n.
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
@@ -52,9 +54,7 @@ class Grid:
             )
         if self.n < 3:
             raise GridError(f"too few points: n={self.n} < 3")
-        if self.points is None:
-            pts = np.linspace(self.x_min, self.x_max, self.n)
-            object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", np.linspace(self.x_min, self.x_max, self.n))
 
     @property
     def spacing(self) -> float:
@@ -71,8 +71,8 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
     return Grid(x_min=x_min, x_max=x_max, n=int(n))
 
 
-def default_grid(n: int = DEFAULT_NPOINTS) -> Grid:
-    return make_grid(-DEFAULT_BOX_HALF, DEFAULT_BOX_HALF, n)
+def default_grid() -> Grid:
+    return make_grid(-DEFAULT_BOX_HALF, DEFAULT_BOX_HALF, DEFAULT_NPOINTS)
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,30 @@ class RabiProfile:
     w: float = DEFAULT_WIDTH
 
     def __post_init__(self):
-        for name in ("b", "c", "x0", "w"):
+        for name in ("b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.w > 0 and math.isfinite(self.w * self.w)):  # rabi_eval divides by w^2
-            raise ValueError(f"Gaussian width must be positive with a finite square, "
-                             f"got w={self.w}")
+        check_width(self.w)
+        reach = abs(self.x0) + DEFAULT_BOX_HALF  # bounds |x +- x0| where rabi_eval evaluates
+        if not math.isfinite(reach * reach / (self.w * self.w)):
+            raise ValueError(f"x0 must be finite, with finite ((|x0| + {DEFAULT_BOX_HALF})/w)^2; "
+                             f"got x0={self.x0}, w={self.w}")
+
+
+def check_width(w: float):
+    """Raise ValueError unless w^2, which the Gaussians divide by, is a positive normal float."""
+    if not (w > 0 and sys.float_info.min <= w * w <= sys.float_info.max):
+        raise ValueError(f"width must be finite and positive with a normal square, got w={w}")
 
 
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
     x = np.asarray(x, dtype=float)
-    g_plus = np.exp(np.square(x + profile.x0) / -profile.w**2)
-    g_minus = np.exp(np.square(x - profile.x0) / -profile.w**2)
-    omega = -1j * profile.b * g_plus + profile.c * g_minus
-    omega = np.where(np.abs(x) >= DEFAULT_BOX_HALF, 0.0 + 0.0j, omega)
+    outside = np.abs(x) >= DEFAULT_BOX_HALF
+    t = np.where(outside, 0.0, x)  # the Gaussians never see an x outside the box
+    g_plus = np.exp(np.square(t + profile.x0) / -profile.w**2)
+    g_minus = np.exp(np.square(t - profile.x0) / -profile.w**2)
+    omega = np.where(outside, 0.0 + 0.0j, -1j * profile.b * g_plus + profile.c * g_minus)
     if omega.ndim == 0:
         return complex(omega)
     return omega
@@ -124,16 +133,17 @@ def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
     as -x0.  Zero where rabi_eval truncates Omega.
     """
     x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < DEFAULT_BOX_HALF
-    t_plus, t_minus = x + profile.x0, x - profile.x0
-    g_plus = np.exp(np.square(t_plus) / -profile.w**2) * inside
-    g_minus = np.exp(np.square(t_minus) / -profile.w**2) * inside
+    outside = np.abs(x) >= DEFAULT_BOX_HALF
+    t = np.where(outside, 0.0, x)
+    t_plus, t_minus = t + profile.x0, t - profile.x0
+    g_plus = np.exp(np.square(t_plus) / -profile.w**2)
+    g_minus = np.exp(np.square(t_minus) / -profile.w**2)
     grad = np.zeros((3,) + x.shape, dtype=complex)
     np.negative(g_plus, out=grad[0].imag)
     grad[1].real = g_minus
     np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)
     np.multiply((2.0 * profile.b / profile.w**2) * t_plus, g_plus, out=grad[2].imag)
-    return grad
+    return np.where(outside, 0.0 + 0.0j, grad)
 
 
 def check_resolution(k: float, h: float):
@@ -161,4 +171,6 @@ def velocity_to_energy(v: float) -> float:
         raise ValueError(f"velocity must be finite, got {v}")
     if v < 0:
         raise NegativeVelocityError(f"velocity must be >= 0, got {v}")
+    if not math.isfinite(float(v) * float(v)):
+        raise ValueError(f"velocity must have a finite square, got {v}")
     return 0.5 * v * v

@@ -459,3 +459,40 @@ def test_output_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, 
     (tmp_path / "out").mkdir()
     assert run(["regions", "--resolution", "5", "--out", "out"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+#: Edge values for every numeric flag: floats (list flags take one element)
+#: and ints.  Passed as --key=value, so argparse reads "-inf" as a value.
+EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e300"]
+EDGE_INTS = ["-1", "0", "1", "2", "3"]
+EDGE_PROFILE = ["--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20", "--n", "41"]
+#: Each command on a small grid with the smallest budget.
+EDGE_BASE = {"scatter": EDGE_PROFILE, "scatter-nonlocal": EDGE_PROFILE, "kernel": EDGE_PROFILE,
+             "classify": EDGE_PROFILE, "sweep": EDGE_PROFILE, "regions": [],
+             "optimize": ["--budget", "100", "--restarts", "1", "--n", "41"],
+             "refine-paper": ["--budget", "100", "--n", "41"]}
+EDGE_KEYS = [(command, key) for command, (_handler, defaults) in cli._COMMANDS.items()
+             for key in defaults if cli._FLAG_TYPES.get(key, float) in (float, int, "floats")]
+
+
+@pytest.mark.parametrize("command, key", EDGE_KEYS, ids=[f"{c}-{k}" for c, k in EDGE_KEYS])
+def test_numeric_flag_at_its_edge_values(command, key, tmp_path, monkeypatch, capsys):
+    """Exit 0 or 2, never an exception out of main; no file left on exit 2;
+    no numpy RuntimeWarning on any exit."""
+    monkeypatch.chdir(tmp_path)
+    wrong = []
+    for value in EDGE_INTS if cli._FLAG_TYPES.get(key) is int else EDGE_FLOATS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = exit_code([command, *EDGE_BASE[command], f"--{key}={value}"])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                rc = repr(exc)
+        left = sorted(p.name for p in tmp_path.iterdir())
+        runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        if rc not in (0, 2) or (rc == 2 and left) or runtime:
+            wrong.append((value, rc, left, runtime))
+        for path in tmp_path.iterdir():
+            path.unlink()
+    capsys.readouterr()
+    assert wrong == []

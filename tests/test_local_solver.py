@@ -34,6 +34,7 @@ from demonscatter.local_solver import (
     solve_channel,
     solve_channel_jacobian,
     solve_local,
+    two_level_derivatives,
 )
 from demonscatter.units import RabiProfile, make_grid
 
@@ -687,3 +688,28 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
                 jac = solve_channel_jacobian(model, E, dV, deps)[1]
                 ref = adjoint_reference(model, E, dV, deps)
                 assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
+    """Channel 1 exactly at threshold (Delta = -32 at E = 32): its Bloch
+    derivative g is infinite, but only Delta moves that threshold, so the
+    b, c and x0 derivatives stay finite and match central differences of
+    the amplitudes.  The Delta column diverges there and is not checked."""
+    grid = make_grid(-1.5, 1.5, 723)
+    params = np.array([50.0, 40.0, 0.1])
+
+    def amplitudes(p):
+        a = solve_channel(build_two_level_model(RabiProfile(*p), -32.0, grid=grid), 32.0)
+        return np.array([a.T, a.R, a.Tt, a.Rt])
+
+    profile = RabiProfile(*params)
+    with np.errstate(invalid="ignore"):  # the Delta column only
+        amps, jac = solve_channel_jacobian(build_two_level_model(profile, -32.0, grid=grid),
+                                           32.0, *two_level_derivatives(profile, grid))
+    assert np.array_equal(np.array([amps.T, amps.R, amps.Tt, amps.Rt]), amplitudes(params))
+    assert np.all(np.isfinite(jac[:, :3]))
+    for q, step in enumerate((4e-3, 4e-3, 5e-6)):  # 1e-5 of PARAM_BOX's spans
+        shift = np.zeros(3)
+        shift[q] = step
+        differences = (amplitudes(params + shift) - amplitudes(params - shift)) / (2 * step)
+        assert np.all(np.abs(jac[:, q] - differences) <= 1e-6 * np.abs(differences)), q

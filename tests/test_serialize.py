@@ -1,16 +1,19 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from demonscatter.channels import SMatrix, haar_unitary
+from demonscatter.channels import ChannelAmplitudes, SMatrix, haar_unitary
 from demonscatter.demon import DemonReport, dzero_bounds
 from demonscatter.errors import ConfigError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.serialize import (
+    CSV_FMT,
     model_from_dict,
     read_model,
     write_kernel_csv,
+    write_optimization_log_csv,
     write_regions_csv,
     write_smatrix,
     write_sweep_csv,
@@ -113,3 +116,41 @@ def test_regions_csv(tmp_path):
     assert lines[0] == "t2,rt2,lower,upper,region"
     assert lines[1].startswith("1,0,1,1")
     assert lines[2].startswith("0,1,0,0")
+
+
+def csv_writer_reference(path, header, rows):
+    """The csv.writer path that serialize's one writer replaced, kept as its
+    oracle: floats as CSV_FMT, anything else as str."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([CSV_FMT % x if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def test_tables_are_the_bytes_csv_writer_writes(tmp_path):
+    # the box reaches past |x| = 1.5, where K is exactly zero: argK reads signed zeros
+    kernel = build_kernel(OpticalParameters(
+        delta=91.211, gamma=0.0, profile=RabiProfile(b=165.874, c=103.876, x0=0.16455),
+        E=32.0), make_grid(-2.0, 2.0, 41))
+    x, K = kernel.grid.points, kernel.K
+    reports = [(v, DemonReport.from_amplitudes(ChannelAmplitudes(*a))) for v, a in [
+        (8.0, (np.sqrt(0.5), 0, 0, np.sqrt(0.5))), (np.float64(2.5), (0.3, 0.6j, 1e-7, -0.4)),
+        (3, (1.0, 0, 0, 0))]]
+    regions = [(t2, rt2, dzero_bounds(t2, rt2)) for t2, rt2 in [(1.0, 0.0), (0.25, 0.5)]]
+    log = [(1, (165.874, 103.876, 0.16455, 91.211), 7.04e-4), (2, (0.0, 400.0, 0.5, 1e-9), 2.0)]
+    cases = [
+        (write_kernel_csv, (kernel,), ["x", "y", "absK", "argK"],
+         [(x[i], x[j], np.abs(K[i])[j], np.angle(K[i])[j]) for i in range(41) for j in range(41)]),
+        (write_kernel_csv, (kernel, False), ["x", "y", "reK", "imK"],
+         [(x[i], x[j], K[i].real[j], K[i].imag[j]) for i in range(41) for j in range(41)]),
+        (write_sweep_csv, (reports,), ["v", "T2", "R2", "Tt2", "Rt2", "D", "code"],
+         [(v, *rep.probabilities, rep.D, rep.code) for v, rep in reports]),
+        (write_regions_csv, (regions,), ["t2", "rt2", "lower", "upper", "region"],
+         [(t2, rt2, b.lower, b.upper, b.region) for t2, rt2, b in regions]),
+        (write_optimization_log_csv, (log,), ["eval", "b", "c", "x0", "delta", "cost"],
+         [(i, *params, c) for i, params, c in log]),
+    ]
+    for write, args, header, rows in cases:
+        write(tmp_path / "file.csv", *args)
+        csv_writer_reference(tmp_path / "reference.csv", header, rows)
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
