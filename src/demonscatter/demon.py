@@ -128,31 +128,15 @@ def device_code(a: ChannelAmplitudes) -> str:
 
 @dataclass(frozen=True)
 class DemonReport:
-    """Everything the analysis says about one amplitude set."""
+    """D, the four probabilities and the device code of one amplitude set."""
 
     D: float
     probabilities: tuple
-    slacks: tuple
-    violation: bool
     code: str
-    boundary: Optional[str]
 
     @classmethod
     def from_amplitudes(cls, a: ChannelAmplitudes):
-        D = demon_parameter(a)
-        slacks, violation = check_bounds(a)
-        try:
-            boundary = classify_boundary(a).boundary
-        except InconsistentBoundaryError:
-            boundary = "inconsistent"
-        return cls(
-            D=D,
-            probabilities=a.probabilities,
-            slacks=slacks,
-            violation=violation,
-            code=device_code(a),
-            boundary=boundary,
-        )
+        return cls(D=demon_parameter(a), probabilities=a.probabilities, code=device_code(a))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ class SolverError(DemonScatterError, RuntimeError):
 
 
 class ThresholdSingularityError(DemonScatterError):
-    """Effective wavenumber q = 0; the nonlocal kernel is singular there."""
+    """A channel exactly at its threshold, where the nonlocal kernel (q = 0) or
+    a derivative with respect to a parameter that moves that threshold diverges."""
 
 
 class InfeasiblePairError(DemonScatterError, ValueError):

@@ -45,7 +45,7 @@ from .channels import (
     kinematics,
     unitarity_defect,
 )
-from .errors import GridError, ModelError, SolverError
+from .errors import GridError, ModelError, SolverError, ThresholdSingularityError
 from .units import (
     END_DECAY_REL,
     Grid,
@@ -334,7 +334,8 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     one more back-substitution, and then d psi_end / dp_q = -y^T (dA/dp_q) psi,
     where dA/dp_q is the analytic derivative of the Numerov rows (through
     W = 2 V + 2 diag(eps - E)) and of the boundary rows (through -1/lambda_j,
-    whose derivative is _bloch's g).
+    whose derivative is _bloch's g, infinite at an exact threshold: moving the
+    threshold of a channel that sits there raises ThresholdSingularityError).
     """
     kin, factors = _factor(model, E)
     out, psi = _columns(model, kin, factors, 1)
@@ -347,11 +348,16 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     # contiguous (end r or incidence c, channel, node) arrays
     y, psi = (np.ascontiguousarray(v.T.reshape(2, n, nch).transpose(0, 2, 1)) for v in (y, psi))
     deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
+    if not np.isfinite(g).all():  # a channel exactly at its threshold
+        moved = np.flatnonzero(~np.isfinite(g) & deps.any(axis=0))
+        if moved.size:
+            raise ThresholdSingularityError(f"channel {moved[0]} is exactly at threshold at "
+                                            f"E={E}, and a parameter moves that threshold")
 
     # boundary rows psi_j(1) - psi_j(0)/lambda_j and psi_j(n-2) - psi_j(n-1)/lambda_j
     y_ends, psi_ends = (v[:, :, ::n - 1].copy() for v in (y, psi))
     edges = y_ends.transpose(1, 0, 2) @ psi_ends.transpose(1, 2, 0)
-    # g is infinite at an exact threshold: form deps * g only where deps is nonzero
+    # g is infinite at a threshold that no parameter moves: form deps * g where deps != 0
     deps_g = np.multiply(deps, g, out=np.zeros(deps.shape, dtype=complex), where=deps != 0)
     G = deps_g @ edges.reshape(nch, 4)
     # Numerov row m = 1..n-2 applies -(h^2/12) (dW[m-1], 10 dW[m], dW[m+1])

@@ -160,14 +160,13 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
     check_resolution(k, h)
 
     lo, hi = kernel.support
-    m, x = hi - lo, grid.points[lo:hi]
+    x = grid.points[lo:hi]
     wy, Ks = _trapezoid_weights(grid.n, h)[lo:hi], kernel.K[lo:hi, lo:hi]
     M = _system_matrix(Ks, wy, k, h)
 
     sqrt_k = np.sqrt(k)
-    phi = np.empty((m, 2), dtype=complex)
-    phi[:, 0] = np.exp(1j * k * x) / sqrt_k        # left incidence
-    phi[:, 1] = np.exp(-1j * k * x) / sqrt_k       # right incidence
+    plus, minus = np.exp(1j * k * x), np.exp(-1j * k * x)
+    phi = np.stack((plus, minus), axis=1) / sqrt_k  # left incidence, right incidence
     # M is C-ordered, so M.T is F-contiguous: LAPACK factors it in place.
     # K was checked finite when the kernel was built, so neither call scans
     # its input again.
@@ -180,8 +179,7 @@ def solve_nonlocal(kernel: NonlocalKernel, k: float) -> ChannelAmplitudes:
         raise SolverError("non-finite solution; near-singular linear system")
 
     v_psi = Ks @ (wy[:, None] * psi)                 # (V psi)(x_l), both waves
-    e_minus = wy * np.exp(-1j * k * x)               # smooth integrand
-    e_plus = wy * np.exp(1j * k * x)
+    e_minus, e_plus = wy * minus, wy * plus          # smooth integrand
     pref = sqrt_k / (1j * k)
 
     T = 1.0 + pref * np.sum(e_minus * v_psi[:, 0])

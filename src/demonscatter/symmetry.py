@@ -2,9 +2,9 @@
 
 Eight symmetry classes of a nonlocal kernel V(x, y), each a combination of
 transposition (x <-> y), argument flip (x -> -x) and complex conjugation.
-Any class other than the trivial one forces relations among the four
-scattering amplitudes; in particular Hermiticity or parity forces D = 0, so
-a device with D != 0 can satisfy no symmetry but the trivial one.
+Every class but Trivial and ParityPseudohermiticity forces relations among
+the four scattering amplitudes (FORCED): Hermiticity and Parity force D = 0,
+the other four tie D to the difference of one pair of probabilities.
 
 The residuals max |K - gK| come from one pass over slabs of SLAB rows of
 the support hull [a, b)^2, a = min(lo, n - hi) and b = max(hi, n - lo) for
@@ -22,7 +22,7 @@ max |K - transform(K, g)|, and no temporary is larger than SLAB x n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 
@@ -130,42 +130,50 @@ def _blocked_maxima(K: np.ndarray, classes):
     return found
 
 
+#: The amplitude relations each class forces.  The D forms follow from
+#: substituting the moduli equality into the defining formula
+#: D = (|T|^2-|R|^2+|Rt|^2-|Tt|^2)/2.  ParityPseudohermiticity forces nothing:
+#: flip+transpose+conjugate maps left incidence onto itself, so it constrains
+#: phases, not the four moduli.
+FORCED = {
+    SymmetryClass.Trivial: (),
+    SymmetryClass.Hermiticity: ("|T|=|Tt|", "|R|=|Rt|", "D=0"),
+    SymmetryClass.Parity: ("|T|=|Tt|", "|R|=|Rt|", "D=0"),
+    SymmetryClass.ParityPseudohermiticity: (),
+    SymmetryClass.TimeReversal: ("|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"),
+    SymmetryClass.TimeReversalPseudohermiticity: ("|T|=|Tt|", "D=(|Rt|^2-|R|^2)/2"),
+    SymmetryClass.PT: ("|T|=|Tt|", "D=(|Rt|^2-|R|^2)/2"),
+    SymmetryClass.PTPseudohermiticity: ("|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"),
+}
+
+#: How far an amplitude set a is from each relation.
+VIOLATION = {
+    "|T|=|Tt|": lambda a: abs(abs(a.T) - abs(a.Tt)),
+    "|R|=|Rt|": lambda a: abs(abs(a.R) - abs(a.Rt)),
+    "D=0": lambda a: abs(demon_parameter(a)),
+    "D=(|Rt|^2-|R|^2)/2":
+        lambda a: abs(demon_parameter(a) - 0.5 * (abs(a.Rt) ** 2 - abs(a.R) ** 2)),
+    "D=(|T|^2-|Tt|^2)/2":
+        lambda a: abs(demon_parameter(a) - 0.5 * (abs(a.T) ** 2 - abs(a.Tt) ** 2)),
+}
+
+
 def predicted_relations(classes) -> set:
-    """Amplitude relations forced by the given set of satisfied classes.
-
-    Relations are the strings "|T|=|Tt|", "|R|=|Rt|", "D=0",
-    "D=(|Rt|^2-|R|^2)/2" and "D=(|T|^2-|Tt|^2)/2"; the trivial class alone
-    forces nothing.  The D forms follow from substituting the moduli
-    equality into the defining formula D = (|T|^2-|R|^2+|Rt|^2-|Tt|^2)/2.
-    ParityPseudohermiticity forces nothing either: flip+transpose+conjugate
-    maps left incidence onto itself, so it constrains phases, not the four
-    moduli.
-    """
-    classes = set(classes)
-    rel = set()
-    if classes & {SymmetryClass.Hermiticity, SymmetryClass.Parity}:
-        rel |= {"|T|=|Tt|", "|R|=|Rt|", "D=0"}
-    if classes & {
-        SymmetryClass.TimeReversalPseudohermiticity,
-        SymmetryClass.PT,
-    }:
-        rel |= {"|T|=|Tt|", "D=(|Rt|^2-|R|^2)/2"}
-    if classes & {
-        SymmetryClass.TimeReversal,
-        SymmetryClass.PTPseudohermiticity,
-    }:
-        rel |= {"|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"}
-    return rel
+    """Amplitude relations forced by the given set of satisfied classes (FORCED)."""
+    return set().union(*(FORCED[cls] for cls in classes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetryReport:
-    """Residual and verdict for every class, plus the forced relations."""
+    """Residual of every class and the verdict tolerance; the rest follows."""
 
     residuals: Dict[str, float]
-    verdicts: Dict[str, bool]
     tol: float
-    predictions: set = field(default_factory=set)
+
+    @property
+    def verdicts(self) -> Dict[str, bool]:
+        """r <= tol per class; a NaN residual (asymmetric grid) gives False."""
+        return {name: r <= self.tol for name, r in self.residuals.items()}
 
     @property
     def satisfied(self):
@@ -174,6 +182,10 @@ class SymmetryReport:
     @property
     def trivial_only(self) -> bool:
         return self.satisfied == {SymmetryClass.Trivial}
+
+    @property
+    def predictions(self) -> set:
+        return predicted_relations(self.satisfied)
 
 
 def check_tolerance(rel_tol: float):
@@ -199,30 +211,8 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
     if rescan:
         found.update(_blocked_maxima(kernel.K, rescan))
     tol = rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol
-    residuals, verdicts = {}, {}
-    for cls in SymmetryClass:
-        r = 0.0 if cls is SymmetryClass.Trivial else found.get(cls, float("nan"))
-        residuals[cls.name] = r
-        verdicts[cls.name] = r <= tol
-    report = SymmetryReport(residuals=residuals, verdicts=verdicts, tol=tol)
-    report.predictions = predicted_relations(report.satisfied)
-    return report
-
-
-def _relation_violation(relation: str, a) -> float:
-    t2, r2, tt2, rt2 = a.probabilities
-    D = demon_parameter(a)
-    if relation == "|T|=|Tt|":
-        return abs(abs(a.T) - abs(a.Tt))
-    if relation == "|R|=|Rt|":
-        return abs(abs(a.R) - abs(a.Rt))
-    if relation == "D=0":
-        return abs(D)
-    if relation == "D=(|Rt|^2-|R|^2)/2":
-        return abs(D - 0.5 * (rt2 - r2))
-    if relation == "D=(|T|^2-|Tt|^2)/2":
-        return abs(D - 0.5 * (t2 - tt2))
-    raise ValueError(f"unknown relation {relation!r}")
+    found[SymmetryClass.Trivial] = 0.0
+    return SymmetryReport({cls.name: found.get(cls, float("nan")) for cls in SymmetryClass}, tol)
 
 
 @dataclass
@@ -232,7 +222,7 @@ class VerificationReport:
     report: SymmetryReport
     amplitudes: object
     violations: Dict[str, float]
-    tol: float
+    tol = RELATION_TOL
 
     @property
     def all_hold(self) -> bool:
@@ -250,9 +240,5 @@ def verify_predictions(
     if report is None:
         report = classify(kernel)
     amps = solve_nonlocal(kernel, k)
-    violations = {
-        rel: _relation_violation(rel, amps) for rel in sorted(report.predictions)
-    }
-    return VerificationReport(
-        report=report, amplitudes=amps, violations=violations, tol=RELATION_TOL
-    )
+    violations = {rel: VIOLATION[rel](amps) for rel in sorted(report.predictions)}
+    return VerificationReport(report=report, amplitudes=amps, violations=violations)

@@ -25,6 +25,7 @@ from demonscatter.errors import (
     NonPositiveEnergyError,
     ResolutionWarning,
     SolverError,
+    ThresholdSingularityError,
 )
 from demonscatter.local_solver import (
     LocalPotentialModel,
@@ -694,7 +695,8 @@ def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
     """Channel 1 exactly at threshold (Delta = -32 at E = 32): its Bloch
     derivative g is infinite, but only Delta moves that threshold, so the
     b, c and x0 derivatives stay finite and match central differences of
-    the amplitudes.  The Delta column diverges there and is not checked."""
+    the amplitudes.  With the Delta row as well, the Jacobian raises
+    ThresholdSingularityError, with no numpy warning."""
     grid = make_grid(-1.5, 1.5, 723)
     params = np.array([50.0, 40.0, 0.1])
 
@@ -703,9 +705,14 @@ def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
         return np.array([a.T, a.R, a.Tt, a.Rt])
 
     profile = RabiProfile(*params)
-    with np.errstate(invalid="ignore"):  # the Delta column only
-        amps, jac = solve_channel_jacobian(build_two_level_model(profile, -32.0, grid=grid),
-                                           32.0, *two_level_derivatives(profile, grid))
+    model = build_two_level_model(profile, -32.0, grid=grid)
+    dV, deps = two_level_derivatives(profile, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ThresholdSingularityError, match="channel 1 is exactly at threshold"):
+            solve_channel_jacobian(model, 32.0, dV, deps)
+        amps, jac = solve_channel_jacobian(model, 32.0, {ab: d[:3] for ab, d in dV.items()},
+                                           deps[:3])
     assert np.array_equal(np.array([amps.T, amps.R, amps.Tt, amps.Rt]), amplitudes(params))
     assert np.all(np.isfinite(jac[:, :3]))
     for q, step in enumerate((4e-3, 4e-3, 5e-6)):  # 1e-5 of PARAM_BOX's spans

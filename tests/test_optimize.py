@@ -229,6 +229,14 @@ def test_optimize_reports_on_callers_grid(solve_calls):
     assert abs(min(c for _, _, c in r.log) - r.cost) <= slack
 
 
+@pytest.mark.parametrize("v0", [1e5, 1e10, 1e154])
+def test_design_grid_never_refines_the_callers_grid(v0):
+    """However fast the design, the search never asks for more nodes than
+    the caller's grid has: at these velocities that grid is returned itself."""
+    grid = default_grid()
+    assert design_grid(grid, v0) is grid
+
+
 def test_optimize_solves_once_per_evaluation(solve_calls):
     """On a grid no finer than the design grid the search runs on it."""
     grid = make_grid(-1.5, 1.5, 401)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demonscatter import symmetry
+from demonscatter.channels import ChannelAmplitudes
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
 from demonscatter.symmetry import (
+    FORCED,
     REL_TOL,
     SLAB,
+    VIOLATION,
     SymmetryClass,
+    SymmetryReport,
     classify,
     predicted_relations,
     transform,
@@ -131,6 +136,54 @@ def test_predicted_relations():
         "|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2",
     }
     assert predicted_relations({SymmetryClass.Trivial}) == set()
+
+
+@pytest.mark.parametrize("cls", list(SymmetryClass))
+def test_forced_relations_follow_from_the_transform_flags(cls):
+    """An independent rule: |T| = |Tt| holds iff flip != transpose and
+    |R| = |Rt| iff flip != conjugate.  Both give D = 0; one alone gives the
+    D form that substituting it into D's definition leaves."""
+    flip, transpose, conjugate = cls.value
+    t_pair, r_pair = flip != transpose, flip != conjugate
+    expected = {"|T|=|Tt|"} if t_pair else set()
+    if r_pair:
+        expected.add("|R|=|Rt|")
+    if t_pair and r_pair:
+        expected.add("D=0")
+    elif t_pair:
+        expected.add("D=(|Rt|^2-|R|^2)/2")
+    elif r_pair:
+        expected.add("D=(|T|^2-|Tt|^2)/2")
+    assert predicted_relations({cls}) == expected
+
+
+def test_violation_table_on_hand_computed_amplitudes():
+    # |T|, |R|, |Tt|, |Rt| = 0.6, 0.3, 0.5, 0.4, so D = (0.36 - 0.09 + 0.16 - 0.25)/2 = 0.09
+    a = ChannelAmplitudes(T=0.6, R=0.3j, Tt=-0.5, Rt=0.4j)
+    expected = {
+        "|T|=|Tt|": 0.1,
+        "|R|=|Rt|": 0.1,
+        "D=0": 0.09,
+        "D=(|Rt|^2-|R|^2)/2": 0.09 - 0.035,
+        "D=(|T|^2-|Tt|^2)/2": 0.09 - 0.055,
+    }
+    assert set(VIOLATION) == set(expected) == set().union(*FORCED.values())
+    for relation, value in expected.items():
+        assert VIOLATION[relation](a) == pytest.approx(value, abs=1e-15), relation
+
+
+def test_symmetry_report_derives_verdicts_from_residuals():
+    """verdicts are r <= tol, so a residual at tol holds and NaN does not;
+    satisfied, trivial_only and predictions follow, and the report is frozen."""
+    residuals = dict.fromkeys((cls.name for cls in SymmetryClass), 1.0)
+    residuals.update(Trivial=0.0, TimeReversal=1e-8, Parity=float("nan"))
+    report = SymmetryReport(residuals, tol=1e-8)
+    assert [name for name, ok in report.verdicts.items() if ok] == ["Trivial", "TimeReversal"]
+    assert report.satisfied == {SymmetryClass.Trivial, SymmetryClass.TimeReversal}
+    assert not report.trivial_only
+    assert report.predictions == {"|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.tol = 1.0
 
 
 def test_closure_hermiticity_and_tr():
