@@ -86,10 +86,14 @@ def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:
     Channel 0 is the incident channel, the one whose amplitudes the demon
     parameter D describes, so it must be open: NonPositiveEnergyError unless
     its threshold is real and below E (a lossy channel 0 is never open).
-    Open channel 0 is then channel 0 of every S the solvers return.
+    Open channel 0 is then channel 0 of every S the solvers return.  A
+    threshold so far from E that 2 (E - eps_j) overflows is a ValueError,
+    found on Python scalars, before any numpy arithmetic could warn.
     """
     if not np.isfinite(E):
         raise ValueError("energy must be finite")
+    if not all(cmath.isfinite(2.0 * (complex(E) - eps)) for eps in channels.thresholds):
+        raise ValueError(f"a threshold lies so far from E={E} that 2 (E - eps) overflows")
     eps = np.array(channels.thresholds, dtype=complex)
     open_mask = (eps.imag == 0.0) & (E > eps.real)
     if not open_mask[0]:
@@ -169,15 +173,10 @@ def unitarity_defect(S: SMatrix) -> float:
     return float(max(d1, d2))
 
 
-def check_channel_index(i: int, n_open: int):
-    """Raise ChannelIndexError unless 0 <= i < n_open."""
-    if not 0 <= i < n_open:
-        raise ChannelIndexError(f"channel {i} out of range for {n_open} open channels")
-
-
 def extract_channel(S: SMatrix, i0: int) -> ChannelAmplitudes:
     """Diagonal amplitudes T, R, Tt, Rt of channel i0."""
-    check_channel_index(i0, S.n_open)
+    if not 0 <= i0 < S.n_open:
+        raise ChannelIndexError(f"channel {i0} out of range for {S.n_open} open channels")
     return ChannelAmplitudes(
         T=complex(S.T[i0, i0]),
         R=complex(S.R[i0, i0]),

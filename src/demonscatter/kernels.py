@@ -50,16 +50,6 @@ class OpticalParameters:
             raise NonPositiveEnergyError(f"energy must be > 0, got E={self.E}")
 
 
-def _green_phase(grid: Grid, q: complex) -> np.ndarray:
-    """e^{i q |x_i - x_j|} on the uniform grid, from n exponentials.
-
-    It depends only on |i - j|: the symmetric Toeplitz matrix of its first
-    column (toeplitz(e) alone would conjugate the first row).
-    """
-    e = np.exp(1j * q * (grid.points - grid.points[0]))
-    return toeplitz(e, e)
-
-
 def build_kernel(params: OpticalParameters, grid: Grid) -> NonlocalKernel:
     """Effective kernel of the design on the given grid: the excited
     channel of its two-level model, eliminated by feshbach_reference."""
@@ -93,7 +83,11 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
     check_resolution(abs(q), model.grid.spacing)
     if model.vmax * model.vmax / abs(q) > BAND_LIMIT:  # bounds every |K(x, y)|
         raise ModelError(f"kernel would overflow: max|V|^2/|q| > {BAND_LIMIT:.0e}")
-    K = _green_phase(model.grid, q)
+    # e^{i q |x_i - x_j|} depends only on |i - j|: the symmetric Toeplitz matrix
+    # of its first column (toeplitz(e) alone would conjugate the first row)
+    x = model.grid.points
+    e = np.exp(1j * q * (x - x[0]))
+    K = toeplitz(e, e)
     K *= (model.V[:, 0, 1] / (1j * q))[:, None]
     # a strided view as the broadcast operand slows the n x n product
     K *= np.ascontiguousarray(model.V[:, 1, 0])[None, :]

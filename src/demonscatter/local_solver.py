@@ -47,9 +47,9 @@ from .channels import (
 )
 from .errors import GridError, ModelError, SolverError, ThresholdSingularityError
 from .units import (
-    END_DECAY_REL,
     Grid,
     RabiProfile,
+    _check_end_decay,
     check_resolution,
     default_grid,
     rabi_eval,
@@ -85,15 +85,7 @@ class LocalPotentialModel:
         object.__setattr__(self, "V", V)
         modulus = np.abs(V)
         vmax = float(modulus.max())
-        if not math.isfinite(vmax):  # max propagates NaN
-            raise ModelError("potential samples must be finite")
-        if vmax > 0:
-            end_mag = max(modulus[0].max(), modulus[-1].max())
-            if end_mag > END_DECAY_REL * vmax:
-                raise ModelError(
-                    f"potential not negligible at grid ends "
-                    f"(|V_end|/|V|_max = {end_mag / vmax:.3e})"
-                )
+        _check_end_decay("potential", vmax, max(modulus[0].max(), modulus[-1].max()))
         object.__setattr__(self, "vmax", vmax)
 
     @cached_property
@@ -138,11 +130,17 @@ def build_two_level_model(
     With all five it is a ½T/R(0.48) device (D = 0.48).  Changing any
     single one moves some probability by more than 0.1; evaluating at +x
     swaps the two sides (D = -0.48).
+
+    A spacing above sqrt(2) w, which a lobe's core g >= e^{-1/2} can miss,
+    raises GridError; a profile with b or c nonzero that vanishes on the grid, ModelError.
     """
     if gamma < 0:
         raise ValueError(f"decay rate must be >= 0, got gamma={gamma}")
     if grid is None:
         grid = default_grid()
+    if grid.spacing > math.sqrt(2.0) * profile.w:
+        raise GridError(f"spacing h={grid.spacing:.4g} exceeds sqrt(2) times the profile "
+                        f"width w={profile.w:.4g}; refine the grid")
     eps2 = -(2.0 * delta + 1j * gamma) / 2.0
     channels = ChannelSet(thresholds=(0.0, eps2))
     # incidence-axis orientation: the -i*b lobe sits at +x0 (downstream of
@@ -151,7 +149,10 @@ def build_two_level_model(
     V = np.zeros((2, 2, grid.n), dtype=complex)  # channel-major, as _assemble reads it
     np.divide(omega, 2.0, out=V[0, 1])
     np.divide(np.conj(omega, out=omega), 2.0, out=V[1, 0])
-    return LocalPotentialModel(grid=grid, channels=channels, V=V.transpose(2, 0, 1))
+    model = LocalPotentialModel(grid=grid, channels=channels, V=V.transpose(2, 0, 1))
+    if model.vmax == 0 and (profile.b or profile.c):
+        raise ModelError(f"profile (x0={profile.x0:.4g}, w={profile.w:.4g}) vanishes on the grid")
+    return model
 
 
 def two_level_derivatives(profile: RabiProfile, grid: Grid):

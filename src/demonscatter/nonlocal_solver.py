@@ -28,7 +28,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .channels import ChannelAmplitudes
 from .errors import ModelError, SolverError
-from .units import END_DECAY_REL, Grid, check_resolution
+from .units import Grid, _check_end_decay, check_resolution
 
 #: Relative magnitude below which a row or column of K lies off the
 #: kernel's support: float64 rounding of the largest entry, so dropping it
@@ -68,17 +68,9 @@ class NonlocalKernel:
             slab = np.abs(K[a:a + SLAB])
             row_max[a:a + SLAB] = np.max(slab, axis=1)
             np.maximum(col_max, np.max(slab, axis=0), out=col_max)
-        if not np.all(np.isfinite(row_max)):  # np.max propagates NaN
-            raise ModelError("kernel samples must be finite")
         kmax = float(np.max(row_max))
+        _check_end_decay("kernel", kmax, max(row_max[0], row_max[-1], col_max[0], col_max[-1]))
         object.__setattr__(self, "kmax", kmax)
-        if kmax > 0:
-            edge = max(row_max[0], row_max[-1], col_max[0], col_max[-1])
-            if edge > END_DECAY_REL * kmax:
-                raise ModelError(
-                    f"kernel not negligible at grid ends "
-                    f"(edge/max = {edge / kmax:.3e})"
-                )
         # the hull of the row and column supports; a zero kernel keeps one
         # node, so its solve still runs
         nodes = np.flatnonzero(np.maximum(row_max, col_max) > SUPPORT_REL * kmax)

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .demon import demon_parameter
+from .errors import ModelError
 from .local_solver import (
     build_two_level_model,
     solve_channel,
@@ -205,13 +206,17 @@ def optimize(
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    from scipy.optimize import minimize   # deferred: costs ~0.2 s to import
     caller = grid if grid is not None else default_grid()
     grid = design_grid(caller, v0, w)
+    b, c, x0, delta = PARAM_BOX[:, 1]
+    try:  # the widest lobes must decay in the box, or the search stops at the first of them
+        build_two_level_model(RabiProfile(b=b, c=c, x0=x0, w=w), delta, grid=caller)
+    except ModelError as exc:
+        raise ModelError(f"width w={w:.4g} with PARAM_BOX's x0 = {x0}: {exc}") from exc
+    from scipy.optimize import minimize   # deferred: costs ~0.2 s to import
     rng = np.random.default_rng(seed)
     lo, span = PARAM_BOX[:, 0], PARAM_BOX[:, 1] - PARAM_BOX[:, 0]
 
-    n_eval = 0
     limit = budget   # evaluations allowed before the current descent stops
     log = []
     best = (np.inf, None, None)   # cost, normalized point, amplitudes
@@ -219,13 +224,12 @@ def optimize(
     # the search runs in box-normalized coordinates u in [0, 1]^4, so all
     # four parameters carry comparable step sizes
     def f(u, gradient=False):
-        nonlocal n_eval, best
-        if n_eval >= limit:
+        nonlocal best
+        if len(log) >= limit:
             raise _BudgetSpent
-        n_eval += 1
         p = lo + u * span
         c, amps, grad = _evaluate(p, target, v0, w, grid, gradient)
-        log.append((n_eval, tuple(float(v) for v in p), c))
+        log.append((len(log) + 1, tuple(float(v) for v in p), c))
         if c < best[0]:
             best = (c, np.array(u, dtype=float), amps)
         return (c, grad * span) if gradient else c
@@ -234,7 +238,7 @@ def optimize(
         # L-BFGS-B checks its maxfun only between iterations, so a line
         # search could overrun it; f enforces the cap instead
         nonlocal limit
-        limit = n_eval + maxfev
+        limit = len(log) + maxfev
         try:
             minimize(f, np.clip(u0, 0.0, 1.0), args=(True,), jac=True,
                      method="L-BFGS-B", bounds=[(0.0, 1.0)] * 4)
@@ -251,21 +255,21 @@ def optimize(
 
     # per-run budget sized for `restarts` runs; further ranked starts are
     # tried if budget is left after that
-    per_restart = max(100, (budget - n_eval) // (restarts + 2))
+    per_restart = max(100, (budget - len(log)) // (restarts + 2))
     for start in starts:
-        remaining = budget - n_eval
+        remaining = budget - len(log)
         if remaining <= 0:
             break
         run(start, min(per_restart, remaining))
         if best[0] < CONVERGED_COST:
             break
-    if best[0] >= CONVERGED_COST and budget - n_eval > 0:
-        run(best[1], budget - n_eval)  # spend the reserve polishing the best
+    if best[0] >= CONVERGED_COST and budget - len(log) > 0:
+        run(best[1], budget - len(log))  # spend the reserve polishing the best
     params = tuple(float(v) for v in lo + best[1] * span)
     cost_, amps = best[0], best[2]
     if grid is not caller:
         cost_, amps, _ = _evaluate(params, target, v0, w, caller)
-    return _result(params, cost_, amps, n_eval, log=log)
+    return _result(params, cost_, amps, len(log), log=log)
 
 
 def refine_paper_point(

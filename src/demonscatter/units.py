@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, NegativeVelocityError, ResolutionWarning
+from .errors import GridError, ModelError, NegativeVelocityError, ResolutionWarning
 
 #: Half-width of the default computational box, in units of d.  Exceeds the
 #: effective potential width (|x| <= 1) so truncation error is negligible.
@@ -33,6 +33,16 @@ MIN_POINTS_PER_WAVELENGTH = 20
 
 #: Relative magnitude a potential or kernel may keep at the grid ends.
 END_DECAY_REL = 1e-12
+
+
+def _check_end_decay(what: str, peak: float, edge: float):
+    """Raise ModelError unless peak, the samples' max modulus, is finite and edge,
+    their max modulus on the grid's end nodes, is at most END_DECAY_REL * peak."""
+    if not math.isfinite(peak):  # max propagates NaN
+        raise ModelError(f"{what} samples must be finite")
+    if edge > END_DECAY_REL * peak:
+        raise ModelError(f"{what} not negligible at grid ends "
+                         f"(edge/max = {edge / peak:.3e} > {END_DECAY_REL:.0e})")
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,9 @@ class RabiProfile:
     """Two-Gaussian Rabi frequency Omega(x) = -i b g(x+x0) + c g(x-x0).
 
     g(x) = exp(-x^2/w^2).  b, c are real amplitudes in 1/tau, x0 the lobe
-    offset and w the Gaussian width, both in d.  Values with
-    |x| >= DEFAULT_BOX_HALF (1.5) are truncated to exact zero; there they
-    are below double-precision noise anyway.
+    offset and w the Gaussian width, both in d.  Omega is evaluated as is
+    on any grid; a model built from it must decay to END_DECAY_REL at the
+    ends of its grid.
 
     The reference design (optimize.PAPER_POINT) relies on the default
     width w = sqrt(2)/10 and the phase -i on the b lobe, which sits at -x0
@@ -101,7 +111,7 @@ class RabiProfile:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_width(self.w)
-        reach = abs(self.x0) + DEFAULT_BOX_HALF  # bounds |x +- x0| where rabi_eval evaluates
+        reach = abs(self.x0) + DEFAULT_BOX_HALF  # the largest |x +- x0| on the default box
         if not math.isfinite(reach * reach / (self.w * self.w)):
             raise ValueError(f"x0 must be finite, with finite ((|x0| + {DEFAULT_BOX_HALF})/w)^2; "
                              f"got x0={self.x0}, w={self.w}")
@@ -116,34 +126,30 @@ def check_width(w: float):
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
     x = np.asarray(x, dtype=float)
-    outside = np.abs(x) >= DEFAULT_BOX_HALF
-    t = np.where(outside, 0.0, x)  # the Gaussians never see an x outside the box
-    g_plus = np.exp(np.square(t + profile.x0) / -profile.w**2)
-    g_minus = np.exp(np.square(t - profile.x0) / -profile.w**2)
-    omega = np.where(outside, 0.0 + 0.0j, -1j * profile.b * g_plus + profile.c * g_minus)
-    if omega.ndim == 0:
-        return complex(omega)
-    return omega
+    with np.errstate(over="ignore"):  # a square that overflows gives g = exact 0
+        g_plus = np.exp(np.square(x + profile.x0) / -profile.w**2)
+        g_minus = np.exp(np.square(x - profile.x0) / -profile.w**2)
+    omega = -1j * profile.b * g_plus + profile.c * g_minus
+    return complex(omega) if np.ndim(omega) == 0 else omega
 
 
 def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
     """dOmega/d(b, c, x0) at the points x, shape (3,) + x.shape.
 
     g'(t) = -2 t/w^2 g(t), and x0 enters the b lobe as +x0 and the c lobe
-    as -x0.  Zero where rabi_eval truncates Omega.
+    as -x0.
     """
     x = np.asarray(x, dtype=float)
-    outside = np.abs(x) >= DEFAULT_BOX_HALF
-    t = np.where(outside, 0.0, x)
-    t_plus, t_minus = t + profile.x0, t - profile.x0
-    g_plus = np.exp(np.square(t_plus) / -profile.w**2)
-    g_minus = np.exp(np.square(t_minus) / -profile.w**2)
+    t_plus, t_minus = x + profile.x0, x - profile.x0
+    with np.errstate(over="ignore"):
+        g_plus = np.exp(np.square(t_plus) / -profile.w**2)
+        g_minus = np.exp(np.square(t_minus) / -profile.w**2)
     grad = np.zeros((3,) + x.shape, dtype=complex)
     np.negative(g_plus, out=grad[0].imag)
     grad[1].real = g_minus
     np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)
     np.multiply((2.0 * profile.b / profile.w**2) * t_plus, g_plus, out=grad[2].imag)
-    return np.where(outside, 0.0 + 0.0j, grad)
+    return grad
 
 
 def check_resolution(k: float, h: float):

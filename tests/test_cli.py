@@ -206,17 +206,25 @@ BAD_INPUT = {
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
-    # k h > sqrt(6) on an open channel: no propagating discrete wave
+    # k h > sqrt(6) on an open channel: no propagating discrete wave; the
+    # spacing exceeds sqrt(2) w too, and the model rejects that first
     "scatter-n-3": ["scatter"] + _with("n", "3"),
     "sweep-n-3": ["sweep"] + _with("n", "3"),
     "scatter-nonlocal-n-9": ["scatter-nonlocal"] + _with("n", "9"),
     # the kernel's eliminated channel, |q| = 15.7, is held to the same floor
+    # (here too the profile's width rule fires first)
     "kernel-n-3": ["kernel"] + _with("n", "3"),
     "classify-n-3": ["classify"] + _with("n", "3"),
     # delta is required wherever a model or a kernel is built
     "scatter-nonlocal-no-delta": ["scatter-nonlocal"] + PAPER_FLAGS[:6],
     "kernel-no-delta": ["kernel"] + PAPER_FLAGS[:6] + ["--n", "41"],
     "classify-no-delta": ["classify"] + PAPER_FLAGS[:6] + ["--n", "41"],
+    # a lobe that reaches the box ends, lobes outside the box, lobes that
+    # vanish on the grid, and a width the spacing cannot resolve
+    **{f"{cmd}-x0-{x0}": [cmd] + _with("x0", x0) + ["--n", "201"]
+       for cmd in ("scatter", "kernel", "classify") for x0 in ("1.4", "5")},
+    "scatter-x0-10": ["scatter"] + _with("x0", "10"),
+    "scatter-w-1e-3": ["scatter"] + _with("w", "1e-3"),
     "optimize-v0-inf": ["optimize", "--v0", "inf", "--budget", "200"],
     "optimize-v0-nan": ["optimize", "--v0", "nan", "--budget", "200"],
     "optimize-w-nan": ["optimize", "--w", "nan", "--budget", "200"],

@@ -27,6 +27,7 @@ from demonscatter.errors import (
     SolverError,
     ThresholdSingularityError,
 )
+from demonscatter.demon import sweep_demon
 from demonscatter.local_solver import (
     LocalPotentialModel,
     _assemble,
@@ -37,7 +38,8 @@ from demonscatter.local_solver import (
     solve_local,
     two_level_derivatives,
 )
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.optimize import PAPER_POINT, PARAM_BOX
+from demonscatter.units import RabiProfile, make_grid, rabi_eval
 
 
 def barrier_model(v0, width, n, half_box=1.5):
@@ -547,11 +549,13 @@ JACOBIAN_ARGS = ({(0, 1): np.ones((1, 101))}, np.zeros((1, 2)))
 
 @pytest.mark.parametrize("solve", [
     solve_local, solve_channel, lambda m, E: solve_channel_jacobian(m, E, *JACOBIAN_ARGS),
-], ids=["solve_local", "solve_channel", "solve_channel_jacobian"])
+    lambda m, E: sweep_demon(m, [4.0]),
+], ids=["solve_local", "solve_channel", "solve_channel_jacobian", "sweep_demon"])
 @pytest.mark.parametrize("kind", ["potential", "threshold"])
 def test_overflow_fails_early_and_quietly(kind, solve, monkeypatch):
-    """The scalar guard in _factor rejects the model before any band
-    arithmetic, with no numpy RuntimeWarning on the way."""
+    """The scalar guards in _factor and kinematics (sweep_demon's pre-pass)
+    reject the model before any band arithmetic, with no numpy
+    RuntimeWarning on the way."""
     assembled = []
     monkeypatch.setattr(local_solver, "_assemble", lambda *args: assembled.append(args))
     with warnings.catch_warnings():
@@ -720,3 +724,69 @@ def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
         shift[q] = step
         differences = (amplitudes(params + shift) - amplitudes(params - shift)) / (2 * step)
         assert np.all(np.abs(jac[:, q] - differences) <= 1e-6 * np.abs(differences)), q
+
+
+def cut_rabi_eval(profile, x):
+    """rabi_eval as it was before the cut at |x| = 1.5 was removed, kept as
+    its oracle: exact zero wherever |x| >= 1.5, whatever the grid."""
+    x = np.asarray(x, dtype=float)
+    outside = np.abs(x) >= 1.5
+    t = np.where(outside, 0.0, x)
+    g_plus = np.exp(np.square(t + profile.x0) / -profile.w**2)
+    g_minus = np.exp(np.square(t - profile.x0) / -profile.w**2)
+    return np.where(outside, 0.0 + 0.0j, -1j * profile.b * g_plus + profile.c * g_minus)
+
+
+def cut_rabi_gradient(profile, x):
+    """rabi_gradient with the same cut, kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    outside = np.abs(x) >= 1.5
+    t = np.where(outside, 0.0, x)
+    t_plus, t_minus = t + profile.x0, t - profile.x0
+    g_plus = np.exp(np.square(t_plus) / -profile.w**2)
+    g_minus = np.exp(np.square(t_minus) / -profile.w**2)
+    grad = np.zeros((3,) + x.shape, dtype=complex)
+    np.negative(g_plus, out=grad[0].imag)
+    grad[1].real = g_minus
+    np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)
+    np.multiply((2.0 * profile.b / profile.w**2) * t_plus, g_plus, out=grad[2].imag)
+    return np.where(outside, 0.0 + 0.0j, grad)
+
+
+def test_uncut_profile_gives_the_cut_profiles_bits_on_the_default_box(monkeypatch):
+    """On [-1.5, 1.5] the cut zeroed only the two end nodes, where the true
+    tails are far below rounding: S at PAPER_POINT and the design Jacobian
+    on seeded PARAM_BOX draws are bit-identical with and without it."""
+    b, c, x0, delta = PAPER_POINT
+    rng = np.random.default_rng(24)
+    draws = PARAM_BOX[:, 0] + rng.random((20, 4)) * (PARAM_BOX[:, 1] - PARAM_BOX[:, 0])
+
+    def results():
+        out = []
+        for n in (723, 2001):
+            S = solve_local(build_two_level_model(RabiProfile(b, c, x0), delta,
+                                                  grid=make_grid(-1.5, 1.5, n)), 32.0).S
+            out.append(S.full())
+        grid = make_grid(-1.5, 1.5, 723)
+        for p in draws:
+            profile = RabiProfile(*p[:3])
+            model = build_two_level_model(profile, p[3], grid=grid)
+            amps, jac = solve_channel_jacobian(model, 32.0, *two_level_derivatives(profile, grid))
+            out += [np.array([amps.T, amps.R, amps.Tt, amps.Rt]), jac]
+        return out
+
+    uncut = results()
+    monkeypatch.setattr(local_solver, "rabi_eval", cut_rabi_eval)
+    monkeypatch.setattr(local_solver, "rabi_gradient", cut_rabi_gradient)
+    cut = results()
+    assert all(np.array_equal(u, c_) for u, c_ in zip(uncut, cut))
+
+
+def test_coupling_is_the_profile_on_a_wide_box():
+    """On [-3, 3] a lobe at 1.4 reaches past |x| = 1.5: every node carries
+    Omega(-x)/2, none of them zeroed beyond 1.5."""
+    grid = make_grid(-3.0, 3.0, 601)
+    profile = RabiProfile(b=165.874, c=103.876, x0=1.4)
+    V = build_two_level_model(profile, 91.211, grid=grid).V
+    assert np.array_equal(V[:, 0, 1], rabi_eval(profile, -grid.points) / 2.0)
+    assert np.all(V[np.abs(grid.points) > 1.5, 0, 1] != 0.0)

@@ -194,13 +194,16 @@ def test_resolution_warning():
 
 
 def test_spacing_that_cannot_carry_the_wave_is_rejected():
-    # k h = 3 > sqrt(6): the shared floor, raised before the warning
+    # k h = 3 > sqrt(6): the floor both solvers share, raised before the warning
     grid = make_grid(-1.5, 1.5, 9)
     kernel = NonlocalKernel(grid=grid, K=np.zeros((9, 9)))
+    model = LocalPotentialModel(grid=grid, channels=ChannelSet((0.0,)), V=np.zeros((9, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GridError, match="sqrt\\(6\\)"):
             solve_nonlocal(kernel, 8.0)
+        with pytest.raises(GridError, match="sqrt\\(6\\)"):
+            solve_local(model, 32.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])

@@ -6,6 +6,7 @@ import pytest
 
 from demonscatter.channels import extract_channel
 from demonscatter.demon import demon_parameter
+from demonscatter.errors import ModelError
 import demonscatter.local_solver as local_solver
 from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
@@ -103,6 +104,15 @@ def test_non_finite_design_is_rejected_before_any_solve(v0, w, solve_calls):
         cost(PAPER_POINT, target, v0, w, grid=COARSE)
     with pytest.raises(ValueError, match="finite"):
         optimize(target, v0=v0, w=w, budget=200, restarts=1, grid=COARSE)
+    assert solve_calls == []
+
+
+def test_width_whose_widest_lobes_reach_the_box_ends_is_rejected_before_any_solve(
+        solve_calls):
+    """At w = 0.3 the lobes at x0 = 0.5 keep 1.5e-5 of their peak at |x| = 1.5."""
+    with pytest.raises(ModelError, match=r"w=0\.3 .*not negligible at grid ends"):
+        optimize(DeviceTarget.named("half-demon"), w=0.3, budget=100, restarts=1,
+                 grid=make_grid(-1.5, 1.5, 41))
     assert solve_calls == []
 
 

@@ -8,6 +8,7 @@ from demonscatter.channels import ChannelAmplitudes, SMatrix, haar_unitary
 from demonscatter.demon import DemonReport, dzero_bounds
 from demonscatter.errors import ConfigError
 from demonscatter.kernels import OpticalParameters, build_kernel
+from demonscatter.nonlocal_solver import NonlocalKernel
 from demonscatter.serialize import (
     CSV_FMT,
     model_from_dict,
@@ -128,11 +129,14 @@ def csv_writer_reference(path, header, rows):
 
 
 def test_tables_are_the_bytes_csv_writer_writes(tmp_path):
-    # the box reaches past |x| = 1.5, where K is exactly zero: argK reads signed zeros
     kernel = build_kernel(OpticalParameters(
         delta=91.211, gamma=0.0, profile=RabiProfile(b=165.874, c=103.876, x0=0.16455),
         E=32.0), make_grid(-2.0, 2.0, 41))
-    x, K = kernel.grid.points, kernel.K
+    # zeros of each sign pair at the ends, where argK reads signed zeros
+    K = kernel.K.copy()
+    K[0, :4] = K[-1, -4:] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    kernel = NonlocalKernel(grid=kernel.grid, K=K)
+    x = kernel.grid.points
     reports = [(v, DemonReport.from_amplitudes(ChannelAmplitudes(*a))) for v, a in [
         (8.0, (np.sqrt(0.5), 0, 0, np.sqrt(0.5))), (np.float64(2.5), (0.3, 0.6j, 1e-7, -0.4)),
         (3, (1.0, 0, 0, 0))]]

@@ -15,6 +15,7 @@ from demonscatter.units import (
     default_grid,
     make_grid,
     rabi_eval,
+    rabi_gradient,
     velocity_to_energy,
 )
 
@@ -67,19 +68,14 @@ def test_rabi_linear_in_amplitudes():
     assert rabi_eval(p12, x) == pytest.approx(rabi_eval(p1, x) + rabi_eval(p2, x))
 
 
-def test_rabi_decay_bound():
+def test_rabi_far_field_is_exact_zero_without_warning():
+    """Far from both lobes the Gaussians underflow to exact zero, also where
+    the squares overflow, with no numpy warning."""
     prof = RabiProfile(b=165.874, c=103.876, x0=0.16455)
-    xs = np.linspace(-3, 3, 1201)
-    vals = np.abs(rabi_eval(prof, xs))
-    peak = vals.max()
-    outside = vals[np.abs(xs) >= 1.5]
-    assert np.all(outside / peak < 1e-40)
-
-
-def test_rabi_cutoff_is_exact_zero():
-    prof = RabiProfile(b=1.0, c=1.0)
-    assert rabi_eval(prof, 1.5) == 0.0
-    assert rabi_eval(prof, -2.0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(rabi_eval(prof, [-1e300, -1e200, -40.0, 40.0, 1e200, 1e300]) == 0.0)
+        assert np.all(rabi_gradient(prof, [-1e100, -40.0, 40.0, 1e100]) == 0.0)
 
 
 def test_rabi_invalid_width():
