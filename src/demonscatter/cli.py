@@ -236,10 +236,6 @@ _FLAG_TYPES = {
 }
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def _config_argv(path, keys) -> list:
     """The config file's entries as flag tokens.
 
@@ -263,9 +259,9 @@ def _config_argv(path, keys) -> list:
         switch, listed = kind == "store_true", kind == "floats"
         if switch and isinstance(val, bool):
             argv += [f"--{key}"] if val else []
-        elif listed and isinstance(val, list) and all(map(_is_number, val)):
+        elif listed and isinstance(val, list) and all(map(serialize.is_number, val)):
             argv += [f"--{key}", *map(str, val)]
-        elif not (switch or listed) and (isinstance(val, str) or _is_number(val)):
+        elif not (switch or listed) and (isinstance(val, str) or serialize.is_number(val)):
             argv.append(f"--{key}={val}")
         else:
             raise ConfigError(f"config key {key!r} cannot take the value {val!r}")

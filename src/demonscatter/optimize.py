@@ -280,23 +280,18 @@ def refine_paper_point(
     """Polish the published design point against the half-demon target.
 
     Reports the cost at the published parameters on `grid` and the result
-    of optimize (searched on the design grid, reported on `grid`); budget 0
-    returns the initial point unchanged.
+    of optimize (searched on the design grid, reported on `grid`) with
+    `budget` as given; a budget <= 0 returns the initial point unchanged.
     """
     _check_design(v0, DEFAULT_WIDTH)
     if grid is None:
         grid = default_grid()
     target = DeviceTarget.named("half-demon")
+    # optimize checks the budget before the initial point is solved
+    result = None if budget <= 0 else optimize(target, v0=v0, init=PAPER_POINT,
+                                                budget=budget, restarts=1, grid=grid)
     initial_cost, amps, _ = _evaluate(PAPER_POINT, target, v0, DEFAULT_WIDTH, grid)
-    if budget <= 0:
+    if result is None:
         return _result(PAPER_POINT, initial_cost, amps, 1, initial_cost=initial_cost)
-    result = optimize(
-        target,
-        v0=v0,
-        init=PAPER_POINT,
-        budget=max(budget, 100),
-        restarts=1,
-        grid=grid,
-    )
     result.initial_cost = initial_cost
     return result

@@ -20,12 +20,18 @@ from .units import make_grid
 CSV_FMT = "%.12g"
 
 
+def is_number(val) -> bool:
+    """A JSON number: an int or a float, not a bool.  Model files and CLI
+    configs both read numbers by this rule."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _unpair(v) -> complex:
-    if isinstance(v, (int, float)):
+    if is_number(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v)):
         return complex(v[0], v[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {v!r}")
+    raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
 def write_json(path, doc: dict):
@@ -45,32 +51,31 @@ def write_smatrix(path, S: SMatrix, diagnostics: dict):
 def model_from_dict(d: dict) -> LocalPotentialModel:
     """Model import: {grid: {xmin, xmax, n}, thresholds: [...], V: [...]}.
 
-    V is one row-major N_ch x N_ch matrix per grid point, entries numbers
-    or [re, im] pairs.
+    The grid ends are numbers and n an integer.  V is one row-major
+    N_ch x N_ch matrix per grid point, entries numbers or [re, im] pairs.
+    A malformed document raises ConfigError before the grid is allocated;
+    a well-formed one with an invalid grid raises make_grid's GridError.
     """
     try:
         g = d["grid"]
-        grid = make_grid(float(g["xmin"]), float(g["xmax"]), int(g["n"]))
-        thresholds = tuple(_unpair(t) for t in d["thresholds"])
+        xmin, xmax, n = g["xmin"], g["xmax"], g["n"]
+        if not (is_number(xmin) and is_number(xmax) and is_number(n) and isinstance(n, int)):
+            raise ValueError(f"grid needs numbers xmin and xmax and an integer n, got {g!r}")
+        channels = ChannelSet(thresholds=tuple(_unpair(t) for t in d["thresholds"]))
+        nch = channels.n_channels
         raw_v = d["V"]
-    except (KeyError, TypeError) as exc:
+        if len(raw_v) != n:
+            raise ValueError(f"V must have one matrix per grid point ({n}), got {len(raw_v)}")
+        V = np.array([[_unpair(v) for v in mat] for mat in raw_v], dtype=complex)
+        if V.size != n * nch * nch:
+            raise ValueError(f"V must have {nch * nch} entries per grid point")
+        xmin, xmax = float(xmin), float(xmax)
+    except KeyError as exc:
         raise ConfigError(f"malformed model document: missing {exc}") from exc
-    nch = len(thresholds)
-    if len(raw_v) != grid.n:
-        raise ConfigError(
-            f"V must have one matrix per grid point ({grid.n}), got {len(raw_v)}"
-        )
-    V = np.empty((grid.n, nch, nch), dtype=complex)
-    for i, mat in enumerate(raw_v):
-        flat = [_unpair(v) for v in mat]
-        if len(flat) != nch * nch:
-            raise ConfigError(
-                f"V[{i}] must have {nch * nch} entries, got {len(flat)}"
-            )
-        V[i] = np.array(flat, dtype=complex).reshape(nch, nch)
-    return LocalPotentialModel(
-        grid=grid, channels=ChannelSet(thresholds=thresholds), V=V
-    )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed model document: {exc}") from exc
+    return LocalPotentialModel(grid=make_grid(xmin, xmax, n), channels=channels,
+                               V=V.reshape(n, nch, nch))
 
 
 def read_model(path) -> LocalPotentialModel:

@@ -52,7 +52,7 @@ class Grid:
     x_min: float
     x_max: float
     n: int
-    #: The n nodes, derived from x_min, x_max and n.
+    #: The n nodes, derived from x_min, x_max and n; read-only.
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -64,7 +64,9 @@ class Grid:
             )
         if self.n < 3:
             raise GridError(f"too few points: n={self.n} < 3")
-        object.__setattr__(self, "points", np.linspace(self.x_min, self.x_max, self.n))
+        points = np.linspace(self.x_min, self.x_max, self.n)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @property
     def spacing(self) -> float:

@@ -13,7 +13,7 @@ from demonscatter.optimize import OptimizationResult
 from demonscatter.symmetry import verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
-from test_serialize import write_model
+from test_serialize import MALFORMED_MODELS, write_model
 
 PAPER_FLAGS = [
     "--b", "165.874", "--c", "103.876", "--x0", "0.16455", "--delta", "91.211",
@@ -459,6 +459,21 @@ def test_model_error_is_config_error(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "model.json").write_text(json.dumps(doc))
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_file_exits_2(doc, tmp_path, monkeypatch, capsys):
+    """A config error line, no output file and no numpy RuntimeWarning."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["scatter", "--model", "model.json"]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed model document: ")
+    assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 

@@ -4,6 +4,7 @@ Each test runs its script in a new `sys.executable` with `PYTHONPATH=src`,
 so no module loaded by the test session can hide an import.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -75,3 +77,34 @@ print(json.dumps(seen))
 ], ids=["cap", "explicit-openblas-wins"])
 def test_thread_cap_is_set_before_numpy_loads(env, expected, tmp_path):
     assert run_fresh(THREAD_CAP, tmp_path, **env) == dict(zip(BLAS_VARS, expected))
+
+
+PUBLIC_NAMES = """
+import json, types
+import demonscatter
+print(json.dumps(sorted(
+    name for name, value in vars(demonscatter).items()
+    if not isinstance(value, types.ModuleType)
+    and (not name.startswith("_") or name == "__version__"))))
+"""
+
+
+def package_users():
+    """Every `ds.<name>` of the benchmark's workloads and every name that the
+    README's quick start imports from the package."""
+    workloads = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text())
+    names = {node.attr for node in ast.walk(workloads) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "ds"}
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names.update(alias.name for node in ast.walk(ast.parse(quick_start))
+                 if isinstance(node, ast.ImportFrom) and node.module == "demonscatter"
+                 for alias in node.names)
+    return names
+
+
+def test_package_exports_exactly_the_names_its_users_import(tmp_path):
+    exported = set(run_fresh(PUBLIC_NAMES, tmp_path))
+    used = package_users()
+    assert sorted(used - exported) == []
+    assert exported == used | {"__version__"}

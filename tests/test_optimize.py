@@ -123,6 +123,14 @@ def test_refine_rejects_bad_velocity_before_any_solve(v0, solve_calls):
     assert solve_calls == []
 
 
+@pytest.mark.parametrize("budget", [1, 50, 99])
+def test_refine_passes_its_budget_to_optimize_before_any_solve(budget, solve_calls):
+    """optimize's floor of 100 evaluations holds for refine_paper_point too."""
+    with pytest.raises(ValueError, match="budget must be >= 100"):
+        refine_paper_point(8.0, budget=budget, grid=make_grid(-1.5, 1.5, 401))
+    assert solve_calls == []
+
+
 def test_optimize_checks_the_design_once(monkeypatch, solve_calls):
     module = sys.modules["demonscatter.optimize"]
     checks = []

@@ -6,7 +6,7 @@ import pytest
 
 from demonscatter.channels import ChannelAmplitudes, SMatrix, haar_unitary
 from demonscatter.demon import DemonReport, dzero_bounds
-from demonscatter.errors import ConfigError
+from demonscatter.errors import ConfigError, GridError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
 from demonscatter.serialize import (
@@ -78,6 +78,60 @@ def test_model_from_dict_validation():
     with pytest.raises(ConfigError):
         model_from_dict({"grid": {"xmin": -1, "xmax": 1, "n": 5},
                          "thresholds": [0.0], "V": [[0.0]] * 3})
+
+
+def model_doc(**grid):
+    """A well-formed model document: n = 41 zero samples of two channels."""
+    g = {"xmin": -1.5, "xmax": 1.5, "n": 41, **grid}
+    return {"grid": g, "thresholds": [0.0, [5.0, 0.0]],
+            "V": [[0.0, 0.0, 0.0, [0.0, 0.0]] for _ in range(g["n"])]}
+
+
+def edited(path, value):
+    """model_doc() with doc[path[0]]...[path[-1]] = value."""
+    doc = node = model_doc()
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+#: Malformed model documents, each a ConfigError (exit 2 through --model).
+MALFORMED_MODELS = {
+    "V-entry-string-pair": edited(("V", 20, 0), ["1", 0]),
+    "V-number": edited(("V",), 5),
+    "V-rows-numbers": edited(("V",), [0.0] * 41),
+    "V-ragged": edited(("V", 20), [0.0, 0.0, 0.0]),
+    "n-fraction": edited(("grid", "n"), 41.9),
+    "n-bool": edited(("grid", "n"), True),
+    "xmin-string": edited(("grid", "xmin"), "-1.5"),
+    "V-true-mid-grid": edited(("V", 20, 1), True),
+    "threshold-bool": edited(("thresholds", 1), [5.0, False]),
+    "n-huge-short-V": edited(("grid", "n"), 10**9),
+}
+
+
+def test_model_doc_is_well_formed():
+    model = model_from_dict(model_doc())
+    assert (model.grid.n, model.channels.thresholds) == (41, (0j, 5 + 0j))
+    assert not model.V.any()
+
+
+@pytest.mark.parametrize("doc", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_document_is_config_error(doc):
+    with pytest.raises(ConfigError, match="^malformed model document: "):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"xmin": 1.5, "xmax": -1.5}, "invalid range"),
+    ({"xmin": 1.5, "xmax": 1.5}, "invalid range"),
+    ({"n": 2}, "too few points: n=2 < 3"),
+    ({"n": 0}, "too few points: n=0 < 3"),
+])
+def test_well_formed_document_with_an_invalid_grid_is_grid_error(grid, message):
+    with pytest.raises(GridError, match=message):
+        model_from_dict(model_doc(**grid))
 
 
 def test_kernel_csv(tmp_path):

@@ -25,6 +25,13 @@ def test_make_grid_four_points():
     assert np.allclose(g.points, [-1.5, -0.5, 0.5, 1.5])
 
 
+def test_grid_points_are_read_only():
+    g = make_grid(-1.5, 1.5, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        g.points[0] = 9.0
+    assert g.points[0] == g.x_min == -1.5
+
+
 def test_make_grid_default_spacing():
     g = make_grid(-1.5, 1.5, 2001)
     assert g.spacing == pytest.approx(0.0015)
