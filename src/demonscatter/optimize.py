@@ -13,9 +13,11 @@ which adds the exact gradient by the adjoint method on the same LU.
 
 The search runs on a design grid derived from the physics (`design_grid`):
 the caller's box, with only as many points as the shortest local wavelength
-over PARAM_BOX needs.  The search log holds design-grid costs.  The returned
-point is solved once more on the caller's grid, so a result's cost,
-probabilities, D and converged flag are those of the caller's grid.
+over PARAM_BOX needs; screening ranks on a grid from the same rule at half
+the points per wavelength.  Screening rows of the search log hold
+screening-grid costs, descent rows design-grid costs.  The returned point is
+solved once more on the caller's grid, so a result's cost, probabilities, D
+and converged flag are those of the caller's grid.
 `scipy.optimize` loads on the first `optimize` call, not on import.
 """
 
@@ -45,6 +47,11 @@ PARAM_BOX = np.array([(0.0, 400.0), (0.0, 400.0), (0.0, 0.5), (0.0, 200.0)])
 #: within 5e-7 of their n = 16001 values at v0 = 8, and within 1e-6 for v0
 #: from 4 to 16 and widths w down to 0.02.
 DESIGN_POINTS_PER_WAVELENGTH = 50
+
+#: Screening-grid points per shortest local wavelength; screened costs only rank.
+#: At v0 = 8 (n = 362, not 723), seeds 1-8 x TARGETS x 200 draws: same top 10 in
+#: 24/24 rankings, same full order in 22/24 (ranks 50, 111 differ), costs within 1.4e-5.
+SCREEN_POINTS_PER_WAVELENGTH = 25
 
 #: Cost below which a run counts as converged.
 CONVERGED_COST = 1e-3
@@ -97,7 +104,7 @@ class OptimizationResult:
     evaluations: int
     converged: bool
     initial_cost: Optional[float] = None
-    log: list = field(default_factory=list, repr=False)  # design-grid costs
+    log: list = field(default_factory=list, repr=False)  # screening-, then design-grid costs
 
 
 def _check_design(v0: float, w: float):
@@ -123,9 +130,14 @@ def design_grid(grid: Grid, v0: float, w: float = DEFAULT_WIDTH) -> Grid:
     finer than that is returned itself.
     """
     _check_design(v0, w)
+    return _resolved(grid, v0, w, DESIGN_POINTS_PER_WAVELENGTH)
+
+
+def _resolved(grid: Grid, v0: float, w: float, points_per_wavelength: int) -> Grid:
+    """design_grid's rule at points_per_wavelength; callers check v0 and w."""
     b, c, _x0, delta = PARAM_BOX[:, 1]
     k_max = np.sqrt(v0 * v0 + delta + np.hypot(delta, np.hypot(b, c)))
-    h = 2.0 * np.pi / (DESIGN_POINTS_PER_WAVELENGTH * np.hypot(k_max, 1.0 / w))
+    h = 2.0 * np.pi / (points_per_wavelength * np.hypot(k_max, 1.0 / w))
     n = int(np.ceil((grid.x_max - grid.x_min) / h)) + 1
     return grid if n >= grid.n else make_grid(grid.x_min, grid.x_max, n)
 
@@ -188,19 +200,21 @@ def optimize(
 ) -> OptimizationResult:
     """L-BFGS-B with exact gradients and random restarts over PARAM_BOX.
 
-    The search runs on design_grid(grid, v0, w) and its log holds the
-    costs found there; the best point is then solved once more on `grid`
-    (default_grid() if None), which the result's cost, probabilities, D
-    and converged flag refer to.  A grid no finer than the design grid is
-    searched itself, with no extra solve.
+    The descents run on design_grid(grid, v0, w); the best point they
+    reach is then solved once more on `grid` (default_grid() if None),
+    which the result's cost, probabilities, D and converged flag refer to.
+    A grid no finer than the design grid is searched itself, with no extra
+    solve.
 
     A screening pass ranks min(budget // 4, 25 * restarts) seeded uniform
-    draws from PARAM_BOX by cost alone; the descents start from the best of
+    draws from PARAM_BOX by cost alone, on design_grid's rule at
+    SCREEN_POINTS_PER_WAVELENGTH; the descents start from the best of
     them, after `init` if given (an explicit (b, c, x0, Delta), clipped to
-    PARAM_BOX).  `budget` caps the evaluations across screening and all
-    descents, a cost-and-gradient counting as one; if it runs out the
-    best-so-far is returned with converged=False unless it already beat
-    the threshold.
+    PARAM_BOX).  Screening rows of the log hold screening-grid costs,
+    descent rows design-grid costs.  `budget` caps the evaluations across
+    screening and all descents, a cost-and-gradient counting as one; if it
+    runs out the best-so-far is returned with converged=False unless it
+    already beat the threshold.
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
@@ -208,6 +222,7 @@ def optimize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     caller = grid if grid is not None else default_grid()
     grid = design_grid(caller, v0, w)
+    screen = _resolved(caller, v0, w, SCREEN_POINTS_PER_WAVELENGTH)
     b, c, x0, delta = PARAM_BOX[:, 1]
     try:  # the widest lobes must decay in the box, or the search stops at the first of them
         build_two_level_model(RabiProfile(b=b, c=c, x0=x0, w=w), delta, grid=caller)
@@ -223,14 +238,14 @@ def optimize(
 
     # the search runs in box-normalized coordinates u in [0, 1]^4, so all
     # four parameters carry comparable step sizes
-    def f(u, gradient=False):
+    def f(u, gradient=False, on=grid):
         nonlocal best
         if len(log) >= limit:
             raise _BudgetSpent
         p = lo + u * span
-        c, amps, grad = _evaluate(p, target, v0, w, grid, gradient)
+        c, amps, grad = _evaluate(p, target, v0, w, on, gradient)
         log.append((len(log) + 1, tuple(float(v) for v in p), c))
-        if c < best[0]:
+        if on is grid and c < best[0]:
             best = (c, np.array(u, dtype=float), amps)
         return (c, grad * span) if gradient else c
 
@@ -247,7 +262,8 @@ def optimize(
 
     # cheap screening pass ranks random draws; the restarts descend from the
     # most promising ones (the landscape is multimodal)
-    ranked = sorted(rng.random((min(budget // 4, 25 * restarts), 4)), key=f)
+    ranked = sorted(rng.random((min(budget // 4, 25 * restarts), 4)),
+                    key=lambda u: f(u, on=screen))
     starts = []
     if init is not None:
         starts.append((np.asarray(init, dtype=float) - lo) / span)

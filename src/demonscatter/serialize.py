@@ -79,8 +79,12 @@ def model_from_dict(d: dict) -> LocalPotentialModel:
 
 
 def read_model(path) -> LocalPotentialModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"cannot read model {path}: {exc}") from exc
+    return model_from_dict(doc)
 
 
 def _write_csv(path, header, row_format, rows):

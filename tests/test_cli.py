@@ -477,6 +477,17 @@ def test_malformed_model_file_exits_2(doc, tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+@pytest.mark.parametrize("kind", ["model", "config"])
+@pytest.mark.parametrize("content", [b"not json", b"\xff"])
+def test_file_that_is_not_json_is_named(kind, content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nj.json").write_bytes(content)
+    assert run(["scatter", f"--{kind}", "nj.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {kind} nj.json: ")
+    assert "Traceback" not in err
+
+
 def test_output_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out").mkdir()

@@ -12,9 +12,11 @@ from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
     PARAM_BOX,
+    SCREEN_POINTS_PER_WAVELENGTH,
     TARGETS,
     DeviceTarget,
     _evaluate,
+    _resolved,
     cost,
     design_grid,
     optimize,
@@ -266,6 +268,43 @@ def test_optimize_solves_once_per_evaluation(solve_calls):
     assert r.probabilities == amps.probabilities
     assert r.D == demon_parameter(amps)
     assert r.cost == min(c for _, _, c in r.log)
+
+
+def screen_grid(grid, v0=8.0):
+    """The grid optimize screens on: design_grid's rule at the screening density."""
+    return _resolved(grid, v0, DEFAULT_WIDTH, SCREEN_POINTS_PER_WAVELENGTH)
+
+
+@pytest.mark.parametrize("name, seed", [("half-demon", 5), ("T/A", 1), ("A/R", 4),
+                                        ("half-demon", 1), ("A/R", 1)])
+def test_screening_grid_ranks_the_descent_starts_as_the_design_grid_does(name, seed):
+    """The benchmark's designs and criterion 9's: the starts the descents use,
+    the first `restarts` of the screening order, do not depend on its grid."""
+    budget, restarts = 5000, 8
+    draws = np.random.default_rng(seed).random((min(budget // 4, 25 * restarts), 4))
+    points = PARAM_BOX[:, 0] + draws * np.ptp(PARAM_BOX, axis=1)
+    target = DeviceTarget.named(name)
+    screen, design = screen_grid(default_grid()), design_grid(default_grid(), 8.0)
+    assert screen.n < design.n
+    orders = []
+    for grid in (screen, design):
+        costs = [_evaluate(p, target, 8.0, DEFAULT_WIDTH, grid)[0] for p in points]
+        orders.append(sorted(range(len(points)), key=costs.__getitem__)[:restarts])
+    assert orders[0] == orders[1]
+
+
+def test_screening_rows_hold_screening_costs_and_never_become_the_result():
+    grid = make_grid(-1.5, 1.5, 401)
+    screen = screen_grid(grid)
+    assert screen.n < design_grid(grid, 8.0).n == grid.n
+    target = DeviceTarget.named("half-demon")
+    budget, restarts = 150, 1
+    r = optimize(target, budget=budget, restarts=restarts, grid=grid)
+    screened = min(budget // 4, 25 * restarts)
+    for i, (_i, p, c) in enumerate(r.log):
+        on, gradient = (screen, False) if i < screened else (grid, True)
+        assert c == _evaluate(p, target, 8.0, DEFAULT_WIDTH, on, gradient)[0], i
+    assert r.cost == min(c for _, _, c in r.log[screened:])
 
 
 def test_design_grid_keeps_box_and_grows_with_velocity_and_narrow_width():
