@@ -14,16 +14,23 @@ float subtraction is exactly antisymmetric, so |K - gK| is equal at p and
 g(p): the pass reduces each class over one representative of every orbit
 only.  TimeReversal's residual is 2 max |Im K|, as K - conj(K) = 2i Im K.
 Off the hull, K and gK are at most SUPPORT_REL kmax in modulus, so the
-residual there is below 4 SUPPORT_REL kmax (or the smallest normal float);
-a class whose hull residual does not exceed that is scanned again over all
-of K.  Residuals and verdicts are thus bit-identical to the whole-kernel
+residual there is below cut = 4 SUPPORT_REL kmax (or the smallest normal
+float); a class whose hull residual does not exceed cut is scanned again
+over all of K.  Residuals are thus bit-identical to the whole-kernel
 max |K - transform(K, g)|, and no temporary is larger than SLAB x n.
+
+classify needs only the verdicts r <= tol, so its pass has a stop bound: a
+class leaves it at the first slab whose maximum exceeds tol, and the
+rescan runs only when tol < cut, where the entries off the hull can still
+decide a verdict.  The report keeps a reference to its kernel and computes
+the exact residuals on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -95,13 +102,16 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
     return P, Q
 
 
-def _blocked_maxima(K: np.ndarray, classes):
+def _blocked_maxima(K: np.ndarray, classes, stop: float = np.inf):
     """max |K - transform(K, cls)| per class.
 
     One pass over slabs of SLAB rows; classes that share an index map share
     its slab pair and one contiguous copy of its image, and every image,
-    difference and modulus goes to preallocated slab buffers.  The kernel
-    must be finite: a NaN would lose every comparison of the running maximum.
+    difference and modulus goes to preallocated slab buffers.  A class
+    leaves the pass after the first slab that lifts its running maximum
+    above stop, so its value is then above stop but not its maximum.  The
+    kernel must be finite: a NaN would lose every comparison of the running
+    maximum.
     """
     by_map = {}
     for cls in classes:
@@ -127,6 +137,10 @@ def _blocked_maxima(K: np.ndarray, classes):
                     np.subtract(P, np.conjugate(Q, out=d) if cls.value[2] else Q, out=d)
                     top = np.max(np.abs(d, out=r))
                 found[cls] = max(found[cls], float(top))
+            group[:] = [cls for cls in group if found[cls] <= stop]
+        by_map = {key: group for key, group in by_map.items() if group}
+        if not by_map:
+            break
     return found
 
 
@@ -163,17 +177,40 @@ def predicted_relations(classes) -> set:
     return set().union(*(FORCED[cls] for cls in classes))
 
 
+def _maxima(kernel: NonlocalKernel, stop: float = np.inf) -> Dict[str, float]:
+    """max |K - gK| per class, by name, for stop = inf; for a finite stop, a
+    value that is at most stop exactly when that maximum is.  Trivial is 0,
+    and the parity classes on an asymmetric grid are NaN."""
+    classes = [cls for cls in SymmetryClass if cls is not SymmetryClass.Trivial
+               and (kernel.grid.symmetric or not cls.involves_parity)]
+    (lo, hi), n = kernel.support, kernel.grid.n
+    a, b = min(lo, n - hi), max(hi, n - lo)
+    found = _blocked_maxima(kernel.K[a:b, a:b], classes, stop)
+    cut = max(4 * SUPPORT_REL * kernel.kmax, np.finfo(float).tiny)
+    # off the hull |K - gK| <= cut: an exact maximum at most cut, or a
+    # verdict at a stop below cut, needs the entries there
+    if stop == np.inf or stop < cut:
+        rescan = [cls for cls in classes if found[cls] <= min(cut, stop)]
+        if rescan:
+            found.update(_blocked_maxima(kernel.K, rescan, stop))
+    found[SymmetryClass.Trivial] = 0.0
+    return {cls.name: found.get(cls, float("nan")) for cls in SymmetryClass}
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Residual of every class and the verdict tolerance; the rest follows."""
+    """Verdict of every class at tol, and the kernel they were found on; the
+    rest follows."""
 
-    residuals: Dict[str, float]
+    verdicts: Dict[str, bool]
     tol: float
+    kernel: NonlocalKernel = field(repr=False, compare=False)
 
-    @property
-    def verdicts(self) -> Dict[str, bool]:
-        """r <= tol per class; a NaN residual (asymmetric grid) gives False."""
-        return {name: r <= self.tol for name, r in self.residuals.items()}
+    @cached_property
+    def residuals(self) -> Dict[str, float]:
+        """max |K - gK| per class, exact, computed on first read; NaN for a
+        parity class on an asymmetric grid."""
+        return _maxima(self.kernel)
 
     @property
     def satisfied(self):
@@ -197,22 +234,13 @@ def check_tolerance(rel_tol: float):
 def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport:
     """Classify the kernel against all eight classes.
 
-    The verdict tolerance is rel_tol times the kernel max-norm.  Parity
-    classes on an asymmetric grid get residual NaN and verdict False.
+    A class holds when its residual is at most rel_tol times the kernel
+    max-norm; parity classes on an asymmetric grid never hold.
     """
     check_tolerance(rel_tol)
-    classes = [cls for cls in SymmetryClass if cls is not SymmetryClass.Trivial
-               and (kernel.grid.symmetric or not cls.involves_parity)]
-    (lo, hi), n = kernel.support, kernel.grid.n
-    a, b = min(lo, n - hi), max(hi, n - lo)
-    found = _blocked_maxima(kernel.K[a:b, a:b], classes)
-    cut = max(4 * SUPPORT_REL * kernel.kmax, np.finfo(float).tiny)
-    rescan = [cls for cls in classes if found[cls] <= cut]
-    if rescan:
-        found.update(_blocked_maxima(kernel.K, rescan))
     tol = rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol
-    found[SymmetryClass.Trivial] = 0.0
-    return SymmetryReport({cls.name: found.get(cls, float("nan")) for cls in SymmetryClass}, tol)
+    verdicts = {name: r <= tol for name, r in _maxima(kernel, tol).items()}
+    return SymmetryReport(verdicts, tol, kernel)
 
 
 @dataclass

@@ -234,7 +234,8 @@ def test_refine_zero_budget_solves_once(solve_calls):
 
 def test_optimize_reports_on_callers_grid(solve_calls):
     target = DeviceTarget.named("half-demon")
-    r = optimize(target, budget=150, restarts=1, grid=COARSE)
+    budget, restarts = 150, 1
+    r = optimize(target, budget=budget, restarts=restarts, grid=COARSE)
     assert design_grid(COARSE, 8.0).n < COARSE.n
     # every evaluation solves on the design grid, then the result once on COARSE
     assert len(solve_calls) == r.evaluations + 1
@@ -243,10 +244,12 @@ def test_optimize_reports_on_callers_grid(solve_calls):
     assert r.D == demon_parameter(amps)
     deviations = [a - t for a, t in zip(amps.probabilities, target.probabilities)]
     assert r.cost == pytest.approx(sum(d * d for d in deviations), rel=1e-12)
-    # the log holds design-grid costs: within the design grid's error of cost
+    # the descent rows, after the screening rows, hold design-grid costs:
+    # within the design grid's error of cost
     slack = sum(2 * abs(d) * DESIGN_GRID_ERROR + DESIGN_GRID_ERROR**2
                 for d in deviations)
-    assert abs(min(c for _, _, c in r.log) - r.cost) <= slack
+    descent = r.log[min(budget // 4, 25 * restarts):]
+    assert abs(min(c for _, _, c in descent) - r.cost) <= slack
 
 
 @pytest.mark.parametrize("v0", [1e5, 1e10, 1e154])
@@ -261,13 +264,15 @@ def test_optimize_solves_once_per_evaluation(solve_calls):
     """On a grid no finer than the design grid the search runs on it."""
     grid = make_grid(-1.5, 1.5, 401)
     assert design_grid(grid, 8.0) is grid
-    r = optimize(DeviceTarget.named("half-demon"), budget=150, restarts=1, grid=grid)
+    budget, restarts = 150, 1
+    r = optimize(DeviceTarget.named("half-demon"), budget=budget, restarts=restarts, grid=grid)
     assert len(solve_calls) == r.evaluations
-    # the reported point is the best evaluated one, not a re-solve of it
+    # the reported point is the best descent row (the screening rows come
+    # first), not a re-solve of it
     amps = _amplitudes_at(r.parameters, grid)
     assert r.probabilities == amps.probabilities
     assert r.D == demon_parameter(amps)
-    assert r.cost == min(c for _, _, c in r.log)
+    assert r.cost == min(c for _, _, c in r.log[min(budget // 4, 25 * restarts):])
 
 
 def screen_grid(grid, v0=8.0):

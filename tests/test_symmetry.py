@@ -172,18 +172,37 @@ def test_violation_table_on_hand_computed_amplitudes():
         assert VIOLATION[relation](a) == pytest.approx(value, abs=1e-15), relation
 
 
-def test_symmetry_report_derives_verdicts_from_residuals():
-    """verdicts are r <= tol, so a residual at tol holds and NaN does not;
-    satisfied, trivial_only and predictions follow, and the report is frozen."""
-    residuals = dict.fromkeys((cls.name for cls in SymmetryClass), 1.0)
-    residuals.update(Trivial=0.0, TimeReversal=1e-8, Parity=float("nan"))
-    report = SymmetryReport(residuals, tol=1e-8)
-    assert [name for name, ok in report.verdicts.items() if ok] == ["Trivial", "TimeReversal"]
+def test_symmetry_report_derives_its_sets_from_verdicts():
+    """satisfied, trivial_only and predictions follow from the verdicts, and
+    the report is frozen."""
+    verdicts = dict.fromkeys((cls.name for cls in SymmetryClass), False)
+    verdicts.update(Trivial=True, TimeReversal=True)
+    report = SymmetryReport(verdicts, tol=1e-8, kernel=NonlocalKernel(grid=GRID, K=BASE))
     assert report.satisfied == {SymmetryClass.Trivial, SymmetryClass.TimeReversal}
     assert not report.trivial_only
     assert report.predictions == {"|R|=|Rt|", "D=(|T|^2-|Tt|^2)/2"}
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.tol = 1.0
+
+
+@pytest.mark.parametrize("node, imag", [((100, 200), 2.0**-20), ((10, 20), 2.0**-61)])
+def test_residual_at_tol_is_satisfied(node, imag):
+    # kmax = 1 exactly, so tol = rel_tol; TimeReversal's residual is 2 |Im K|.
+    # 2^-20 sits in the support hull [100, 201); 2^-61 sits off it, where only
+    # the whole-kernel rescan (tol < 4 eps kmax) sees it
+    n = 301
+    K = np.zeros((n, n), dtype=complex)
+    K[150, 100:201] = 1.0
+    K[node] = 1j * imag
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=K)
+    assert kernel.kmax == 1.0 and kernel.support == (100, 201)
+    r = 2.0 * imag
+    at = classify(kernel, r)
+    assert at.tol == r and at.verdicts["TimeReversal"] is True
+    assert SymmetryClass.TimeReversal in at.satisfied
+    below = classify(kernel, float(np.nextafter(r, 0.0)))
+    assert below.verdicts["TimeReversal"] is False
+    assert at.residuals["TimeReversal"] == below.residuals["TimeReversal"] == r
 
 
 def test_closure_hermiticity_and_tr():
@@ -254,9 +273,11 @@ def paper_kernel(n):
     return build_kernel(params, make_grid(-1.5, 1.5, n))
 
 
-def assert_matches_reference(kernel, rel_tol=REL_TOL):
-    """classify's residuals equal the unblocked formula bit for bit."""
-    report = classify(kernel, rel_tol)
+def assert_matches_reference(kernel, rel_tol=REL_TOL, report=None):
+    """classify's verdicts and residuals equal the unblocked formula's, bit
+    for bit; report is classify(kernel, rel_tol) unless the caller has one."""
+    if report is None:
+        report = classify(kernel, rel_tol)
     assert report.tol == rel_tol * float(np.max(np.abs(kernel.K)))
     for cls in SymmetryClass:
         ref = reference_residual(kernel.K, cls)
@@ -400,9 +421,9 @@ def test_paper_kernel_scans_only_its_support_hull(monkeypatch):
     shapes = []
     blocked = symmetry._blocked_maxima
 
-    def recording(K, classes):
+    def recording(K, classes, stop=np.inf):
         shapes.append((K.shape, len(classes)))
-        return blocked(K, classes)
+        return blocked(K, classes, stop)
 
     monkeypatch.setattr(symmetry, "_blocked_maxima", recording)
     kernel = paper_kernel(2001)
@@ -410,3 +431,52 @@ def test_paper_kernel_scans_only_its_support_hull(monkeypatch):
     # support (328, 1676), mirrored (325, 1673): the hull is [325, 1676)
     assert kernel.support == (328, 1676)
     assert shapes == [((1351, 1351), 7)]  # Trivial-only: no class is rescanned
+
+
+# ------------------------------------------------------ verdicts stop early
+
+
+@pytest.mark.parametrize("slab", [1, 3, SLAB])
+@pytest.mark.parametrize("cls", list(SymmetryClass))
+def test_verdicts_match_reference_at_tolerances_on_every_residual(monkeypatch, slab, cls):
+    # a tol at each residual (to rounding) and one ulp of rel_tol either side:
+    # the early exit must not decide a verdict that the whole-kernel maximum
+    # decides otherwise
+    monkeypatch.setattr(symmetry, "SLAB", slab)
+    n = 41
+    K = symmetrized(random_bordered(n, np.random.default_rng(slab)), cls)
+    K[n // 2, n // 3] += 1e-9 * (1 + 1j)
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=K)
+    refs = {g.name: reference_residual(K, g) for g in SymmetryClass}
+    for r in refs.values():
+        rel = r / kernel.kmax
+        for rel_tol in (rel, float(np.nextafter(rel, np.inf)), float(np.nextafter(rel, 0.0))):
+            report = classify(kernel, rel_tol)
+            assert report.verdicts == {name: ref <= report.tol for name, ref in refs.items()}
+
+
+def test_verdicts_read_few_slabs_and_residuals_wait_to_be_read(monkeypatch):
+    # every class but Trivial breaks within the first dozen of the paper
+    # kernel's 85 hull slabs: each verdict pass stops there, and no verdict
+    # reader computes the exact residuals
+    kernel = paper_kernel(2001)
+    slabs = {}
+    representatives = symmetry._representatives
+
+    def counting(K, flip, transpose, a, b):
+        slabs[flip, transpose] = slabs.get((flip, transpose), 0) + 1
+        return representatives(K, flip, transpose, a, b)
+
+    monkeypatch.setattr(symmetry, "_representatives", counting)
+    verification = verify_predictions(kernel, 8.0)
+    assert verification.report.trivial_only and verification.violations == {}
+    assert len(slabs) == 4 and max(slabs.values()) <= 16, slabs
+    slabs.clear()
+    report = classify(kernel)
+    assert report.trivial_only
+    assert len(slabs) == 4 and max(slabs.values()) <= 16, slabs
+    assert "residuals" not in vars(verification.report)
+    assert "residuals" not in vars(report)
+    monkeypatch.undo()
+    assert_matches_reference(kernel, report=report)
+    assert "residuals" in vars(report)
