@@ -7,10 +7,13 @@ Solves the stationary multichannel Schroedinger equation
 with a Numerov-class boundary-value discretization: fourth-order interior
 stencil plus radiation boundary conditions built from the *discrete* free
 dispersion relation, so incoming/outgoing plane waves (and decaying closed
-channel exponentials) are exact solutions of the discrete equations at the
-grid ends.  One function, `_bloch`, gives the boundary rows, the incidence
-source and the gradient that dispersion without cancellation, so they keep
-full precision just above a channel threshold.  The system is block
+channel exponentials) are exact solutions of the discrete equations where
+V vanishes.  So the band covers only the potential's support (the model's
+`support`), and exact Bloch phases lambda^j carry its boundary rows' source
+and end values to the grid ends (Arnold, Ehrhardt & Sofronov, Commun. Math.
+Sci. 1, 501 (2003)).  One function, `_bloch`, gives the boundary rows, the
+incidence source and the gradient that dispersion without cancellation, so
+they keep full precision just above a channel threshold.  The system is block
 tridiagonal, so it is assembled straight into LAPACK band storage and
 factored once per (model, E); only the incidences a caller reads are
 back-substituted (all of them in `solve_local`, channel 0's two in
@@ -32,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
@@ -47,6 +50,8 @@ from .channels import (
 )
 from .errors import GridError, ModelError, SolverError, ThresholdSingularityError
 from .units import (
+    END_DECAY_REL,
+    SUPPORT_REL,
     Grid,
     RabiProfile,
     _check_end_decay,
@@ -64,8 +69,8 @@ class LocalPotentialModel:
     V has shape (n, N, N).  The potential must be negligible at both grid
     ends (radiation boundary conditions are imposed there).  The model is
     immutable: V is held as a read-only view of the caller's complex array
-    (not a copy), so vmax and hermitian_flag, derived from the samples once
-    (hermitian_flag on first use), cannot go stale.
+    (not a copy), so vmax, support and hermitian_flag, derived from the
+    samples once (hermitian_flag on first use), cannot go stale.
     """
 
     grid: Grid
@@ -73,6 +78,9 @@ class LocalPotentialModel:
     V: np.ndarray
     #: Max-norm max |V|, derived from V; it bounds the Numerov band (_factor).
     vmax: float = field(init=False, repr=False, compare=False)
+    #: Node interval (lo, hi) of the Numerov band, derived from V: _covering
+    #: the nodes with max_ab |V_ab| > SUPPORT_REL vmax; (0, n) for a zero V.
+    support: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=complex).view()
@@ -83,10 +91,12 @@ class LocalPotentialModel:
                 f"V must have shape {(n, nch, nch)}, got {V.shape}"
             )
         object.__setattr__(self, "V", V)
-        modulus = np.abs(V)
-        vmax = float(modulus.max())
-        _check_end_decay("potential", vmax, max(modulus[0].max(), modulus[-1].max()))
+        node_max = np.abs(V).max(axis=(1, 2))
+        vmax = float(node_max.max())
+        _check_end_decay("potential", vmax, max(node_max[0], node_max[-1]))
         object.__setattr__(self, "vmax", vmax)
+        support = _covering(node_max > SUPPORT_REL * vmax, n, 0) if vmax else (0, n)
+        object.__setattr__(self, "support", support)
 
     @cached_property
     def hermitian_flag(self) -> bool:
@@ -94,6 +104,16 @@ class LocalPotentialModel:
         V, vmax = self.V, self.vmax
         return bool(all(e.imag == 0 for e in self.channels.thresholds) and (
             vmax == 0 or np.max(np.abs(V - V.conj().transpose(0, 2, 1))) <= 1e-12 * vmax))
+
+
+def _covering(above: np.ndarray, lo: int, hi: int) -> Tuple[int, int]:
+    """(lo, hi) widened, within the grid, to 2 nodes left and 3 right of each
+    node flagged in above: the Numerov rows a band on it drops or replaces by
+    boundary rows (nodes <= lo, >= hi - 1) involve no flagged node."""
+    nodes = np.flatnonzero(above)
+    if len(nodes):
+        lo, hi = min(lo, max(int(nodes[0]) - 2, 0)), max(hi, min(int(nodes[-1]) + 3, len(above)))
+    return lo, hi
 
 
 @dataclass
@@ -193,21 +213,24 @@ def _bloch(k: np.ndarray, h: float):
         return lam, s, h * h * (6.0 + d) ** 2 / (36j * s * lam)
 
 
-def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
-    """Numerov system in zgbtrf's band storage, and the per-channel
-    dispersion _bloch(k, h), at energy E where the channel wavenumbers are k.
+def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support=None):
+    """Numerov system on the node interval support = (lo, hi), the model's
+    by default, in zgbtrf's band storage, and the per-channel dispersion
+    _bloch(k, h), at energy E where the channel wavenumbers are k.
 
     Returns (u, ab, bloch): the system has u = 2 nch - 1 sub- and
     super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
-    0..u-1 are the LU's fill-in space).
+    0..u-1 are the LU's fill-in space).  Its unknowns are the nodes
+    lo..hi-1, renumbered 0..n-1 with n = hi - lo.
     """
     grid, channels = model.grid, model.channels
-    n, nch = grid.n, channels.n_channels
-    h = grid.spacing
+    (lo, hi), nch = support or model.support, channels.n_channels
+    n, h = hi - lo, grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
 
     # W = 2 V + 2 diag(eps - E), channel-major: W[a, b] runs over the nodes
-    W = np.multiply(model.V.transpose(1, 2, 0), 2.0, out=np.empty((nch, nch, n), dtype=complex))
+    W = np.multiply(model.V[lo:hi].transpose(1, 2, 0), 2.0,
+                    out=np.empty((nch, nch, n), dtype=complex))
     W.reshape(nch * nch, n)[::nch + 1] += (2.0 * (eps - E))[:, None]
     bloch = _bloch(k, h)
 
@@ -237,8 +260,9 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray):
     return u, ab, bloch
 
 
-def _factor(model: LocalPotentialModel, E: float):
-    """Kinematics at E and the banded LU (u, lu, piv, bloch) of the Numerov system.
+def _factor(model: LocalPotentialModel, E: float, support):
+    """Kinematics at E and the banded LU (u, lu, piv, bloch, support) of the
+    Numerov system on the node interval support = (lo, hi).
 
     Scalar checks show the band finite before it is built, or raise a
     ValueError with no numpy warning.  A Numerov-row entry is at most
@@ -261,42 +285,45 @@ def _factor(model: LocalPotentialModel, E: float):
                         f"sqrt(6) and 2 sqrt(6); refine the grid")
     kin = kinematics(model.channels, E)
     check_resolution(max(kin.k_open.tolist()), h)
-    u, ab, bloch = _assemble(model, E, kin.k)
+    u, ab, bloch = _assemble(model, E, kin.k, support)
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
     if info > 0:
         raise SolverError("singular linear system: singular matrix")
-    return kin, (u, lu, piv, bloch)
+    return kin, (u, lu, piv, bloch, support)
 
 
 def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int):
     """Amplitudes out[end, j, c] of the open channels j at the left (0) and
     right (1) ends, under the left (c < m) and then the right incidences of
-    the first m open channels, and the solution psi (n nch x 2m),
-    back-substituting only those incidences."""
-    u, lu, piv, (_lam, s, _g) = factors
+    the first m open channels, and the solution psi on the band's nodes
+    lo..hi-1 ((hi - lo) nch x 2m), back-substituting only those incidences."""
+    u, lu, piv, (lam, s, _g), (lo, hi) = factors
     grid, nch = model.grid, model.channels.n_channels
-    top = (grid.n - 1) * nch
+    top = (hi - lo - 1) * nch
     open_idx, k_open = kin.open_indices, kin.k_open
     n_open, inc = len(open_idx), open_idx[:m]
     both = np.arange(2 * m)  # columns: left incidences, then right ones
     sqrt_k = np.sqrt(k_open)
+    # off the band the solution is free discrete waves lambda^j: f[end, j]
+    # carries channel j between the band's end node and the grid's (1 at 0, n)
+    f = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
     src = 2j * s[inc] / sqrt_k[:m]  # lambda - 1/lambda
-    B = np.zeros((grid.n * nch, 2 * m), dtype=complex, order="F")
+    B = np.zeros(((hi - lo) * nch, 2 * m), dtype=complex, order="F")
     # left incidence in the bottom BC row, right incidence in the top one
-    B[np.concatenate((inc, top + inc)), both] = np.concatenate((src, src))
+    B[np.concatenate((inc, top + inc)), both] = (src * f[:, :m]).reshape(-1)
     psi, _info = zgbtrs(lu, u, u, B, piv, overwrite_b=1)
     if not np.isfinite(psi).all():
         raise SolverError("non-finite solution; near-singular linear system")
 
     # outgoing coefficients at the left (0) and right (1) ends, incident wave
-    # removed (ends[j, j] and ends[n_open + j, m + j], j < m), flux
-    # normalized and converted to e^{+ikx} / e^{-ikx} waves
+    # removed (ends[j, j] and ends[n_open + j, m + j], j < m), carried to the
+    # grid's ends by f, flux normalized and converted to e^{+ikx} / e^{-ikx} waves
     ends = psi[np.concatenate((open_idx, top + open_idx))]
     flat, step, incident = ends.reshape(-1), 2 * m + 1, 1.0 / sqrt_k[:m]
-    flat[:m * step:step] -= incident
-    flat[2 * m * n_open + m:][:m * step:step] -= incident
+    flat[:m * step:step] -= incident * f[0, :m]
+    flat[2 * m * n_open + m:][:m * step:step] -= incident * f[1, :m]
     phase = np.exp(1j * np.multiply.outer((grid.x_min, -grid.x_max), k_open))
-    return (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * phase[:, :, None]
+    return (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * (phase * f)[:, :, None]
             * phase[:, :m].reshape(2 * m)), psi
 
 
@@ -307,7 +334,7 @@ _ENDS, _INCIDENCES = zip(*_AMPLITUDES)
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
-    kin, factors = _factor(model, E)
+    kin, factors = _factor(model, E, model.support)
     m = kin.n_open
     out, _psi = _columns(model, kin, factors, m)
     S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
@@ -319,16 +346,20 @@ def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
     """extract_channel(solve_local(model, E).S, 0), bit for bit, from only
     channel 0's two incidences: no rest of S and no unitarity defect.
     Channel 0, the incident channel, must be open at E (see kinematics)."""
-    kin, factors = _factor(model, E)
+    kin, factors = _factor(model, E, model.support)
     return ChannelAmplitudes(*_columns(model, kin, factors, 1)[0][_ENDS, 0, _INCIDENCES].tolist())
 
 
 def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
-    """solve_channel(model, E), bit for bit, and the derivatives of channel
-    0's amplitudes (T, R, Tt, Rt) with respect to p parameters, shape (4, p).
+    """solve_channel(model, E) and the derivatives of channel 0's amplitudes
+    (T, R, Tt, Rt) with respect to p parameters, shape (4, p).
 
     dV maps each channel pair (a, b) whose entry V_ab moves with the
     parameters to dV_ab/dp, shape (p, n); deps is d eps/dp, shape (p, nch).
+    dV is read on a band over model.support and every node where some
+    |dV_ab/dp_q| exceeds END_DECAY_REL times its largest, the share of V the
+    grid ends may drop.  When that band is model.support (two_level_derivatives
+    unless b or c is ~0), the amplitudes are solve_channel's bit for bit.
     Channel 0's threshold is taken as fixed: its wavenumber, which sets
     the amplitudes' phases and flux normalization, is not differentiated.
     Adjoint method on the one LU: A^T y = e for channel 0's two end rows is
@@ -338,11 +369,16 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     whose derivative is _bloch's g, infinite at an exact threshold: moving the
     threshold of a channel that sits there raises ThresholdSingularityError).
     """
-    kin, factors = _factor(model, E)
+    support = model.support
+    for d in dV.values():
+        modulus = np.abs(d)
+        moves = modulus > END_DECAY_REL * modulus.max(axis=1, keepdims=True)
+        support = _covering(moves.any(axis=0), *support)
+    kin, factors = _factor(model, E, support)
     out, psi = _columns(model, kin, factors, 1)
-    u, lu, piv, (_lam, _s, g) = factors
+    u, lu, piv, (lam, _s, g), (lo, hi) = factors
     grid, nch = model.grid, model.channels.n_channels
-    n, h = grid.n, grid.spacing
+    n, h = hi - lo, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")
     e[0, 0] = e[(n - 1) * nch, 1] = 1.0   # channel 0 at the left end, the right end
     y, _info = zgbtrs(lu, u, u, e, piv, trans=1, overwrite_b=1)
@@ -374,13 +410,14 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     diagonal = Y.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)
     interior = deps @ diagonal.reshape(nch, 4)
     for (a, b), d in dV.items():
-        interior += d @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
+        interior += d[:, lo:hi] @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
     G -= (h * h / 6.0) * interior
 
-    # as in _columns, amplitude = sqrt(k) p_end p_inc (psi_end - incident wave)
-    # with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one
+    # as in _columns, amplitude = sqrt(k) p_end f_end p_inc (psi_end - incident
+    # wave) with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one
     k = float(kin.k_open[0])
     p = (cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max))
-    scale = math.sqrt(k) * np.array([p[end] * p[inc] for end, inc in _AMPLITUDES])
+    f = lam[0] ** np.array([lo, grid.n - hi])
+    scale = math.sqrt(k) * np.array([p[end] * f[end] * p[inc] for end, inc in _AMPLITUDES])
     return (ChannelAmplitudes(*out[_ENDS, 0, _INCIDENCES].tolist()),
             -(G.reshape(-1, 2, 2)[:, _ENDS, _INCIDENCES] * scale).T)

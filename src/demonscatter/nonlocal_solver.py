@@ -28,12 +28,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .channels import ChannelAmplitudes
 from .errors import ModelError, SolverError
-from .units import Grid, _check_end_decay, check_resolution
-
-#: Relative magnitude below which a row or column of K lies off the
-#: kernel's support: float64 rounding of the largest entry, so dropping it
-#: is within the dense LU's own backward error.
-SUPPORT_REL = np.finfo(float).eps
+from .units import SUPPORT_REL, Grid, _check_end_decay, check_resolution
 
 #: Rows of K per slab of the max-modulus pass (and of symmetry's residual pass).
 SLAB = 16

@@ -36,7 +36,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .demon import demon_parameter
-from .nonlocal_solver import SLAB, SUPPORT_REL, NonlocalKernel, check_wavenumber, solve_nonlocal
+from .nonlocal_solver import SLAB, NonlocalKernel, check_wavenumber, solve_nonlocal
+from .units import SUPPORT_REL
 
 #: Default verdict tolerance, relative to the kernel max-norm.
 REL_TOL = 1e-8
@@ -238,8 +239,8 @@ def classify(kernel: NonlocalKernel, rel_tol: float = REL_TOL) -> SymmetryReport
     max-norm; parity classes on an asymmetric grid never hold.
     """
     check_tolerance(rel_tol)
-    tol = rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol
-    verdicts = {name: r <= tol for name, r in _maxima(kernel, tol).items()}
+    tol = float(rel_tol * kernel.kmax if kernel.kmax > 0 else rel_tol)
+    verdicts = {name: bool(r <= tol) for name, r in _maxima(kernel, tol).items()}
     return SymmetryReport(verdicts, tol, kernel)
 
 

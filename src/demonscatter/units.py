@@ -34,6 +34,11 @@ MIN_POINTS_PER_WAVELENGTH = 20
 #: Relative magnitude a potential or kernel may keep at the grid ends.
 END_DECAY_REL = 1e-12
 
+#: Relative magnitude below which a node lies off a potential's or kernel's
+#: support: float64 rounding of the largest sample, so dropping it is within
+#: the solvers' own backward error.
+SUPPORT_REL = np.finfo(float).eps
+
 
 def _check_end_decay(what: str, peak: float, edge: float):
     """Raise ModelError unless peak, the samples' max modulus, is finite and edge,

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import warnings
 
 import mpmath
@@ -38,8 +39,8 @@ from demonscatter.local_solver import (
     solve_local,
     two_level_derivatives,
 )
-from demonscatter.optimize import PAPER_POINT, PARAM_BOX
-from demonscatter.units import RabiProfile, make_grid, rabi_eval
+from demonscatter.optimize import PAPER_POINT, PARAM_BOX, design_grid
+from demonscatter.units import SUPPORT_REL, RabiProfile, default_grid, make_grid, rabi_eval
 
 
 def barrier_model(v0, width, n, half_box=1.5):
@@ -97,16 +98,18 @@ def random_hermitian_model(rng, grid, nch=None):
     )
 
 
-def coo_numerov_matrix(model, E):
-    """Numerov system assembled from COO triplets, and the Bloch factors.
+def coo_numerov_matrix(model, E, nodes=None):
+    """Numerov system on the nodes [lo, hi) (default: the whole grid)
+    assembled from COO triplets, and the Bloch factors.
 
     The sparse assembly that the band-storage one replaced, kept as its
     oracle.
     """
     grid, channels = model.grid, model.channels
-    n, nch, h = grid.n, channels.n_channels, grid.spacing
+    lo, hi = nodes or (0, grid.n)
+    n, nch, h = hi - lo, channels.n_channels, grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
-    W = 2.0 * model.V + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
+    W = 2.0 * model.V[lo:hi] + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
     eye = np.eye(nch, dtype=complex)
     P = eye[None, :, :] - (h * h / 12.0) * W
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)
@@ -411,8 +414,9 @@ def test_matches_superlu_oracle():
 def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
+    assert model.support != (0, 41)
     u, ab, (lam, _s, _g) = _assemble(model, 30.0, kinematics(model.channels, 30.0).k)
-    A, lam_ref = coo_numerov_matrix(model, 30.0)
+    A, lam_ref = coo_numerov_matrix(model, 30.0, model.support)
     A = A.toarray()
     i, j = np.indices(A.shape)
     inside = np.abs(i - j) <= u
@@ -422,36 +426,50 @@ def test_band_storage_matches_coo_matrix():
     assert np.array_equal(lam, lam_ref)
 
 
-def solve_banded_solution(model, E):
-    """S-matrix and defect of one solve_banded call on all 2 n_open incidences.
+def solve_banded_solution(model, E, nodes):
+    """S-matrix and defect of one solve_banded call on all 2 n_open
+    incidences, with the Numerov system on the nodes [lo, hi) and the Bloch
+    phases lambda^lo (left) and lambda^(n - hi) (right) carrying its end
+    values to the grid's ends.
 
     The solve that the factor and back-substitution steps replaced, kept as
     their oracle.  _assemble's rows u..3u are solve_banded's band storage.
     """
     grid, channels = model.grid, model.channels
-    n, nch = grid.n, channels.n_channels
+    (lo, hi), nch = nodes, channels.n_channels
+    n = hi - lo
     kin = kinematics(channels, E)
     open_idx, k_open = kin.open_indices, kin.k_open
-    u, ab, (_lam, sin_kh, _g) = _assemble(model, E, kin.k)
+    u, ab, (lam, sin_kh, _g) = _assemble(model, E, kin.k, nodes)
     n_open = len(open_idx)
+    f_left, f_right = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
     src = 2j * sin_kh[open_idx] / np.sqrt(k_open)  # lambda - 1/lambda
     for col, (i, s) in enumerate(zip(open_idx, src)):
-        B[i, col] = s
-        B[(n - 1) * nch + i, n_open + col] = s
+        B[i, col] = s * f_left[col]
+        B[(n - 1) * nch + i, n_open + col] = s * f_right[col]
     psi = solve_banded((u, u), ab[u:], B).reshape(n, nch, 2 * n_open)
     left, right = psi[0][open_idx], psi[n - 1][open_idx]
-    incident = np.diag(1.0 / np.sqrt(k_open))
+    incident = 1.0 / np.sqrt(k_open)
     sqrt_k = np.sqrt(k_open)[:, None]
     ph_left = np.exp(1j * k_open * grid.x_min)
     ph_right = np.exp(-1j * k_open * grid.x_max)
     S = SMatrix(
-        T=right[:, :n_open] * sqrt_k * ph_right[:, None] * ph_left[None, :],
-        R=(left[:, :n_open] - incident) * sqrt_k * ph_left[:, None] * ph_left[None, :],
-        Tt=left[:, n_open:] * sqrt_k * ph_left[:, None] * ph_right[None, :],
-        Rt=(right[:, n_open:] - incident) * sqrt_k * ph_right[:, None] * ph_right[None, :],
+        T=right[:, :n_open] * sqrt_k * (ph_right * f_right)[:, None] * ph_left[None, :],
+        R=((left[:, :n_open] - np.diag(incident * f_left)) * sqrt_k
+           * (ph_left * f_left)[:, None] * ph_left[None, :]),
+        Tt=left[:, n_open:] * sqrt_k * (ph_left * f_left)[:, None] * ph_right[None, :],
+        Rt=((right[:, n_open:] - np.diag(incident * f_right)) * sqrt_k
+            * (ph_right * f_right)[:, None] * ph_right[None, :]),
     )
     return S, (unitarity_defect(S) if model.hermitian_flag else float("nan"))
+
+
+def full_grid_solve(model, E):
+    """solve_local's S-matrix and defect with the Numerov system on the whole
+    grid: the arithmetic that the solve on the support replaced, kept as its
+    oracle."""
+    return solve_banded_solution(model, E, (0, model.grid.n))
 
 
 def test_factor_and_back_substitution_match_solve_banded_bit_for_bit():
@@ -459,7 +477,7 @@ def test_factor_and_back_substitution_match_solve_banded_bit_for_bit():
     # general banded (gbsv) path, not the tridiagonal one
     for model, E in oracle_cases():
         sol = solve_local(model, E)
-        S, defect = solve_banded_solution(model, E)
+        S, defect = solve_banded_solution(model, E, model.support)
         assert np.array_equal(sol.S.full(), S.full())
         assert np.array_equal(sol.unitarity_defect, defect, equal_nan=True)
 
@@ -488,6 +506,92 @@ def test_solve_channel_matches_full_smatrix_channel_0():
                     n_lossy += not m.hermitian_flag
                     assert solve_channel(m, E) == extract_channel(S, 0)
     assert n_closed >= 20 and n_lossy == 18
+
+
+@pytest.mark.parametrize("entries, support", [
+    ({50: 1.0}, (48, 53)),
+    ({40: 2.0, 60: 1j}, (38, 63)),                      # V_01 at 40, V_10 at 60
+    ({50: 1.0, 30: SUPPORT_REL}, (48, 53)),             # at SUPPORT_REL vmax: off
+    ({50: 1.0, 30: np.nextafter(SUPPORT_REL, 1.0)}, (28, 53)),
+    ({1: 1.0, 98: 1.0}, (0, 101)),                      # clipped to the grid
+    ({50: 1.0, 0: 1e-13, 100: 1e-13}, (0, 101)),        # ends above SUPPORT_REL vmax
+    ({}, (0, 101)),                                     # zero V: the whole grid
+])
+def test_support_covers_the_nodes_above_support_rel(entries, support):
+    """The hull of the nodes whose max_ab |V_ab| exceeds SUPPORT_REL vmax,
+    widened by 2 nodes on the left and 3 on the right, within the grid."""
+    V = np.zeros((101, 2, 2), dtype=complex)
+    for i, (node, value) in enumerate(entries.items()):
+        V[node, i % 2, 1 - i % 2] = value
+    model = LocalPotentialModel(grid=make_grid(-1.5, 1.5, 101),
+                                channels=ChannelSet(thresholds=(0.0, 1.0)), V=V)
+    assert model.support == support
+
+
+def test_solve_on_a_whole_grid_support_is_the_full_grid_solve_bit_for_bit():
+    """V above SUPPORT_REL vmax on both end nodes: the band is the whole grid,
+    every Bloch phase is exactly 1, and the bits are the full-grid solve's
+    (2 and 3 channels, as solve_banded's general banded path needs)."""
+    rng = np.random.default_rng(13)
+    grid = make_grid(-1.5, 1.5, 601)
+    for nch in (2, 3):
+        base = random_hermitian_model(rng, grid, nch)
+        V = base.V.copy()
+        V[[0, -1]] = 1e-13 * base.vmax * np.eye(nch)
+        model = LocalPotentialModel(grid=grid, channels=base.channels, V=V)
+        assert model.support == (0, grid.n)
+        for m in (model, with_lossy_last_channel(model)):
+            sol = solve_local(m, 30.0)
+            S, defect = full_grid_solve(m, 30.0)
+            assert np.array_equal(sol.S.full(), S.full())
+            assert np.array_equal(sol.unitarity_defect, defect, equal_nan=True)
+
+
+def test_solve_on_the_support_matches_the_full_grid_solve():
+    """The 102 oracle cases, and on ten of their models: an energy with the
+    upper channels closed, the lossy model, and 1e-9 and 1e-7 above each
+    threshold.  Every band is shorter than the grid."""
+    cases = oracle_cases()
+    extra = []
+    for model, _E in cases[:10]:
+        eps = sorted(e.real for e in model.channels.thresholds)
+        extra.append((model, eps[0] + 0.5))
+        extra.append((with_lossy_last_channel(model), 30.0))
+        extra += [(model, e + offset) for e in eps for offset in (1e-9, 1e-7)]
+    assert sum(kinematics(m.channels, E).n_open < m.channels.n_channels for m, E in extra) >= 20
+    worst = 0.0
+    for model, E in cases + extra:
+        assert model.support != (0, model.grid.n)
+        S = solve_local(model, E).S.full()
+        worst = max(worst, np.max(np.abs(S - full_grid_solve(model, E)[0].full())))
+    assert worst <= 1e-9
+
+
+def test_solve_on_the_barrier_support_matches_the_full_grid_solve():
+    """n = 9001, barrier edges on nodes 3000 and 6000: a third of the grid."""
+    model = barrier_model(10.0, 1.0, 9001)
+    assert model.support == (2998, 6003)
+    for E in (1.0, 9.0, 10.0, 11.0, 32.0, 50.0):
+        S = solve_local(model, E).S.full()
+        assert np.max(np.abs(S - full_grid_solve(model, E)[0].full())) <= 1e-8, E
+
+
+def test_paper_model_factors_only_its_support(monkeypatch):
+    model = build_two_level_model(PAPER_PROFILE, 91.211)
+    lo, hi = model.support
+    assert hi - lo < 0.7 * model.grid.n
+    shapes = []
+    real_zgbtrf = local_solver.zgbtrf
+
+    def recording(ab, *args, **kw):
+        shapes.append(ab.shape)
+        return real_zgbtrf(ab, *args, **kw)
+
+    monkeypatch.setattr(local_solver, "zgbtrf", recording)
+    solve_channel(model, 32.0)
+    solve_local(model, 32.0)
+    u = 2 * 2 - 1
+    assert shapes == [(3 * u + 1, (hi - lo) * 2)] * 2
 
 
 def test_closed_channel_0_is_rejected_before_factorization(monkeypatch):
@@ -601,14 +705,15 @@ def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
             solve_channel(model(outside), E)
 
 
-def strided_band_assembly(model, E, k):
+def strided_band_assembly(model, E, k, nodes):
     """The band assembly that _assemble replaced, kept as its oracle: W, P
-    and Q temporaries node by node, then one strided write per block entry."""
+    and Q temporaries node by node, then one strided write per block entry,
+    for the Numerov system on the nodes [lo, hi)."""
     grid, channels = model.grid, model.channels
-    n, nch = grid.n, channels.n_channels
-    h = grid.spacing
+    (lo, hi), nch = nodes, channels.n_channels
+    n, h = hi - lo, grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
-    W = 2.0 * model.V + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
+    W = 2.0 * model.V[lo:hi] + (2.0 * (eps - E))[None, :, None] * np.eye(nch)[None, :, :]
     eye = np.eye(nch, dtype=complex)
     P = eye[None, :, :] - (h * h / 12.0) * W
     Q = -(2.0 * eye[None, :, :] + (10.0 * h * h / 12.0) * W)
@@ -626,18 +731,22 @@ def strided_band_assembly(model, E, k):
     return u, ab
 
 
-def adjoint_reference(model, E, dV, deps):
+def adjoint_reference(model, E, dV, deps, nodes):
     """solve_channel_jacobian's derivatives by the arithmetic it replaced
     (fancy-indexed end gathers, neighbour sums along the node axis), on the
-    oracle band: kept as its oracle."""
+    oracle band over the nodes [lo, hi), with channel 0's Bloch phases
+    lambda^lo and lambda^(n - hi) at the two ends: kept as its oracle."""
     grid, nch = model.grid, model.channels.n_channels
-    n, h, top = grid.n, grid.spacing, (grid.n - 1) * nch
+    (lo, hi), h = nodes, grid.spacing
+    n = hi - lo
+    top = (n - 1) * nch
     k = kinematics(model.channels, E).k
-    u, ab = strided_band_assembly(model, E, k)
-    _lam, s, g = _bloch(k, h)
+    u, ab = strided_band_assembly(model, E, k, nodes)
+    lam, s, g = _bloch(k, h)
+    f_left, f_right = lam[0] ** np.array([lo, grid.n - hi])
     lu, piv, _info = zgbtrf(ab, u, u)
     B = np.zeros((n * nch, 2), dtype=complex, order="F")
-    B[0, 0] = B[top, 1] = 2j * s[0] / np.sqrt(k[0].real)
+    B[0, 0], B[top, 1] = 2j * s[0] / np.sqrt(k[0].real) * np.array([f_left, f_right])
     psi, _info = zgbtrs(lu, u, u, B, piv)
     e = np.zeros((n * nch, 2), dtype=complex, order="F")
     e[0, 0] = e[top, 1] = 1.0
@@ -652,11 +761,13 @@ def adjoint_reference(model, E, dV, deps):
     Y[:, :, :-1] += y[:, :, 1:]
     interior = deps @ (Y.transpose(1, 0, 2) @ psi.transpose(1, 2, 0)).reshape(nch, 4)
     for (a, b), d in dV.items():
-        interior += d @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
+        interior += d[:, lo:hi] @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
     G -= (h * h / 6.0) * interior
     k0 = float(k[0].real)
     left, right = cmath.exp(1j * k0 * grid.x_min), cmath.exp(-1j * k0 * grid.x_max)
-    scale = np.sqrt(k0) * np.array([right * left, left * left, left * right, right * right])
+    left_end, right_end = left * f_left, right * f_right
+    scale = np.sqrt(k0) * np.array([right_end * left, left_end * left, left_end * right,
+                                    right_end * right])
     return -(G[:, [2, 0, 1, 3]] * scale).T
 
 
@@ -672,26 +783,30 @@ def with_non_hermitian_coupling(model, rng):
 def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
     """_assemble's band equals the oracle's (signed zeros aside), and the
     Jacobian matches the oracle's adjoint to 1e-14 relative, for Hermitian,
-    lossy and non-Hermitian models, at E = 30 and just above thresholds."""
+    lossy and non-Hermitian models, at E = 30 and just above thresholds,
+    both on the model's support; dV moves V only where V is above
+    SUPPORT_REL vmax."""
     rng = np.random.default_rng(40 + nch)
     grid = make_grid(-1.5, 1.5, 301)
     for _ in range(2):
         base = random_hermitian_model(rng, grid, nch)
         models = [base, with_non_hermitian_coupling(base, rng)]
         models += [with_lossy_last_channel(base)] if nch > 1 else []
+        assert base.support != (0, grid.n)
         for model in models:
+            moved = np.abs(model.V).max(axis=(1, 2)) > SUPPORT_REL * model.vmax
             eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
             for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
                 k = kinematics(model.channels, E).k
                 assert np.array_equal(_assemble(model, E, k)[1],
-                                      strided_band_assembly(model, E, k)[1])
+                                      strided_band_assembly(model, E, k, model.support)[1])
                 p = 3
-                dV = {(a, b): rng.normal(size=(p, grid.n)) + 1j * rng.normal(size=(p, grid.n))
-                      for a in range(nch) for b in range(nch) if rng.random() < 0.7}
+                dV = {(a, b): (rng.normal(size=(p, grid.n)) + 1j * rng.normal(size=(p, grid.n)))
+                      * moved for a in range(nch) for b in range(nch) if rng.random() < 0.7}
                 deps = rng.normal(size=(p, nch))
                 deps[:, 0] = 0.0
                 jac = solve_channel_jacobian(model, E, dV, deps)[1]
-                ref = adjoint_reference(model, E, dV, deps)
+                ref = adjoint_reference(model, E, dV, deps, model.support)
                 assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -724,6 +839,39 @@ def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
         shift[q] = step
         differences = (amplitudes(params + shift) - amplitudes(params - shift)) / (2 * step)
         assert np.all(np.abs(jac[:, q] - differences) <= 1e-6 * np.abs(differences)), q
+
+
+def test_jacobian_matches_the_whole_grid_adjoint_at_the_box_corners(monkeypatch):
+    """At PAPER_POINT and the 16 corners of PARAM_BOX (design grid, E = 32)
+    the Jacobian is within 1e-9 of the whole-grid adjoint oracle's max-norm.
+    Where its band is the model's support the amplitudes are solve_channel's
+    bit for bit.  At x0 = 0.5 with b = 0 or c = 0, V lacks the lobe that b or
+    c would add; dV moves V there, and the band widens to cover it."""
+    grid = design_grid(default_grid(), 8.0)
+    bands = []
+    real_factor = local_solver._factor
+
+    def recording(model, E, support):
+        bands.append(support)
+        return real_factor(model, E, support)
+
+    monkeypatch.setattr(local_solver, "_factor", recording)
+    widened = []
+    for b, c, x0, delta in [PAPER_POINT, *itertools.product(*PARAM_BOX)]:
+        profile = RabiProfile(b, c, x0)
+        model = build_two_level_model(profile, delta, grid=grid)
+        dV, deps = two_level_derivatives(profile, grid)
+        amps, jac = solve_channel_jacobian(model, 32.0, dV, deps)
+        ref = adjoint_reference(model, 32.0, dV, deps, (0, grid.n))
+        assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref)), (b, c, x0, delta)
+        alone = solve_channel(model, 32.0)
+        if bands[-2] == model.support:
+            assert amps == alone
+        else:
+            widened.append((b, c, x0))
+            gaps = [getattr(amps, f) - getattr(alone, f) for f in ("T", "R", "Tt", "Rt")]
+            assert max(map(abs, gaps)) <= 1e-11
+    assert sorted(widened) == [(0.0, 400.0, 0.5)] * 2 + [(400.0, 0.0, 0.5)] * 2
 
 
 def cut_rabi_eval(profile, x):

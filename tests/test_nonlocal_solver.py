@@ -15,7 +15,6 @@ from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import LocalPotentialModel, solve_local
 from demonscatter.nonlocal_solver import (
     SLAB,
-    SUPPORT_REL,
     NonlocalKernel,
     _green_weights,
     _system_matrix,
@@ -23,7 +22,7 @@ from demonscatter.nonlocal_solver import (
     solve_nonlocal,
 )
 from demonscatter.symmetry import SymmetryClass
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.units import SUPPORT_REL, RabiProfile, make_grid
 
 from test_symmetry import paper_kernel, random_bordered, random_smooth, symmetrized
 

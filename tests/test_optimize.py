@@ -210,9 +210,9 @@ def solve_calls(monkeypatch):
     calls = []
     real_factor = local_solver._factor
 
-    def counting(model, E):
+    def counting(model, E, support):
         calls.append(E)
-        return real_factor(model, E)
+        return real_factor(model, E, support)
 
     monkeypatch.setattr(local_solver, "_factor", counting)
     return calls

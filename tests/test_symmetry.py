@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from demonscatter import symmetry
 from demonscatter.channels import ChannelAmplitudes
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
+from demonscatter.serialize import symmetry_report_to_dict, write_json
 from demonscatter.symmetry import (
     FORCED,
     REL_TOL,
@@ -123,6 +125,23 @@ def test_parity_requires_symmetric_grid():
     report = classify(NonlocalKernel(grid=grid, K=K))
     assert np.isnan(report.residuals["Parity"])
     assert not report.verdicts["Parity"]
+
+
+@pytest.mark.parametrize("rel_tol", [np.float64(REL_TOL), np.float32(REL_TOL), np.float64(0.0)])
+def test_numpy_scalar_tolerance_gives_a_report_json_can_write(tmp_path, rel_tol):
+    """tol is a float and every verdict a bool whatever scalar type rel_tol
+    has, so write_json takes the report; the verdicts are the float's."""
+    params = OpticalParameters(delta=20.0, gamma=0.0, profile=RabiProfile(b=0.0, c=40.0), E=50.0)
+    kernel = build_kernel(params, make_grid(-1.5, 1.5, 301))
+    report = classify(kernel, rel_tol)
+    assert type(report.tol) is float
+    assert all(type(v) is bool for v in report.verdicts.values())
+    assert report.verdicts == classify(kernel, float(rel_tol)).verdicts
+    path = tmp_path / "sym.json"
+    write_json(path, symmetry_report_to_dict(report))
+    doc = json.loads(path.read_text())
+    assert doc["tol"] == report.tol
+    assert {name: c["verdict"] for name, c in doc["classes"].items()} == report.verdicts
 
 
 def test_predicted_relations():
