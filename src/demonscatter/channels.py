@@ -184,11 +184,3 @@ def extract_channel(S: SMatrix, i0: int) -> ChannelAmplitudes:
         Rt=complex(S.Rt[i0, i0]),
     )
 
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases

@@ -43,10 +43,6 @@ class InfeasiblePairError(DemonScatterError, ValueError):
     """(|T|^2, |Rt|^2) pair outside the feasible triangle for D = 0."""
 
 
-class InconsistentBoundaryError(DemonScatterError, ValueError):
-    """Amplitudes sit at a D = +-1/2 boundary but lack the required structure."""
-
-
 class UnsupportedModelError(DemonScatterError, ValueError):
     """Operation restricted to the two-channel laser-coupling model family."""
 

@@ -53,6 +53,10 @@ DESIGN_POINTS_PER_WAVELENGTH = 50
 #: 24/24 rankings, same full order in 22/24 (ranks 50, 111 differ), costs within 1.4e-5.
 SCREEN_POINTS_PER_WAVELENGTH = 25
 
+#: Largest target weight: with |p - t| <= 1, the cost and its gradient stay
+#: finite (the same margin to the float range as local_solver.BAND_LIMIT).
+WEIGHT_LIMIT = 1e300
+
 #: Cost below which a run counts as converged.
 CONVERGED_COST = 1e-3
 
@@ -81,8 +85,9 @@ class DeviceTarget:
             raise ValueError("need exactly four targets and four weights")
         if not all(0.0 <= v <= 1.0 for v in p):
             raise ValueError(f"targets must lie in [0, 1], got {p}")
-        if not all(0.0 <= v < np.inf for v in w) or not any(v > 0 for v in w):
-            raise ValueError(f"weights must be finite, >= 0 and not all zero, got {w}")
+        if not all(0.0 <= v <= WEIGHT_LIMIT for v in w) or not any(v > 0 for v in w):
+            raise ValueError(f"weights must be finite, in [0, {WEIGHT_LIMIT:.0e}] "
+                             f"and not all zero, got {w}")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "weights", w)
 
@@ -221,13 +226,15 @@ def optimize(
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     caller = grid if grid is not None else default_grid()
-    grid = design_grid(caller, v0, w)
-    screen = _resolved(caller, v0, w, SCREEN_POINTS_PER_WAVELENGTH)
     b, c, x0, delta = PARAM_BOX[:, 1]
-    try:  # the widest lobes must decay in the box, or the search stops at the first of them
+    # the widest lobes must decay in the box, or the search stops at the first of
+    # them, and fit its spacing (GridError), or the design grids' n overflows
+    try:
         build_two_level_model(RabiProfile(b=b, c=c, x0=x0, w=w), delta, grid=caller)
     except ModelError as exc:
         raise ModelError(f"width w={w:.4g} with PARAM_BOX's x0 = {x0}: {exc}") from exc
+    grid = design_grid(caller, v0, w)
+    screen = _resolved(caller, v0, w, SCREEN_POINTS_PER_WAVELENGTH)
     from scipy.optimize import minimize   # deferred: costs ~0.2 s to import
     rng = np.random.default_rng(seed)
     lo, span = PARAM_BOX[:, 0], PARAM_BOX[:, 1] - PARAM_BOX[:, 0]

@@ -17,7 +17,7 @@ Off the hull, K and gK are at most SUPPORT_REL kmax in modulus, so the
 residual there is below cut = 4 SUPPORT_REL kmax (or the smallest normal
 float); a class whose hull residual does not exceed cut is scanned again
 over all of K.  Residuals are thus bit-identical to the whole-kernel
-max |K - transform(K, g)|, and no temporary is larger than SLAB x n.
+max |K - gK|, and no temporary is larger than SLAB x n.
 
 classify needs only the verdicts r <= tol, so its pass has a stop bound: a
 class leaves it at the first slab whose maximum exceeds tol, and the
@@ -67,19 +67,6 @@ class SymmetryClass(Enum):
         return self.value[0]
 
 
-def transform(K: np.ndarray, cls: SymmetryClass) -> np.ndarray:
-    """Image of the kernel matrix under the class transform (an involution)."""
-    flip, transpose, conjugate = cls.value
-    M = K
-    if flip:
-        M = M[::-1, ::-1]
-    if transpose:
-        M = M.T
-    if conjugate:
-        M = np.conj(M)
-    return M
-
-
 def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int):
     """Orbit representatives in rows a:b of K, and their images.
 
@@ -104,7 +91,7 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
 
 
 def _blocked_maxima(K: np.ndarray, classes, stop: float = np.inf):
-    """max |K - transform(K, cls)| per class.
+    """max |K - gK| per class, g the class transform.
 
     One pass over slabs of SLAB rows; classes that share an index map share
     its slab pair and one contiguous copy of its image, and every image,

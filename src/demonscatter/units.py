@@ -61,8 +61,9 @@ class Grid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise GridError(f"grid ends must be finite: [{self.x_min}, {self.x_max}]")
+        # a finite span has finite ends; an overflowing one would break linspace
+        if not math.isfinite(float(self.x_max) - float(self.x_min)):
+            raise GridError(f"grid ends and span must be finite: [{self.x_min}, {self.x_max}]")
         if self.x_min >= self.x_max:
             raise GridError(
                 f"invalid range: x_min={self.x_min} must be < x_max={self.x_max}"

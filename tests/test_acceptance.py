@@ -12,15 +12,9 @@ import pytest
 from demonscatter.channels import (
     SMatrix,
     extract_channel,
-    haar_unitary,
     unitarity_defect,
 )
-from demonscatter.demon import (
-    check_bounds,
-    construct_boundary_smatrix,
-    demon_parameter,
-    dzero_bounds,
-)
+from demonscatter.demon import demon_parameter, dzero_bounds
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.local_solver import (
     LocalPotentialModel,
@@ -29,9 +23,10 @@ from demonscatter.local_solver import (
 )
 from demonscatter.nonlocal_solver import NonlocalKernel, solve_nonlocal
 from demonscatter.optimize import DeviceTarget, PAPER_POINT, optimize, refine_paper_point
-from demonscatter.symmetry import SymmetryClass, classify, transform, verify_predictions
+from demonscatter.symmetry import SymmetryClass, classify, verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
+from oracles import check_bounds, construct_boundary_smatrix, haar_unitary
 from test_local_solver import barrier_model, barrier_t2_exact, random_hermitian_model
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)

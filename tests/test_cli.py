@@ -9,7 +9,7 @@ from demonscatter import cli
 from demonscatter.cli import main
 from demonscatter.channels import ChannelSet
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
-from demonscatter.optimize import OptimizationResult
+from demonscatter.optimize import WEIGHT_LIMIT, OptimizationResult
 from demonscatter.symmetry import verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
@@ -235,6 +235,8 @@ BAD_INPUT = {
                              "--weights", "nan", "1", "1", "1"],
     "optimize-named-weights-inf": ["optimize", "--target", "T/A",
                                    "--weights", "inf", "1", "1", "1"],
+    # finite, but the cost gradient would overflow to NaN
+    "optimize-weights-1e308": ["optimize", "--weights", "0", "0", "0", "1e308"],
     "optimize-bogus-target-with-probabilities": ["optimize", "--target", "bogus",
                                                  "--probabilities", "0.5", "0", "0",
                                                  "0.5"],
@@ -273,6 +275,14 @@ def test_out_of_range_width_or_wavenumber_exits_2(argv, tmp_path, monkeypatch, c
         assert run(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_optimize_runs_at_the_largest_weight_without_numpy_warnings(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["optimize", "--weights", "0", "0", "0", repr(WEIGHT_LIMIT),
+                    "--budget", "100", "--restarts", "1", "--n", "401"]) == 0
 
 
 @pytest.mark.parametrize("command, thresholds, flags", [
@@ -497,7 +507,7 @@ def test_output_path_that_is_a_directory_is_config_error(tmp_path, monkeypatch, 
 
 #: Edge values for every numeric flag: floats (list flags take one element)
 #: and ints.  Passed as --key=value, so argparse reads "-inf" as a value.
-EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e300"]
+EDGE_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e300", "1e307", "1e308"]
 EDGE_INTS = ["-1", "0", "1", "2", "3"]
 EDGE_PROFILE = ["--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20", "--n", "41"]
 #: Each command on a small grid with the smallest budget.

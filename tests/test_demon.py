@@ -1,4 +1,3 @@
-import itertools
 import sys
 
 import numpy as np
@@ -10,26 +9,22 @@ from demonscatter.channels import (
     ChannelSet,
     SMatrix,
     extract_channel,
-    haar_unitary,
     unitarity_defect,
 )
 from demonscatter.demon import (
     DemonReport,
-    check_bounds,
-    classify_boundary,
-    construct_boundary_smatrix,
     demon_parameter,
     device_code,
     dzero_bounds,
     sweep_demon,
 )
 from demonscatter.errors import (
-    InconsistentBoundaryError,
     InfeasiblePairError,
     NonPositiveEnergyError,
 )
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
 from demonscatter.units import RabiProfile, make_grid
+from oracles import check_bounds, construct_boundary_smatrix, haar_unitary
 from test_local_solver import random_hermitian_model
 
 
@@ -70,26 +65,6 @@ def test_check_bounds_free_particle():
     slacks, violated = check_bounds(amps(1, 0, 1, 0))
     assert not violated
     assert slacks == pytest.approx((0.0, 0.0, 0.0, 0.0))
-
-
-def test_classify_boundary_plus():
-    c = classify_boundary(amps(0.5, 0, 0, 0.5))
-    assert c.boundary == "+1/2"
-
-
-def test_classify_boundary_minus():
-    c = classify_boundary(amps(0, 0.5, 0.5, 0))
-    assert c.boundary == "-1/2"
-
-
-def test_classify_boundary_inconsistent():
-    with pytest.raises(InconsistentBoundaryError):
-        classify_boundary(amps(0.9, 0, 0, 0.9))
-
-
-def test_classify_boundary_interior():
-    c = classify_boundary(amps(0.5, 0.5, 0.5, 0.5))
-    assert c.boundary is None
 
 
 def test_device_codes():
@@ -256,81 +231,3 @@ def test_demon_report_fields():
     rep = DemonReport.from_amplitudes(amps(0.5, 0, 0, 0.5))
     assert rep.D == pytest.approx(0.5)
     assert rep.code == "½T/½R"
-
-
-def _classify_boundary_two_branch(a, tol):
-    """The two-branch classify_boundary this module replaced, as an oracle.
-
-    Returns (boundary, details), or raises as the old function did.
-    """
-    D = demon_parameter(a)
-    t2, r2, tt2, rt2 = a.probabilities
-    if D > 0.5 + tol or D < -0.5 - tol:
-        raise InconsistentBoundaryError(
-            f"D = {D:.6f} outside [-1/2, 1/2]: not from a unitary S-matrix"
-        )
-    if abs(D - 0.5) <= tol:
-        details = {
-            "|Tt|": abs(a.Tt),
-            "|R|": abs(a.R),
-            "sum_defect": abs(t2 + rt2 - 1.0),
-        }
-        ok = abs(a.Tt) <= np.sqrt(tol) and abs(a.R) <= np.sqrt(tol) and \
-            details["sum_defect"] <= tol
-        if not ok:
-            if check_bounds(a, tol)[1]:
-                raise InconsistentBoundaryError(
-                    f"D = +1/2 but boundary structure violated: {details}"
-                )
-            return None, details
-        return "+1/2", details
-    if abs(D + 0.5) <= tol:
-        details = {
-            "|T|": abs(a.T),
-            "|Rt|": abs(a.Rt),
-            "sum_defect": abs(tt2 + r2 - 1.0),
-        }
-        ok = abs(a.T) <= np.sqrt(tol) and abs(a.Rt) <= np.sqrt(tol) and \
-            details["sum_defect"] <= tol
-        if not ok:
-            if check_bounds(a, tol)[1]:
-                raise InconsistentBoundaryError(
-                    f"D = -1/2 but boundary structure violated: {details}"
-                )
-            return None, details
-        return "-1/2", details
-    return None, {}
-
-
-def _outcome(fn, a, tol):
-    """(boundary, details items in order), or (exception type, message)."""
-    try:
-        boundary, details = fn(a, tol)
-    except InconsistentBoundaryError as exc:
-        return type(exc), str(exc)
-    return boundary, list(details.items())
-
-
-def test_classify_boundary_matches_two_branch_oracle():
-    # every probability 4-tuple of the grid, with random phases, at each tol
-    levels = (0.0, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
-    rng = np.random.default_rng(17)
-    hits = {"+1/2": 0, "-1/2": 0, "raise": 0}
-
-    def new(a, tol):
-        c = classify_boundary(a, tol)
-        return c.boundary, c.details
-
-    for probs in itertools.product(levels, repeat=4):
-        phases = np.exp(2j * np.pi * rng.random(4))
-        a = ChannelAmplitudes(*(np.sqrt(probs) * phases))
-        for tol in (0.02, 1e-3, 0.1, 0.3):
-            expected = _outcome(_classify_boundary_two_branch, a, tol)
-            got = _outcome(new, a, tol)
-            assert got == expected, (probs, tol)
-            if expected[0] in hits:
-                hits[expected[0]] += 1
-            elif expected[0] is InconsistentBoundaryError:
-                hits["raise"] += 1
-    # the grid reaches both boundaries and the inconsistent case
-    assert all(hits.values()), hits

@@ -108,3 +108,40 @@ def test_package_exports_exactly_the_names_its_users_import(tmp_path):
     used = package_users()
     assert sorted(used - exported) == []
     assert exported == used | {"__version__"}
+
+
+def referenced(tree, strings=False):
+    """Every identifier that `tree` reads as a name or an attribute, and with
+    `strings`, every string constant."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_src_name_has_a_program_user():
+    """A public module-level function or class of the package is read by the
+    package outside its own definition, by the benchmark (code, or a string
+    that is the bare name, as in its TRACED table), or by the README quick
+    start; a name only the tests read belongs with them (tests/oracles.py)."""
+    defined, used = [], []
+    for path in sorted((SRC / "demonscatter").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("_"):
+                defined.append((f"{path.stem}.{stmt.name}", stmt))
+            used.append((stmt, referenced(stmt)))
+    program = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        program |= referenced(ast.parse(path.read_text()), strings=True)
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    program |= referenced(ast.parse(quick_start))
+    unused = [qualified for qualified, own in defined if own.name not in program
+              and not any(own.name in names for stmt, names in used if stmt is not own)]
+    assert unused == []

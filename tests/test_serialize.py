@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from demonscatter.channels import ChannelAmplitudes, SMatrix, haar_unitary
+from demonscatter.channels import ChannelAmplitudes, SMatrix
 from demonscatter.demon import DemonReport, dzero_bounds
 from demonscatter.errors import ConfigError, GridError
 from demonscatter.kernels import OpticalParameters, build_kernel
@@ -20,6 +20,8 @@ from demonscatter.serialize import (
     write_sweep_csv,
 )
 from demonscatter.units import RabiProfile, make_grid
+
+from oracles import haar_unitary
 
 
 def write_model(path, model):

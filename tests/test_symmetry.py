@@ -21,10 +21,11 @@ from demonscatter.symmetry import (
     SymmetryReport,
     classify,
     predicted_relations,
-    transform,
     verify_predictions,
 )
 from demonscatter.units import RabiProfile, make_grid
+
+from oracles import transform
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
