@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -65,6 +66,55 @@ def test_check_bounds_free_particle():
     slacks, violated = check_bounds(amps(1, 0, 1, 0))
     assert not violated
     assert slacks == pytest.approx((0.0, 0.0, 0.0, 0.0))
+
+
+def test_check_bounds_minus_half_demon():
+    a = amps(0, 0.5, 0.5, 0)
+    slacks, violated = check_bounds(a)
+    assert demon_parameter(a) == pytest.approx(-0.5)
+    assert not violated
+    assert slacks[3] == pytest.approx(0.0)
+
+
+def test_check_bounds_past_the_boundary_violates():
+    # D = 0.9, past the +1/2 boundary: no unitary S has these amplitudes
+    a = amps(0.9, 0, 0, 0.9)
+    slacks, violated = check_bounds(a)
+    assert demon_parameter(a) == pytest.approx(0.9)
+    assert violated
+    assert slacks[2] == pytest.approx(-0.8)
+
+
+def test_check_bounds_interior_point():
+    a = amps(0.5, 0.5, 0.5, 0.5)
+    slacks, violated = check_bounds(a)
+    assert demon_parameter(a) == pytest.approx(0.0)
+    assert not violated
+    assert slacks == pytest.approx((0.0, 0.0, 0.0, 0.0))
+
+
+def test_boundary_structure_on_probability_grid():
+    """1 - 2D = |R|^2 + |Tt|^2 + s3, so D = +1/2 within the bounds forces
+    R = Tt = 0 and |T|^2 + |Rt|^2 = 1; D = -1/2 mirrors it with T = Rt = 0."""
+    levels = (0.0, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
+    hits = {"+1/2": 0, "-1/2": 0, "violated": 0}
+    for t2, r2, tt2, rt2 in itertools.product(levels, repeat=4):
+        a = amps(t2, r2, tt2, rt2)
+        D = demon_parameter(a)
+        if check_bounds(a)[1]:
+            hits["violated"] += 1
+            continue
+        assert -0.5 - 1e-12 <= D <= 0.5 + 1e-12
+        if abs(D - 0.5) <= 1e-12:
+            hits["+1/2"] += 1
+            assert (r2, tt2) == (0.0, 0.0)
+            assert t2 + rt2 == pytest.approx(1.0)
+        elif abs(D + 0.5) <= 1e-12:
+            hits["-1/2"] += 1
+            assert (t2, rt2) == (0.0, 0.0)
+            assert tt2 + r2 == pytest.approx(1.0)
+    # the grid reaches both boundaries and the violating region
+    assert all(hits.values()), hits
 
 
 def test_device_codes():
