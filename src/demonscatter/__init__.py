@@ -7,16 +7,7 @@ quantum-optical asymmetric devices.
 
 The package exports the names that its users import from it; everything
 else is imported from its own module (e.g. `demonscatter.channels.SMatrix`).
-
-DEMONSCATTER_THREADS caps the BLAS thread pools if this package is imported
-before numpy; an explicit OMP_, OPENBLAS_ or MKL_NUM_THREADS value wins.
 """
-
-import os
-
-if os.environ.get("DEMONSCATTER_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["DEMONSCATTER_THREADS"])
 
 from .channels import ChannelSet, extract_channel
 from .demon import DemonReport, sweep_demon

@@ -8,7 +8,6 @@ value is typed and checked exactly as the same flag is, and flags override
 file values; unknown keys are rejected.  Exit codes: 0 success, 2 config
 error (any ValueError or OSError, and argparse's usage errors), 3 compute
 error (any other toolkit error).
-DEMONSCATTER_THREADS caps the linear-algebra thread pools (see the package).
 """
 
 from __future__ import annotations

@@ -213,10 +213,10 @@ def _bloch(k: np.ndarray, h: float):
         return lam, s, h * h * (6.0 + d) ** 2 / (36j * s * lam)
 
 
-def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support=None):
-    """Numerov system on the node interval support = (lo, hi), the model's
-    by default, in zgbtrf's band storage, and the per-channel dispersion
-    _bloch(k, h), at energy E where the channel wavenumbers are k.
+def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support):
+    """Numerov system on the node interval support = (lo, hi), in zgbtrf's
+    band storage, and the per-channel dispersion _bloch(k, h), at energy E
+    where the channel wavenumbers are k.
 
     Returns (u, ab, bloch): the system has u = 2 nch - 1 sub- and
     super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
@@ -224,7 +224,7 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support=None)
     lo..hi-1, renumbered 0..n-1 with n = hi - lo.
     """
     grid, channels = model.grid, model.channels
-    (lo, hi), nch = support or model.support, channels.n_channels
+    (lo, hi), nch = support, channels.n_channels
     n, h = hi - lo, grid.spacing
     eps = np.array(channels.thresholds, dtype=complex)
 

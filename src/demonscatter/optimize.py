@@ -215,11 +215,11 @@ def optimize(
     draws from PARAM_BOX by cost alone, on design_grid's rule at
     SCREEN_POINTS_PER_WAVELENGTH; the descents start from the best of
     them, after `init` if given (an explicit (b, c, x0, Delta), clipped to
-    PARAM_BOX).  Screening rows of the log hold screening-grid costs,
-    descent rows design-grid costs.  `budget` caps the evaluations across
-    screening and all descents, a cost-and-gradient counting as one; if it
-    runs out the best-so-far is returned with converged=False unless it
-    already beat the threshold.
+    PARAM_BOX), one descent each until one converges.  Screening rows of the
+    log hold screening-grid costs, descent rows design-grid costs.  `budget`
+    caps the evaluations across screening and all descents, a
+    cost-and-gradient counting as one; if it runs out the best-so-far is
+    returned with converged=False unless it already beat the threshold.
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100 evaluations, got {budget}")
@@ -276,8 +276,8 @@ def optimize(
         starts.append((np.asarray(init, dtype=float) - lo) / span)
     starts.extend(ranked)
 
-    # per-run budget sized for `restarts` runs; further ranked starts are
-    # tried if budget is left after that
+    # per-run budget sized for `restarts` runs plus a reserve of two; further
+    # ranked starts are tried if budget is left after that
     per_restart = max(100, (budget - len(log)) // (restarts + 2))
     for start in starts:
         remaining = budget - len(log)
@@ -286,8 +286,6 @@ def optimize(
         run(start, min(per_restart, remaining))
         if best[0] < CONVERGED_COST:
             break
-    if best[0] >= CONVERGED_COST and budget - len(log) > 0:
-        run(best[1], budget - len(log))  # spend the reserve polishing the best
     params = tuple(float(v) for v in lo + best[1] * span)
     cost_, amps = best[0], best[2]
     if grid is not caller:

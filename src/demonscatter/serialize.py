@@ -1,7 +1,7 @@
 """JSON model import; JSON/CSV export of S-matrices and analysis tables.
 
-JSON numbers are written with full round-trip precision (repr); CSV uses 12
-significant digits.  Complex values are [re, im] pairs throughout.
+JSON numbers are written with full round-trip precision (repr) and NaN or
+inf as null; CSV uses 12 significant digits.  Complex values are [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -34,10 +34,19 @@ def _unpair(v) -> complex:
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
+def _strict(val):
+    """val with every non-finite float, in any dict, list or tuple, as None."""
+    if isinstance(val, dict):
+        return {key: _strict(v) for key, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return list(map(_strict, val))
+    return None if isinstance(val, float) and not np.isfinite(val) else val
+
+
 def write_json(path, doc: dict):
-    """Write doc as indented JSON with a trailing newline."""
+    """Write doc as indented strict JSON, NaN and inf as null, with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_strict(doc), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

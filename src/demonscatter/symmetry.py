@@ -90,7 +90,7 @@ def _representatives(K: np.ndarray, flip: bool, transpose: bool, a: int, b: int)
     return P, Q
 
 
-def _blocked_maxima(K: np.ndarray, classes, stop: float = np.inf):
+def _blocked_maxima(K: np.ndarray, classes, stop: float):
     """max |K - gK| per class, g the class transform.
 
     One pass over slabs of SLAB rows; classes that share an index map share

@@ -131,12 +131,16 @@ def check_width(w: float):
         raise ValueError(f"width must be finite and positive with a normal square, got w={w}")
 
 
+def _lobes(profile: RabiProfile, t_plus, t_minus):
+    """The unit lobes g+-(x) = exp(-t^2/w^2) at t = t_plus = x + x0, t_minus = x - x0."""
+    with np.errstate(over="ignore"):  # a square that overflows gives g = exact 0
+        return tuple(np.exp(np.square(t) / -profile.w**2) for t in (t_plus, t_minus))
+
+
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # a square that overflows gives g = exact 0
-        g_plus = np.exp(np.square(x + profile.x0) / -profile.w**2)
-        g_minus = np.exp(np.square(x - profile.x0) / -profile.w**2)
+    g_plus, g_minus = _lobes(profile, x + profile.x0, x - profile.x0)
     omega = -1j * profile.b * g_plus + profile.c * g_minus
     return complex(omega) if np.ndim(omega) == 0 else omega
 
@@ -149,9 +153,7 @@ def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     t_plus, t_minus = x + profile.x0, x - profile.x0
-    with np.errstate(over="ignore"):
-        g_plus = np.exp(np.square(t_plus) / -profile.w**2)
-        g_minus = np.exp(np.square(t_minus) / -profile.w**2)
+    g_plus, g_minus = _lobes(profile, t_plus, t_minus)
     grad = np.zeros((3,) + x.shape, dtype=complex)
     np.negative(g_plus, out=grad[0].imag)
     grad[1].real = g_minus

@@ -53,6 +53,17 @@ def test_kinematics_rejects_closed_channel_0_beside_an_open_one(thresholds, mess
         kinematics(ChannelSet(thresholds=thresholds), 5.0)
 
 
+@pytest.mark.parametrize("E", [np.nan, np.inf])
+def test_kinematics_rejects_non_finite_energy(E):
+    with pytest.raises(ValueError, match="^energy must be finite$"):
+        kinematics(ChannelSet(thresholds=(0.0,)), E)
+
+
+def test_channel_set_needs_a_channel():
+    with pytest.raises(ValueError, match="^at least one channel required$"):
+        ChannelSet(thresholds=())
+
+
 def test_kinematics_branch():
     for eps in [-5.0, 0.0, 3.0, 7.0]:
         kin_k = kinematics(ChannelSet(thresholds=(0.0, eps)), 5.0).k

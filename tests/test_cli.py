@@ -48,6 +48,20 @@ def test_scatter_paper_model(tmp_path, monkeypatch):
     assert doc["n_open"] == 2
 
 
+def test_lossy_scatter_writes_strict_json(tmp_path, monkeypatch):
+    """solve_local reports no unitarity defect (NaN) for a non-Hermitian
+    model; the record holds null there, which a strict parser reads."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["scatter", "--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20",
+                "--gamma", "2", "--n", "401"]) == 0
+
+    def reject(token):
+        raise ValueError(f"not a JSON token: {token}")
+
+    doc = json.loads((tmp_path / "smatrix.json").read_text(), parse_constant=reject)
+    assert doc["diagnostics"]["unitarity_defect"] is None
+
+
 def test_scatter_missing_model(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["scatter", "--model", "nope.json"]) == 2
@@ -431,6 +445,14 @@ def test_bad_config_value_exits_2(command, cfg, tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert exit_code([command, "--config", "cfg.json"]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    assert run(["scatter", "--config", "list.json"]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["list.json"]
 
 
 def test_config_value_parses_as_its_flag(tmp_path, monkeypatch):

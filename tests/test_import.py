@@ -11,8 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -20,8 +18,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def run_fresh(script, cwd, **env):
     """Run `script` in a new interpreter; return the JSON on its last line."""
-    environ = {k: v for k, v in os.environ.items()
-               if k not in BLAS_VARS + ("DEMONSCATTER_THREADS",)}
+    environ = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     environ.update(env, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=environ,
                           capture_output=True, text=True, timeout=120)
@@ -71,12 +68,11 @@ print(json.dumps(seen))
 """ % (BLAS_VARS,)
 
 
-@pytest.mark.parametrize("env, expected", [
-    ({"DEMONSCATTER_THREADS": "1"}, ("1", "1", "1")),
-    ({"DEMONSCATTER_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, ("1", "2", "1")),
-], ids=["cap", "explicit-openblas-wins"])
-def test_thread_cap_is_set_before_numpy_loads(env, expected, tmp_path):
-    assert run_fresh(THREAD_CAP, tmp_path, **env) == dict(zip(BLAS_VARS, expected))
+def test_import_sets_no_blas_variable(tmp_path):
+    """The package keeps no environment option: the BLAS thread caps are the
+    vendors' own variables, and a leftover DEMONSCATTER_THREADS sets none."""
+    seen = run_fresh(THREAD_CAP, tmp_path, DEMONSCATTER_THREADS="1")
+    assert seen == dict.fromkeys(BLAS_VARS)
 
 
 PUBLIC_NAMES = """

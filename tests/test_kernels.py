@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from demonscatter.channels import ChannelSet
 from demonscatter.errors import (
     NonPositiveEnergyError,
     ThresholdSingularityError,
@@ -17,7 +18,7 @@ from demonscatter.kernels import (
     build_kernel,
     feshbach_reference,
 )
-from demonscatter.local_solver import build_two_level_model
+from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
 from demonscatter.units import RabiProfile, make_grid, rabi_eval
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
@@ -149,6 +150,16 @@ def test_feshbach_requires_two_channels():
         V=np.zeros((51, 1, 1)),
     )
     with pytest.raises(UnsupportedModelError):
+        feshbach_reference(model, 32.0)
+
+
+def test_feshbach_requires_vanishing_diagonal():
+    # a width-0.2 lobe decays at the box ends, so only the diagonal rule rejects it
+    grid = make_grid(-1.5, 1.5, 201)
+    V = np.zeros((201, 2, 2), dtype=complex)
+    V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = np.exp(-(grid.points / 0.2) ** 2)
+    model = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0, -20.0)), V=V)
+    with pytest.raises(UnsupportedModelError, match="vanishing diagonal"):
         feshbach_reference(model, 32.0)
 
 

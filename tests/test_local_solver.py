@@ -313,6 +313,14 @@ def test_end_decay_enforced():
         )
 
 
+@pytest.mark.parametrize("shape", [(100, 1, 1), (101, 2, 2), (101, 1)],
+                         ids=["short", "two-channel", "no-channel-axes"])
+def test_potential_of_the_wrong_shape_rejected(shape):
+    with pytest.raises(ModelError, match=r"^V must have shape \(101, 1, 1\), got "):
+        LocalPotentialModel(grid=make_grid(-1.5, 1.5, 101),
+                            channels=ChannelSet(thresholds=(0.0,)), V=np.zeros(shape))
+
+
 def test_non_finite_potential_rejected():
     grid = make_grid(-1.5, 1.5, 101)
     V = np.zeros((101, 1, 1), dtype=complex)
@@ -415,7 +423,8 @@ def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
     assert model.support != (0, 41)
-    u, ab, (lam, _s, _g) = _assemble(model, 30.0, kinematics(model.channels, 30.0).k)
+    u, ab, (lam, _s, _g) = _assemble(model, 30.0, kinematics(model.channels, 30.0).k,
+                                       model.support)
     A, lam_ref = coo_numerov_matrix(model, 30.0, model.support)
     A = A.toarray()
     i, j = np.indices(A.shape)
@@ -697,7 +706,7 @@ def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
         warnings.simplefilter("error")
         admitted = model(inside)
         kin = kinematics(admitted.channels, E)
-        _u, ab, (lam, _s, _g) = _assemble(admitted, E, kin.k)
+        _u, ab, (lam, _s, _g) = _assemble(admitted, E, kin.k, admitted.support)
         assert np.isfinite(ab).all() and np.all(np.abs(lam) >= 1.0 / 27.0)
         if kind != "potential":
             assert all(map(cmath.isfinite, solve_channel(admitted, E).probabilities))
@@ -798,7 +807,7 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
             eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
             for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
                 k = kinematics(model.channels, E).k
-                assert np.array_equal(_assemble(model, E, k)[1],
+                assert np.array_equal(_assemble(model, E, k, model.support)[1],
                                       strided_band_assembly(model, E, k, model.support)[1])
                 p = 3
                 dV = {(a, b): (rng.normal(size=(p, grid.n)) + 1j * rng.normal(size=(p, grid.n)))

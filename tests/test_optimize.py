@@ -416,3 +416,33 @@ def test_budget_is_a_hard_cap(restarts):
         assert [i for i, _p, _c in r.log] == list(range(1, r.evaluations + 1))
         spent.append(r.evaluations == budget)
     assert any(spent)  # the cap binds, mid-descent, in some of these runs
+
+
+@pytest.mark.parametrize("init", [None, PAPER_POINT], ids=["draws", "init"])
+def test_every_descent_starts_at_init_or_a_ranked_draw(init, monkeypatch):
+    """No descent restarts where an earlier one stopped: with a target that
+    no device reaches, the descents end with budget left, and the run stops
+    there rather than descend again from the best point."""
+    import scipy.optimize
+
+    starts = []
+    minimize = scipy.optimize.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    budget, restarts, seed = 2000, 1, 1
+    r = optimize(DeviceTarget(probabilities=(1.0, 1.0, 1.0, 1.0)), init=init, seed=seed,
+                 budget=budget, restarts=restarts, grid=make_grid(-1.5, 1.5, 401))
+    lo, span = PARAM_BOX[:, 0], np.ptp(PARAM_BOX, axis=1)
+    screened = min(budget // 4, 25 * restarts)
+    draws = np.random.default_rng(seed).random((screened, 4))
+    costs = [c for _i, _p, c in r.log[:screened]]
+    expected = [] if init is None else [np.clip((np.asarray(init) - lo) / span, 0.0, 1.0)]
+    expected += [draws[i] for i in sorted(range(screened), key=costs.__getitem__)]
+    assert not r.converged and r.evaluations < budget
+    assert 1 < len(starts) <= len(expected)
+    for i, (start, u) in enumerate(zip(starts, expected)):
+        assert np.array_equal(start, u), i

@@ -13,6 +13,7 @@ from demonscatter.serialize import (
     CSV_FMT,
     model_from_dict,
     read_model,
+    write_json,
     write_kernel_csv,
     write_optimization_log_csv,
     write_regions_csv,
@@ -49,6 +50,14 @@ def test_smatrix_file_roundtrip(tmp_path):
     for name in ("T", "R", "Rt", "Tt"):
         block = np.array([complex(re, im) for re, im in doc["blocks"][name]])
         assert np.array_equal(block.reshape(n, n), getattr(S, name))
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"a": [1.5, np.nan, (np.float64(np.inf), -0.0)],
+                      "b": {"c": -np.inf, "d": True, "e": None, "f": 3}})
+    expected = {"a": [1.5, None, [None, -0.0]], "b": {"c": None, "d": True, "e": None, "f": 3}}
+    assert path.read_text() == json.dumps(expected, indent=1) + "\n"
 
 
 def test_model_roundtrip(tmp_path):
@@ -110,6 +119,7 @@ MALFORMED_MODELS = {
     "V-true-mid-grid": edited(("V", 20, 1), True),
     "threshold-bool": edited(("thresholds", 1), [5.0, False]),
     "n-huge-short-V": edited(("grid", "n"), 10**9),
+    "V-three-entries-per-node": edited(("V",), [[0.0, 0.0, 0.0]] * 41),
 }
 
 

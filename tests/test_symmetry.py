@@ -361,7 +361,7 @@ def test_pass_reduces_every_orbit(monkeypatch, slab, n):
             for j in range(n):
                 K = S.copy()
                 K[i, j] += 1.0 + 1.0j
-                found = symmetry._blocked_maxima(K, [cls])
+                found = symmetry._blocked_maxima(K, [cls], np.inf)
                 assert found[cls] == reference_residual(K, cls), (cls, i, j)
 
 
@@ -441,7 +441,7 @@ def test_paper_kernel_scans_only_its_support_hull(monkeypatch):
     shapes = []
     blocked = symmetry._blocked_maxima
 
-    def recording(K, classes, stop=np.inf):
+    def recording(K, classes, stop):
         shapes.append((K.shape, len(classes)))
         return blocked(K, classes, stop)
 
