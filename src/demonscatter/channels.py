@@ -135,14 +135,6 @@ class SMatrix:
         """Assemble the 2N x 2N matrix [[T, Rt], [R, Tt]]."""
         return np.block([[self.T, self.Rt], [self.R, self.Tt]])
 
-    @classmethod
-    def from_full(cls, S: np.ndarray) -> "SMatrix":
-        S = np.asarray(S, dtype=complex)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-            raise ShapeMismatchError(f"need a square 2Nx2N matrix, got {S.shape}")
-        n = S.shape[0] // 2
-        return cls(T=S[:n, :n], Rt=S[:n, n:], R=S[n:, :n], Tt=S[n:, n:])
-
 
 @dataclass(frozen=True)
 class ChannelAmplitudes:

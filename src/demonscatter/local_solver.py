@@ -22,16 +22,16 @@ channels, unlike naive marching, and scalar checks on h, the model's vmax =
 max|V| and |E - eps_j| show the band finite before it is built (`_factor`).
 
 `solve_channel_jacobian` adds the exact derivatives of channel 0's
-amplitudes with respect to parameters of V and of the thresholds, by the
-adjoint method on the same LU: one transposed back-substitution for the
-channel's two end rows, then products with the analytic derivative of the
-stencil and of the boundary rows' Bloch factors.  `two_level_derivatives`
-gives those parameter derivatives for the two-level model.
+amplitudes with respect to parameters of V and of the thresholds of channels
+>= 1, by the adjoint method on the same LU: one transposed back-substitution
+for the channel's two end rows, then products with the analytic derivative of
+the stencil and of the boundary rows' Bloch factors, scaled to amplitudes by
+`_columns`' own map.  `two_level_derivatives` gives those parameter
+derivatives for the two-level model.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -295,8 +295,9 @@ def _factor(model: LocalPotentialModel, E: float, support):
 def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int):
     """Amplitudes out[end, j, c] of the open channels j at the left (0) and
     right (1) ends, under the left (c < m) and then the right incidences of
-    the first m open channels, and the solution psi on the band's nodes
-    lo..hi-1 ((hi - lo) nch x 2m), back-substituting only those incidences."""
+    the first m open channels; psi on the band's nodes lo..hi-1 ((hi - lo) nch
+    x 2m), back-substituting only those incidences; and amplitudes(v), the map
+    from end values v[..., end, j, c] (incident wave removed) to amplitudes."""
     u, lu, piv, (lam, s, _g), (lo, hi) = factors
     grid, nch = model.grid, model.channels.n_channels
     top = (hi - lo - 1) * nch
@@ -323,8 +324,11 @@ def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int
     flat[:m * step:step] -= incident * f[0, :m]
     flat[2 * m * n_open + m:][:m * step:step] -= incident * f[1, :m]
     phase = np.exp(1j * np.multiply.outer((grid.x_min, -grid.x_max), k_open))
-    return (ends.reshape(2, n_open, 2 * m) * sqrt_k[:, None] * (phase * f)[:, :, None]
-            * phase[:, :m].reshape(2 * m)), psi
+
+    def amplitudes(v):
+        return v * sqrt_k[:, None] * (phase * f)[:, :, None] * phase[:, :m].reshape(2 * m)
+
+    return amplitudes(ends.reshape(2, n_open, 2 * m)), psi, amplitudes
 
 
 #: (end, incidence) of T, R, Tt and Rt in _columns' out[end, j, c]; 0 is left, 1 right.
@@ -336,7 +340,7 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
     kin, factors = _factor(model, E, model.support)
     m = kin.n_open
-    out, _psi = _columns(model, kin, factors, m)
+    out = _columns(model, kin, factors, m)[0]
     S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)
@@ -360,8 +364,8 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     |dV_ab/dp_q| exceeds END_DECAY_REL times its largest, the share of V the
     grid ends may drop.  When that band is model.support (two_level_derivatives
     unless b or c is ~0), the amplitudes are solve_channel's bit for bit.
-    Channel 0's threshold is taken as fixed: its wavenumber, which sets
-    the amplitudes' phases and flux normalization, is not differentiated.
+    Channel 0's threshold sets the incident wave and _columns' amplitude map,
+    which also scales d psi_end / dp: a nonzero deps[:, 0] raises ValueError.
     Adjoint method on the one LU: A^T y = e for channel 0's two end rows is
     one more back-substitution, and then d psi_end / dp_q = -y^T (dA/dp_q) psi,
     where dA/dp_q is the analytic derivative of the Numerov rows (through
@@ -369,14 +373,17 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     whose derivative is _bloch's g, infinite at an exact threshold: moving the
     threshold of a channel that sits there raises ThresholdSingularityError).
     """
+    deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
+    if deps[:, 0].any():
+        raise ValueError("deps[:, 0] moves channel 0's threshold, which must stay fixed")
     support = model.support
     for d in dV.values():
         modulus = np.abs(d)
         moves = modulus > END_DECAY_REL * modulus.max(axis=1, keepdims=True)
         support = _covering(moves.any(axis=0), *support)
     kin, factors = _factor(model, E, support)
-    out, psi = _columns(model, kin, factors, 1)
-    u, lu, piv, (lam, _s, g), (lo, hi) = factors
+    out, psi, amplitudes = _columns(model, kin, factors, 1)
+    u, lu, piv, (_lam, _s, g), (lo, hi) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = hi - lo, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")
@@ -384,7 +391,6 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     y, _info = zgbtrs(lu, u, u, e, piv, trans=1, overwrite_b=1)
     # contiguous (end r or incidence c, channel, node) arrays
     y, psi = (np.ascontiguousarray(v.T.reshape(2, n, nch).transpose(0, 2, 1)) for v in (y, psi))
-    deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
     if not np.isfinite(g).all():  # a channel exactly at its threshold
         moved = np.flatnonzero(~np.isfinite(g) & deps.any(axis=0))
         if moved.size:
@@ -413,11 +419,5 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
         interior += d[:, lo:hi] @ (Y[:, a, None] * psi[None, :, b]).reshape(4, n).T
     G -= (h * h / 6.0) * interior
 
-    # as in _columns, amplitude = sqrt(k) p_end f_end p_inc (psi_end - incident
-    # wave) with p = e^{ik x_min} at the left end and e^{-ik x_max} at the right one
-    k = float(kin.k_open[0])
-    p = (cmath.exp(1j * k * grid.x_min), cmath.exp(-1j * k * grid.x_max))
-    f = lam[0] ** np.array([lo, grid.n - hi])
-    scale = math.sqrt(k) * np.array([p[end] * f[end] * p[inc] for end, inc in _AMPLITUDES])
     return (ChannelAmplitudes(*out[_ENDS, 0, _INCIDENCES].tolist()),
-            -(G.reshape(-1, 2, 2)[:, _ENDS, _INCIDENCES] * scale).T)
+            amplitudes(-G.reshape(-1, 2, 1, 2))[:, _ENDS, 0, _INCIDENCES].T)

@@ -1,9 +1,10 @@
 """Reference constructions and checks that only the tests use.
 
 The no-go verification (criteria 5 and 6, `test_nogo.py`) reads the channel
-inequalities, draws Haar unitaries and builds explicit boundary S-matrices;
-the symmetry tests apply a class transform to a whole kernel.  None of this
-runs in the program, so it lives here rather than in `demonscatter`.
+inequalities, draws Haar unitaries, splits a full S-matrix into its blocks and
+builds explicit boundary S-matrices; the symmetry tests apply a class
+transform to a whole kernel.  None of this runs in the program, so it lives
+here rather than in `demonscatter`.
 """
 
 import numpy as np
@@ -74,7 +75,15 @@ def construct_boundary_smatrix(kind: str) -> SMatrix:
             f"unknown kind {kind!r}; choose from {sorted(_BOUNDARY_COLUMNS)}"
         )
     cols = np.array(_BOUNDARY_COLUMNS[kind], dtype=complex).T
-    return SMatrix.from_full(cols)
+    return smatrix_from_full(cols)
+
+
+def smatrix_from_full(S) -> SMatrix:
+    """The SMatrix whose full() is the 2N x 2N matrix S, [[T, Rt], [R, Tt]];
+    SMatrix's own check raises ShapeMismatchError for any other shape."""
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[0] // 2
+    return SMatrix(T=S[:n, :n], Rt=S[:n, n:], R=S[n:, :n], Tt=S[n:, n:])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

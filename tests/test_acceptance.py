@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from demonscatter.channels import (
-    SMatrix,
     extract_channel,
     unitarity_defect,
 )
@@ -26,7 +25,7 @@ from demonscatter.optimize import DeviceTarget, PAPER_POINT, optimize, refine_pa
 from demonscatter.symmetry import SymmetryClass, classify, verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
-from oracles import check_bounds, construct_boundary_smatrix, haar_unitary
+from oracles import check_bounds, construct_boundary_smatrix, haar_unitary, smatrix_from_full
 from test_local_solver import barrier_model, barrier_t2_exact, random_hermitian_model
 
 PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
@@ -183,7 +182,7 @@ def haar_samples():
     out = []
     for _ in range(10_000):
         n = int(rng.integers(1, 4))
-        S = SMatrix.from_full(haar_unitary(2 * n, rng))
+        S = smatrix_from_full(haar_unitary(2 * n, rng))
         for i in range(n):
             a = extract_channel(S, i)
             slacks, _ = check_bounds(a)
@@ -220,14 +219,14 @@ def test_criterion_6_boundary_structure():
     t0 = timed()
     rng = np.random.default_rng(9)
     S0 = construct_boundary_smatrix("half-demon").full()
-    candidates = [extract_channel(SMatrix.from_full(S0), 0)]
+    candidates = [extract_channel(smatrix_from_full(S0), 0)]
     for _ in range(2000):
         eps = rng.uniform(0.0, 0.3)
         H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = 0.5 * (H + H.conj().T)
         w, U = np.linalg.eigh(H)
         Q = (U * np.exp(1j * eps * w)) @ U.conj().T
-        candidates.append(extract_channel(SMatrix.from_full(Q @ S0), 0))
+        candidates.append(extract_channel(smatrix_from_full(Q @ S0), 0))
     near = [a for a in candidates if abs(demon_parameter(a) - 0.5) < 1e-3]
     haar_near = [s for s in haar_samples() if abs(s[4] - 0.5) < 1e-3]
     structure_ok = all(

@@ -14,7 +14,7 @@ from demonscatter.errors import (
     ShapeMismatchError,
 )
 
-from oracles import haar_unitary
+from oracles import haar_unitary, smatrix_from_full
 
 
 def test_kinematics_single_open():
@@ -83,13 +83,13 @@ def test_unitarity_defect_full_reflector():
 def test_unitarity_defect_haar():
     rng = np.random.default_rng(3)
     U = haar_unitary(4, rng)
-    assert unitarity_defect(SMatrix.from_full(U)) < 1e-12
+    assert unitarity_defect(smatrix_from_full(U)) < 1e-12
 
 
 def test_block_roundtrip():
     rng = np.random.default_rng(5)
     U = haar_unitary(6, rng)
-    S = SMatrix.from_full(U)
+    S = smatrix_from_full(U)
     assert np.array_equal(S.full(), U)
 
 
@@ -97,11 +97,11 @@ def test_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         SMatrix(T=np.eye(2), R=np.eye(3), Tt=np.eye(2), Rt=np.eye(2))
     with pytest.raises(ShapeMismatchError):
-        SMatrix.from_full(np.eye(3))
+        smatrix_from_full(np.eye(3))
 
 
 def test_extract_channel_identity():
-    a = extract_channel(SMatrix.from_full(np.eye(2)), 0)
+    a = extract_channel(smatrix_from_full(np.eye(2)), 0)
     assert (a.T, a.R, a.Tt, a.Rt) == (1, 0, 1, 0)
 
 
@@ -113,7 +113,7 @@ def test_extract_channel_reflector():
 
 def test_extract_channel_out_of_range():
     with pytest.raises(ChannelIndexError):
-        extract_channel(SMatrix.from_full(np.eye(2)), 1)
+        extract_channel(smatrix_from_full(np.eye(2)), 1)
 
 
 def test_haar_unitary_is_unitary():
@@ -135,7 +135,7 @@ def test_channel_inequalities_haar_bulk():
     rng = np.random.default_rng(123)
     for _ in range(200):
         n = int(rng.integers(1, 4))
-        S = SMatrix.from_full(haar_unitary(2 * n, rng))
+        S = smatrix_from_full(haar_unitary(2 * n, rng))
         for i in range(n):
             a = extract_channel(S, i)
             t2, r2, tt2, rt2 = a.probabilities

@@ -8,7 +8,6 @@ from demonscatter import local_solver
 from demonscatter.channels import (
     ChannelAmplitudes,
     ChannelSet,
-    SMatrix,
     extract_channel,
     unitarity_defect,
 )
@@ -25,7 +24,7 @@ from demonscatter.errors import (
 )
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
 from demonscatter.units import RabiProfile, make_grid
-from oracles import check_bounds, construct_boundary_smatrix, haar_unitary
+from oracles import check_bounds, construct_boundary_smatrix, haar_unitary, smatrix_from_full
 from test_local_solver import random_hermitian_model
 
 
@@ -185,7 +184,7 @@ def test_haar_no_go_bound():
     rng = np.random.default_rng(31)
     for _ in range(300):
         n = int(rng.integers(1, 4))
-        S = SMatrix.from_full(haar_unitary(2 * n, rng))
+        S = smatrix_from_full(haar_unitary(2 * n, rng))
         for i in range(n):
             a = extract_channel(S, i)
             D = demon_parameter(a)
@@ -197,7 +196,7 @@ def test_haar_no_go_bound():
 def test_single_channel_always_dzero():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        S = SMatrix.from_full(haar_unitary(2, rng))
+        S = smatrix_from_full(haar_unitary(2, rng))
         assert abs(demon_parameter(extract_channel(S, 0))) < 1e-12
 
 

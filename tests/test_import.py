@@ -121,23 +121,32 @@ def referenced(tree, strings=False):
 
 
 def test_every_public_src_name_has_a_program_user():
-    """A public module-level function or class of the package is read by the
-    package outside its own definition, by the benchmark (code, or a string
-    that is the bare name, as in its TRACED table), or by the README quick
-    start; a name only the tests read belongs with them (tests/oracles.py)."""
-    defined, used = [], []
+    """A public module-level function or class of the package, or a public
+    method or property of a public class, is read by the package outside its
+    own definition, by the benchmark (code, or a string that is the bare
+    name, as in its TRACED table), or by the README quick start; a name only
+    the tests read belongs with them (tests/oracles.py)."""
+    defined, used = [], []  # used: (module-level statement, part of it, names the part reads)
     for path in sorted((SRC / "demonscatter").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
+            parts = [stmt]
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
                     and not stmt.name.startswith("_"):
                 defined.append((f"{path.stem}.{stmt.name}", stmt))
-            used.append((stmt, referenced(stmt)))
+                if isinstance(stmt, ast.ClassDef):
+                    parts = [*stmt.bases, *stmt.keywords, *stmt.decorator_list, *stmt.body]
+                    defined += [(f"{path.stem}.{stmt.name}.{member.name}", member)
+                                for member in stmt.body if isinstance(member, ast.FunctionDef)
+                                and not member.name.startswith("_")]
+            used += [(stmt, part, referenced(part)) for part in parts]
     program = set()
     for path in sorted((ROOT / "benchmarks").glob("*.py")):
         program |= referenced(ast.parse(path.read_text()), strings=True)
     readme = (ROOT / "README.md").read_text()
     quick_start = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     program |= referenced(ast.parse(quick_start))
+    # a class's own methods and a method's own body are not its users
     unused = [qualified for qualified, own in defined if own.name not in program
-              and not any(own.name in names for stmt, names in used if stmt is not own)]
+              and not any(own.name in names for stmt, part, names in used
+                          if own is not stmt and own is not part)]
     assert unused == []

@@ -819,6 +819,70 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
                 assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("nch", [1, 3, 4])
+def test_jacobian_matches_central_differences_of_the_amplitudes(nch):
+    """The Jacobian meets central differences of solve_channel's amplitudes,
+    which hold no copy of its amplitude map, to 1e-6 of each parameter's
+    largest derivative (an entry can be ~1e-3 of it, where the differences'
+    rounding shows): Hermitian, non-Hermitian and lossy models whose support
+    lies strictly inside the grid (so channel 0's Bloch carries lambda^lo and
+    lambda^(n - hi) are not 1), with the top channel closed at E for nch > 1.
+    The parameters are two dV bumps and, for nch > 1, moves of channel 1's
+    (open) threshold and of the closed one."""
+    rng = np.random.default_rng(60 + nch)
+    grid, E, step = make_grid(-2.0, 2.0, 401), 30.0, 1e-4
+    thresholds = {1: (0.0,), 3: (0.0, 4.0, 40.0), 4: (0.0, -3.0, 5.0, 40.0)}[nch]
+    V = random_hermitian_model(rng, grid, nch).V
+    base = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds), V=V)
+    models = [base, with_non_hermitian_coupling(base, rng)]
+    models += [with_lossy_last_channel(base)] if nch > 1 else []
+    p = 4 if nch > 1 else 2
+    deps = np.zeros((p, nch))
+    if nch > 1:
+        deps[2, 1] = deps[3, -1] = 1.0
+    for model in models:
+        lo, hi = model.support
+        assert 0 < lo and hi < grid.n
+        bump = np.exp(-((grid.points / 0.3) ** 2)) * (np.abs(model.V).max(axis=(1, 2))
+                                                      > SUPPORT_REL * model.vmax)
+        dense = np.zeros((p, grid.n, nch, nch), dtype=complex)
+        dense[0, :, 0, 0] = np.roll(bump, 5)
+        dense[1, :, 0, -1] += (1.0 + 2.0j) * bump
+        dense[1, :, -1, 0] += (3.0 - 1.0j) * bump
+        dV = {(a, b): dense[:, :, a, b] for a in range(nch) for b in range(nch)
+              if dense[:, :, a, b].any()}
+        jac = solve_channel_jacobian(model, E, dV, deps)[1]
+
+        def amplitudes(q, t):
+            eps = tuple(e + t * d for e, d in zip(model.channels.thresholds, deps[q]))
+            moved = LocalPotentialModel(grid=grid, channels=ChannelSet(eps),
+                                        V=model.V + t * dense[q])
+            a = solve_channel(moved, E)
+            return np.array([a.T, a.R, a.Tt, a.Rt])
+
+        for q in range(p):
+            differences = (amplitudes(q, step) - amplitudes(q, -step)) / (2 * step)
+            gap = np.max(np.abs(jac[:, q] - differences))
+            assert gap <= 1e-6 * np.max(np.abs(differences)), (q, gap)
+
+
+def test_moving_channel_0_threshold_is_rejected_before_factoring(monkeypatch):
+    """Channel 0's wavenumber sets the incident wave and the amplitude map,
+    which the Jacobian does not differentiate: a parameter that moves its
+    threshold raises ValueError naming channel 0 before anything is factored
+    (accepted, the eps_0 column was 200 times its size off central
+    differences on this model)."""
+    grid = make_grid(-1.5, 1.5, 601)
+    V = np.zeros((grid.n, 2, 2), dtype=complex)
+    V[:, 0, 1] = V[:, 1, 0] = 5.0 * np.exp(-((grid.points / 0.25) ** 2))
+    model = LocalPotentialModel(grid=grid, channels=ChannelSet((0.0, 10.0)), V=V)
+    factored = []
+    monkeypatch.setattr(local_solver, "_factor", lambda *args: factored.append(args))
+    with pytest.raises(ValueError, match="channel 0"):
+        solve_channel_jacobian(model, 30.0, {}, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert factored == []
+
+
 def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
     """Channel 1 exactly at threshold (Delta = -32 at E = 32): its Bloch
     derivative g is infinite, but only Delta moves that threshold, so the

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from demonscatter.channels import ChannelAmplitudes, SMatrix
+from demonscatter.channels import ChannelAmplitudes
 from demonscatter.demon import DemonReport, dzero_bounds
 from demonscatter.errors import ConfigError, GridError
 from demonscatter.kernels import OpticalParameters, build_kernel
@@ -22,7 +22,7 @@ from demonscatter.serialize import (
 )
 from demonscatter.units import RabiProfile, make_grid
 
-from oracles import haar_unitary
+from oracles import haar_unitary, smatrix_from_full
 
 
 def write_model(path, model):
@@ -40,7 +40,7 @@ def write_model(path, model):
 
 
 def test_smatrix_file_roundtrip(tmp_path):
-    S = SMatrix.from_full(haar_unitary(6, np.random.default_rng(2)))
+    S = smatrix_from_full(haar_unitary(6, np.random.default_rng(2)))
     path = tmp_path / "s.json"
     write_smatrix(path, S, diagnostics={"unitarity_defect": 1e-13})
     with open(path) as fh:
