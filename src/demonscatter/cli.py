@@ -13,7 +13,6 @@ error (any other toolkit error).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -60,31 +59,27 @@ def _profile_from(args) -> RabiProfile:
     return RabiProfile(b=args.b, c=args.c, x0=args.x0, w=args.w)
 
 
+def _reject_given(args, defaults: dict, reason: str):
+    """Raise ConfigError if any key of defaults is set away from its default
+    (NaN differs from every default): the reason says why it would be ignored."""
+    given = [key for key, default in defaults.items() if getattr(args, key) != default]
+    if given:
+        raise ConfigError(f"{reason}; drop {given}")
+
+
 def _model_from(args):
     """The --model file (with no profile or grid flag), else the flags' model."""
     if args.model is None:
         return build_two_level_model(
             _profile_from(args), args.delta, args.gamma, _grid_from(args)
         )
-    given = [key for key, default in {**_PROFILE, **_GRID}.items()
-             if getattr(args, key) != default]  # NaN differs from every default
-    if given:
-        raise ConfigError(f"--model sets the profile and grid; drop {given}")
+    _reject_given(args, {**_PROFILE, **_GRID}, "--model sets the profile and grid")
     return serialize.read_model(args.model)
 
 
-def _energy_from(args) -> float:
-    """E if given, else the ground-channel energy of v (default 8); an E and
-    a v given together must agree."""
-    if args.E is None:
-        return velocity_to_energy(8.0 if args.v is None else args.v)
-    if args.v is not None and not math.isclose(velocity_to_energy(args.v), args.E,
-                                               rel_tol=1e-12):
-        raise ConfigError(f"E={args.E} disagrees with v={args.v} (E = v^2/2)")
-    return args.E
-
-
-def _kernel_from(args, E: float):
+def _kernel_from(args):
+    """The Feshbach kernel at the ground-channel energy E = v^2/2."""
+    E = velocity_to_energy(args.v)
     params = OpticalParameters(
         profile=_profile_from(args), delta=args.delta, gamma=args.gamma, E=E
     )
@@ -104,7 +99,7 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_scatter_nonlocal(args) -> int:
-    amps = solve_nonlocal(_kernel_from(args, velocity_to_energy(args.v)), args.v)
+    amps = solve_nonlocal(_kernel_from(args), args.v)
     rep = DemonReport.from_amplitudes(amps)
     serialize.write_sweep_csv(args.out, [(args.v, rep)])
     print(f"v={args.v} D={rep.D:.6f} code={rep.code}")
@@ -112,10 +107,9 @@ def cmd_scatter_nonlocal(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    E = _energy_from(args)
-    kernel = _kernel_from(args, E)
+    kernel = _kernel_from(args)
     serialize.write_kernel_csv(args.out, kernel, polar=not args.cartesian)
-    print(f"E={E} max|K|={kernel.kmax:.6g}")
+    print(f"E={velocity_to_energy(args.v)} max|K|={kernel.kmax:.6g}")
     return EXIT_OK
 
 
@@ -136,14 +130,13 @@ def cmd_regions(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    E = _energy_from(args)
     check_tolerance(args.tol)
-    kernel = _kernel_from(args, E)
+    kernel = _kernel_from(args)
     report = classify(kernel, args.tol)
     verification = None
     if args.verify:
-        # solved at the ground-channel wavenumber of the kernel's energy
-        verification = verify_predictions(kernel, math.sqrt(2.0 * E), report=report)
+        # solved at the ground-channel wavenumber k = v of the kernel's energy
+        verification = verify_predictions(kernel, args.v, report=report)
     serialize.write_json(
         args.out, serialize.symmetry_report_to_dict(report, verification)
     )
@@ -155,14 +148,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model = _model_from(args)
     velocities = args.velocities
     if velocities is None:
         if not (math.isfinite(args.vmin) and math.isfinite(args.vmax)):
             raise ConfigError(f"vmin and vmax must be finite, got {args.vmin}, {args.vmax}")
         velocities = list(np.linspace(args.vmin, args.vmax, args.nv))
+    else:
+        _reject_given(args, _RANGE, "--velocities replaces --vmin, --vmax and --nv")
     if not velocities:
         raise ConfigError("at least one velocity is required")
+    model = _model_from(args)
     reports = sweep_demon(model, velocities)
     serialize.write_sweep_csv(args.out, reports)
     print(f"{len(reports)} velocities swept")
@@ -201,6 +196,7 @@ def cmd_refine_paper(args) -> int:
 _PROFILE = {"b": None, "c": None, "x0": 0.0, "w": DEFAULT_WIDTH, "delta": None,
             "gamma": 0.0}
 _GRID = {"n": DEFAULT_NPOINTS, "box": DEFAULT_BOX_HALF}
+_RANGE = {"vmin": 1.0, "vmax": 10.0, "nv": 10}
 
 #: Subcommand -> (handler, {config key: default}); each key is also a --flag.
 _COMMANDS = {
@@ -208,15 +204,13 @@ _COMMANDS = {
                               "out": "smatrix.json", "report": "demon_report.csv"}),
     "scatter-nonlocal": (cmd_scatter_nonlocal, {**_PROFILE, "v": 8.0, **_GRID,
                                                 "out": "demon_report.csv"}),
-    "kernel": (cmd_kernel, {**_PROFILE, "v": None, "E": None, **_GRID,
-                            "out": "kernel.csv", "cartesian": False}),
+    "kernel": (cmd_kernel, {**_PROFILE, "v": 8.0, **_GRID, "out": "kernel.csv",
+                            "cartesian": False}),
     "regions": (cmd_regions, {"resolution": 101, "out": "regions.csv"}),
-    "classify": (cmd_classify, {**_PROFILE, "v": None, "E": None, **_GRID,
-                                "tol": REL_TOL, "verify": False,
-                                "out": "symmetry.json"}),
-    "sweep": (cmd_sweep, {"model": None, **_PROFILE, "velocities": None,
-                          "vmin": 1.0, "vmax": 10.0, "nv": 10, **_GRID,
-                          "out": "sweep.csv"}),
+    "classify": (cmd_classify, {**_PROFILE, "v": 8.0, **_GRID, "tol": REL_TOL,
+                                "verify": False, "out": "symmetry.json"}),
+    "sweep": (cmd_sweep, {"model": None, **_PROFILE, "velocities": None, **_RANGE,
+                          **_GRID, "out": "sweep.csv"}),
     "optimize": (cmd_optimize, {"target": "half-demon", "probabilities": None,
                                 "weights": (1.0, 1.0, 1.0, 1.0), "v0": 8.0,
                                 "w": DEFAULT_WIDTH, "seed": 1, "budget": 5000,
@@ -242,11 +236,7 @@ def _config_argv(path, keys) -> list:
     token per element, a switch the bare flag when true and nothing when
     false.  A JSON value that no flag spelling matches is a ConfigError.
     """
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = serialize.read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(cfg) - set(keys)

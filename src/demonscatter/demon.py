@@ -47,7 +47,7 @@ def _side_code(p_t: float, p_r: float) -> str:
             parts.append(f"½{letter}")
         else:
             parts.append(f"{letter}({p:.2f})")
-    return "".join(parts) if parts else "A"
+    return "".join(parts)
 
 
 def device_code(a: ChannelAmplitudes) -> str:

@@ -87,13 +87,18 @@ def model_from_dict(d: dict) -> LocalPotentialModel:
                                V=V.reshape(n, nch, nch))
 
 
-def read_model(path) -> LocalPotentialModel:
+def read_json(path, what: str):
+    """The JSON document in the file; an unreadable file or one that is not
+    JSON raises ConfigError("cannot read <what> <path>: ...")."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"cannot read model {path}: {exc}") from exc
-    return model_from_dict(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_model(path) -> LocalPotentialModel:
+    return model_from_dict(read_json(path, "model"))
 
 
 def _write_csv(path, header, row_format, rows):

@@ -138,7 +138,7 @@ def test_classify_verifies_at_the_kernel_energy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_predictions", spy)
     assert run(["classify", "--b", "50", "--c", "40", "--x0", "0.1", "--delta", "20",
-                "--n", "201", "--E", "50", "--verify"]) == 0
+                "--n", "201", "--v", "10", "--verify"]) == 0
     assert wavenumbers == [10.0]
 
 
@@ -211,12 +211,6 @@ BAD_INPUT = {
     # at E = 0 channel 0 is closed, so open channel 0 would be the excited one
     "scatter-v-zero": ["scatter"] + _with("v", "0"),
     "sweep-nv-zero": ["sweep"] + _with("nv", "0"),
-    "kernel-E-nan": ["kernel"] + _with("E", "nan") + ["--n", "41"],
-    "kernel-E-negative": ["kernel"] + _with("E", "-1") + ["--n", "41"],
-    # E = 50 is v = 10, so v = 3 would be silently ignored
-    "kernel-E-v-disagree": ["kernel"] + _with("E", "50") + ["--v", "3", "--n", "41"],
-    "classify-E-v-disagree": ["classify"] + _with("E", "50") + ["--v", "3", "--n", "41",
-                                                               "--verify"],
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
@@ -277,7 +271,8 @@ OUT_OF_RANGE = {
        for cmd in ("scatter", "scatter-nonlocal", "kernel", "classify", "sweep")},
     "optimize-w-1e300": ["optimize", "--w", "1e300", "--budget", "100", "--n", "201"],
     "classify-E-1e-300-verify": ["classify", "--b", "50", "--c", "40", "--delta", "20",
-                                 "--n", "301", "--E", "1e-300", "--verify"],
+                                 "--n", "301", "--v", "1.4142135623730952e-150",
+                                 "--verify"],
 }
 
 
@@ -346,10 +341,10 @@ FULL_CONFIGS = {
                 "box": 1.5, "out": "s.json", "report": "r.csv"},
     "scatter-nonlocal": {**PROFILE_CFG, "v": 4.0, "n": 201, "box": 1.5,
                          "out": "r.csv"},
-    "kernel": {**PROFILE_CFG, "v": 4.0, "E": 8.0, "n": 41, "box": 1.5,
+    "kernel": {**PROFILE_CFG, "v": 4.0, "n": 41, "box": 1.5,
                "out": "k.csv", "cartesian": True},
     "regions": {"resolution": 5, "out": "regions.csv"},
-    "classify": {**PROFILE_CFG, "v": 4.0, "E": 8.0, "n": 101, "box": 1.5,
+    "classify": {**PROFILE_CFG, "v": 4.0, "n": 101, "box": 1.5,
                  "tol": 1e-8, "verify": True, "out": "sym.json"},
     "sweep": {"model": "model.json", **PROFILE_CFG, "velocities": [2.0, 3.0],
               "vmin": 2.0, "vmax": 3.0, "nv": 2, "n": 201, "box": 1.5,
@@ -371,11 +366,13 @@ def test_config_with_every_key_is_accepted(command, tmp_path, monkeypatch):
                                   grid=make_grid(-1.5, 1.5, 201))
     write_model("model.json", model)
     cfg = FULL_CONFIGS[command]
-    # a model file excludes the profile and grid keys, so each set runs alone
-    grid_keys = set(PROFILE_CFG) | {"n", "box"}
+    # a model file excludes the profile and grid keys, and a velocity list the
+    # range keys, so each set runs alone
+    excluded = {"model": set(PROFILE_CFG) | {"n", "box"},
+                "velocities": {"vmin", "vmax", "nv"}}
     configs = [cfg] if "model" not in cfg else [
-        {k: v for k, v in cfg.items() if k != "model"},
-        {k: v for k, v in cfg.items() if k not in grid_keys}]
+        {k: v for k, v in cfg.items() if k not in excluded},
+        {k: v for k, v in cfg.items() if k not in set().union(*excluded.values())}]
     for config in configs:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert run([command, "--config", "cfg.json"]) == 0
@@ -445,6 +442,32 @@ def test_bad_config_value_exits_2(command, cfg, tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert exit_code([command, "--config", "cfg.json"]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["kernel", "classify"])
+def test_energy_has_no_flag_or_key_but_v(command, tmp_path, monkeypatch, capsys):
+    # E = v^2/2 is given as --v, as in every other subcommand
+    monkeypatch.chdir(tmp_path)
+    assert exit_code([command, *EDGE_PROFILE, "--E", "50"]) == 2
+    assert "unrecognized arguments: --E 50" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_CFG, "E": 50.0}))
+    assert run([command, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['E']\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("flag", ["--vmin=5", "--vmax=nan", "--nv=7"])
+def test_range_flag_next_to_velocities_is_config_error(flag, tmp_path, monkeypatch, capsys):
+    # the list fixes the velocities: such a flag would do nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**SMALL_CFG, "velocities": [2.0, 3.0]}))
+    for argv in (["sweep", *PAPER_FLAGS, "--velocities", "2", "3", flag],
+                 ["sweep", "--config", "cfg.json", flag]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --velocities")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # a flag at its default is indistinguishable from no flag
+    assert run(["sweep", "--config", "cfg.json", "--vmin", "1", "--nv", "10"]) == 0
 
 
 def test_config_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
