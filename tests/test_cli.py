@@ -211,6 +211,9 @@ BAD_INPUT = {
     # at E = 0 channel 0 is closed, so open channel 0 would be the excited one
     "scatter-v-zero": ["scatter"] + _with("v", "0"),
     "sweep-nv-zero": ["sweep"] + _with("nv", "0"),
+    # the kernel's energy E = v^2/2 enters as --v, so it is checked there
+    "kernel-v-nan": ["kernel"] + _with("v", "nan") + ["--n", "41"],
+    "kernel-v-negative": ["kernel"] + _with("v", "-1") + ["--n", "41"],
     "classify-tol-nan": ["classify"] + _with("tol", "nan") + ["--n", "41"],
     "classify-tol-negative": ["classify"] + _with("tol", "-1") + ["--n", "41"],
     "scatter-nonlocal-delta-nan": ["scatter-nonlocal"] + _with("delta", "nan"),
