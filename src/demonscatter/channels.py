@@ -20,11 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ChannelIndexError,
-    NonPositiveEnergyError,
-    ShapeMismatchError,
-)
+from .errors import ChannelIndexError, NonPositiveEnergyError
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -120,7 +116,7 @@ class SMatrix:
         n = blocks[0].shape[0]
         for b in blocks:
             if b.shape != (n, n):
-                raise ShapeMismatchError(
+                raise ValueError(
                     f"all blocks must be {n}x{n}, got shapes "
                     f"{[bb.shape for bb in blocks]}"
                 )

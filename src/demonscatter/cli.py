@@ -165,10 +165,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    # the name is checked even when explicit probabilities replace it
-    named = DeviceTarget.named(args.target)
-    target = DeviceTarget(probabilities=args.probabilities or named.probabilities,
-                          weights=args.weights)
+    probabilities = args.probabilities
+    if probabilities is None:
+        probabilities = DeviceTarget.named(args.target).probabilities
+    else:
+        _reject_given(args, _TARGET, "--probabilities replaces --target")
+    target = DeviceTarget(probabilities=probabilities, weights=args.weights)
     result = optimize(target, v0=args.v0, w=args.w, seed=args.seed,
                       budget=args.budget, restarts=args.restarts,
                       grid=_grid_from(args))
@@ -197,6 +199,7 @@ _PROFILE = {"b": None, "c": None, "x0": 0.0, "w": DEFAULT_WIDTH, "delta": None,
             "gamma": 0.0}
 _GRID = {"n": DEFAULT_NPOINTS, "box": DEFAULT_BOX_HALF}
 _RANGE = {"vmin": 1.0, "vmax": 10.0, "nv": 10}
+_TARGET = {"target": "half-demon"}
 
 #: Subcommand -> (handler, {config key: default}); each key is also a --flag.
 _COMMANDS = {
@@ -211,7 +214,7 @@ _COMMANDS = {
                                 "verify": False, "out": "symmetry.json"}),
     "sweep": (cmd_sweep, {"model": None, **_PROFILE, "velocities": None, **_RANGE,
                           **_GRID, "out": "sweep.csv"}),
-    "optimize": (cmd_optimize, {"target": "half-demon", "probabilities": None,
+    "optimize": (cmd_optimize, {**_TARGET, "probabilities": None,
                                 "weights": (1.0, 1.0, 1.0, 1.0), "v0": 8.0,
                                 "w": DEFAULT_WIDTH, "seed": 1, "budget": 5000,
                                 "restarts": 8, **_GRID, "out": "optimize.json",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channels import ChannelAmplitudes, kinematics
-from .errors import InfeasiblePairError
 from .local_solver import LocalPotentialModel, solve_channel
 from .units import velocity_to_energy
 
@@ -91,11 +90,11 @@ def dzero_bounds(t2: float, rt2: float) -> DZeroBounds:
     D = (2t2+rt2-1, 1-rt2); ties resolve toward the earlier letter.
     """
     if not (0.0 <= t2 <= 1.0) or not (0.0 <= rt2 <= 1.0):
-        raise InfeasiblePairError(
+        raise ValueError(
             f"probabilities must lie in [0, 1], got ({t2}, {rt2})"
         )
     if rt2 > 1.0 - t2 + FEAS_TOL:
-        raise InfeasiblePairError(
+        raise ValueError(
             f"infeasible pair: |Rt|^2 = {rt2} > 1 - |T|^2 = {1.0 - t2}"
         )
     lo_c = 2.0 * t2 + rt2 - 1.0

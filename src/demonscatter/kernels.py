@@ -24,7 +24,6 @@ from .errors import (
     ModelError,
     NonPositiveEnergyError,
     ThresholdSingularityError,
-    UnsupportedModelError,
 )
 from .local_solver import BAND_LIMIT, LocalPotentialModel, build_two_level_model
 from .nonlocal_solver import NonlocalKernel
@@ -67,12 +66,12 @@ def feshbach_reference(model: LocalPotentialModel, E: float) -> NonlocalKernel:
     eliminated channel's |q| as check_resolution asks of an open channel.
     """
     if model.channels.n_channels != 2:
-        raise UnsupportedModelError(
+        raise ModelError(
             f"elimination implemented for 2 channels, got "
             f"{model.channels.n_channels}"
         )
     if model.vmax > 0 and np.abs(model.V[:, (0, 1), (0, 1)]).max() > 1e-12 * model.vmax:
-        raise UnsupportedModelError(
+        raise ModelError(
             "elimination requires vanishing diagonal potential blocks"
         )
     q = complex(branch_sqrt(2.0 * (E - model.channels.thresholds[1])))

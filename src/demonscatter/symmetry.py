@@ -12,11 +12,10 @@ the support [lo, hi); as a + b = n, each transform g maps it onto itself.
 g is an involution, an index permutation plus an exact conjugation, and
 float subtraction is exactly antisymmetric, so |K - gK| is equal at p and
 g(p): the pass reduces each class over one representative of every orbit
-only.  TimeReversal's residual is 2 max |Im K|, as K - conj(K) = 2i Im K.
-Off the hull, K and gK are at most SUPPORT_REL kmax in modulus, so the
-residual there is below cut = 4 SUPPORT_REL kmax (or the smallest normal
-float); a class whose hull residual does not exceed cut is scanned again
-over all of K.  Residuals are thus bit-identical to the whole-kernel
+only.  Off the hull, K and gK are at most SUPPORT_REL kmax in modulus, so
+the residual there is below cut = 4 SUPPORT_REL kmax (or the smallest
+normal float); a class whose hull residual does not exceed cut is scanned
+again over all of K.  Residuals are thus bit-identical to the whole-kernel
 max |K - gK|, and no temporary is larger than SLAB x n.
 
 classify needs only the verdicts r <= tol, so its pass has a stop bound: a
@@ -119,12 +118,8 @@ def _blocked_maxima(K: np.ndarray, classes, stop: float):
                 np.copyto(q, Q)
                 Q = q
             for cls in group:
-                if cls is SymmetryClass.TimeReversal:  # K - conj(K) = 2i Im K
-                    top = 2.0 * np.max(np.abs(P.imag, out=r))
-                else:
-                    np.subtract(P, np.conjugate(Q, out=d) if cls.value[2] else Q, out=d)
-                    top = np.max(np.abs(d, out=r))
-                found[cls] = max(found[cls], float(top))
+                np.subtract(P, np.conjugate(Q, out=d) if cls.value[2] else Q, out=d)
+                found[cls] = max(found[cls], float(np.max(np.abs(d, out=r))))
             group[:] = [cls for cls in group if found[cls] <= stop]
         by_map = {key: group for key, group in by_map.items() if group}
         if not by_map:

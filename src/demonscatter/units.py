@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, ModelError, NegativeVelocityError, ResolutionWarning
+from .errors import GridError, ModelError, ResolutionWarning
 
 #: Half-width of the default computational box, in units of d.  Exceeds the
 #: effective potential width (|x| <= 1) so truncation error is negligible.
@@ -186,7 +186,7 @@ def velocity_to_energy(v: float) -> float:
     if not math.isfinite(v):
         raise ValueError(f"velocity must be finite, got {v}")
     if v < 0:
-        raise NegativeVelocityError(f"velocity must be >= 0, got {v}")
+        raise ValueError(f"velocity must be >= 0, got {v}")
     if not math.isfinite(float(v) * float(v)):
         raise ValueError(f"velocity must have a finite square, got {v}")
     return 0.5 * v * v

@@ -10,7 +10,13 @@ here rather than in `demonscatter`.
 import numpy as np
 
 from demonscatter.channels import ChannelAmplitudes, SMatrix
+from demonscatter.optimize import PAPER_POINT
 from demonscatter.symmetry import SymmetryClass
+from demonscatter.units import RabiProfile
+
+#: The reference design's laser profile (b, c, x0) and detuning.
+PAPER_PROFILE = RabiProfile(*PAPER_POINT[:3])
+PAPER_DELTA = PAPER_POINT[3]
 
 
 def check_bounds(a: ChannelAmplitudes, tol: float = 1e-10):
@@ -80,7 +86,7 @@ def construct_boundary_smatrix(kind: str) -> SMatrix:
 
 def smatrix_from_full(S) -> SMatrix:
     """The SMatrix whose full() is the 2N x 2N matrix S, [[T, Rt], [R, Tt]];
-    SMatrix's own check raises ShapeMismatchError for any other shape."""
+    SMatrix's own check raises ValueError for any other shape."""
     S = np.asarray(S, dtype=complex)
     n = S.shape[0] // 2
     return SMatrix(T=S[:n, :n], Rt=S[:n, n:], R=S[n:, :n], Tt=S[n:, n:])

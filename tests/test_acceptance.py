@@ -21,15 +21,19 @@ from demonscatter.local_solver import (
     solve_local,
 )
 from demonscatter.nonlocal_solver import NonlocalKernel, solve_nonlocal
-from demonscatter.optimize import DeviceTarget, PAPER_POINT, optimize, refine_paper_point
+from demonscatter.optimize import DeviceTarget, optimize, refine_paper_point
 from demonscatter.symmetry import SymmetryClass, classify, verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
-from oracles import check_bounds, construct_boundary_smatrix, haar_unitary, smatrix_from_full
+from oracles import (
+    PAPER_DELTA,
+    PAPER_PROFILE,
+    check_bounds,
+    construct_boundary_smatrix,
+    haar_unitary,
+    smatrix_from_full,
+)
 from test_local_solver import barrier_model, barrier_t2_exact, random_hermitian_model
-
-PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
-PAPER_DELTA = 91.211
 
 
 def report(num, ok, detail):

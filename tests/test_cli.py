@@ -5,19 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from demonscatter import cli
+from demonscatter import cli, errors
 from demonscatter.cli import main
 from demonscatter.channels import ChannelSet
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
-from demonscatter.optimize import WEIGHT_LIMIT, OptimizationResult
+from demonscatter.optimize import PAPER_POINT, WEIGHT_LIMIT, OptimizationResult
 from demonscatter.symmetry import verify_predictions
 from demonscatter.units import RabiProfile, make_grid
 
 from test_serialize import MALFORMED_MODELS, write_model
 
-PAPER_FLAGS = [
-    "--b", "165.874", "--c", "103.876", "--x0", "0.16455", "--delta", "91.211",
-]
+PAPER_FLAGS = [token for key, value in zip(("b", "c", "x0", "delta"), PAPER_POINT)
+               for token in (f"--{key}", str(value))]
 
 
 def run(argv):
@@ -97,6 +96,24 @@ def test_kernel_q_zero_exit_code(tmp_path, monkeypatch):
     rc = run(["kernel"] + PAPER_FLAGS[:6] + ["--delta", "-32", "--v", "8",
               "--n", "41"])
     assert rc == 3
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type)
+                 and issubclass(obj, Exception) and not issubclass(obj, Warning)]
+
+
+@pytest.mark.parametrize("exc", ERROR_CLASSES, ids=lambda exc: exc.__name__)
+def test_exit_code_follows_the_error_class(exc, monkeypatch, capsys):
+    # a ValueError is a config error, whatever else it is; every other
+    # toolkit error is a compute error
+    def handler(args):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "regions", (handler, cli._COMMANDS["regions"][1]))
+    config = issubclass(exc, ValueError)
+    assert run(["regions"]) == (2 if config else 3)
+    kind = "config" if config else "compute"
+    assert capsys.readouterr().err == f"{kind} error: boom\n"
 
 
 def test_regions(tmp_path, monkeypatch):
@@ -251,6 +268,11 @@ BAD_INPUT = {
     "optimize-bogus-target-with-probabilities": ["optimize", "--target", "bogus",
                                                  "--probabilities", "0.5", "0", "0",
                                                  "0.5"],
+    # the probabilities replace the target, so a named target would do nothing
+    "optimize-target-with-probabilities": ["optimize", "--target", "T/A",
+                                           "--probabilities", "0.5", "0", "0", "0.5",
+                                           "--budget", "100", "--restarts", "1",
+                                           "--n", "201"],
 }
 
 
@@ -471,6 +493,26 @@ def test_range_flag_next_to_velocities_is_config_error(flag, tmp_path, monkeypat
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
     # a flag at its default is indistinguishable from no flag
     assert run(["sweep", "--config", "cfg.json", "--vmin", "1", "--nv", "10"]) == 0
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    ({"target": "T/A"}, ["--probabilities", "0.5", "0", "0", "0.5"]),
+    ({"probabilities": [0.5, 0.0, 0.0, 0.5]}, ["--target", "A/R"]),
+])
+def test_target_next_to_probabilities_is_config_error(cfg, flags, tmp_path, monkeypatch,
+                                                      capsys):
+    # the probabilities fix the target, by flag or config key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(["optimize", "--config", "cfg.json"] + flags) == 2
+    assert capsys.readouterr().err == (
+        "config error: --probabilities replaces --target; drop ['target']\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    # the target at its default is indistinguishable from no target
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"target": "half-demon", "probabilities": [0.5, 0.0, 0.0, 0.5]}))
+    assert run(["optimize", "--config", "cfg.json", "--budget", "100", "--restarts", "1",
+                "--n", "201"]) == 0
 
 
 def test_config_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):

@@ -18,13 +18,17 @@ from demonscatter.demon import (
     dzero_bounds,
     sweep_demon,
 )
-from demonscatter.errors import (
-    InfeasiblePairError,
-    NonPositiveEnergyError,
-)
+from demonscatter.errors import NonPositiveEnergyError
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
-from demonscatter.units import RabiProfile, make_grid
-from oracles import check_bounds, construct_boundary_smatrix, haar_unitary, smatrix_from_full
+from demonscatter.units import make_grid
+from oracles import (
+    PAPER_DELTA,
+    PAPER_PROFILE,
+    check_bounds,
+    construct_boundary_smatrix,
+    haar_unitary,
+    smatrix_from_full,
+)
 from test_local_solver import random_hermitian_model
 
 
@@ -152,9 +156,9 @@ def test_dzero_bounds_ordering_everywhere():
 
 
 def test_dzero_bounds_infeasible():
-    with pytest.raises(InfeasiblePairError):
+    with pytest.raises(ValueError, match=r"infeasible pair: \|Rt\|\^2 = 0\.5 > 1 - \|T\|\^2"):
         dzero_bounds(0.8, 0.5)
-    with pytest.raises(InfeasiblePairError):
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\], got \(-0\.1, 0\.5\)"):
         dzero_bounds(-0.1, 0.5)
 
 
@@ -219,9 +223,7 @@ def test_sweep_free_particle():
 
 
 def test_sweep_paper_model_peaks_near_design_velocity():
-    model = build_two_level_model(
-        RabiProfile(b=165.874, c=103.876, x0=0.16455), 91.211
-    )
+    model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA)
     reports = dict(sweep_demon(model, [6.0, 8.0, 10.0]))
     assert reports[8.0].D == pytest.approx(0.5, abs=0.02)
     assert reports[8.0].D > reports[6.0].D

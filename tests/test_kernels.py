@@ -9,9 +9,9 @@ from scipy.linalg import toeplitz
 
 from demonscatter.channels import ChannelSet
 from demonscatter.errors import (
+    ModelError,
     NonPositiveEnergyError,
     ThresholdSingularityError,
-    UnsupportedModelError,
 )
 from demonscatter.kernels import (
     OpticalParameters,
@@ -21,7 +21,7 @@ from demonscatter.kernels import (
 from demonscatter.local_solver import LocalPotentialModel, build_two_level_model
 from demonscatter.units import RabiProfile, make_grid, rabi_eval
 
-PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
+from oracles import PAPER_DELTA, PAPER_PROFILE
 
 
 def closed_form(profile, q, grid):
@@ -53,7 +53,7 @@ def test_zero_profile_zero_kernel():
 def test_diagonal_negative_imaginary():
     grid = make_grid(-1.5, 1.5, 401)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     K = build_kernel(params, grid).K
     d = np.diagonal(K)
@@ -65,7 +65,7 @@ def test_diagonal_negative_imaginary():
 def test_kernel_not_hermitian():
     grid = make_grid(-1.5, 1.5, 401)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     K = build_kernel(params, grid).K
     assert np.max(np.abs(K - np.conj(K.T))) > 1e-3 * np.max(np.abs(K))
@@ -74,7 +74,7 @@ def test_kernel_not_hermitian():
 def test_kernel_energy_dependent():
     grid = make_grid(-1.5, 1.5, 201)
     mk = lambda E: build_kernel(
-        OpticalParameters(delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=E),
+        OpticalParameters(delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=E),
         grid,
     ).K
     assert np.max(np.abs(mk(32.0) - mk(20.0))) > 0
@@ -149,7 +149,7 @@ def test_feshbach_requires_two_channels():
         grid=grid, channels=ChannelSet(thresholds=(0.0,)),
         V=np.zeros((51, 1, 1)),
     )
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(ModelError, match="elimination implemented for 2 channels, got 1"):
         feshbach_reference(model, 32.0)
 
 
@@ -159,7 +159,7 @@ def test_feshbach_requires_vanishing_diagonal():
     V = np.zeros((201, 2, 2), dtype=complex)
     V[:, 0, 1] = V[:, 1, 0] = V[:, 1, 1] = np.exp(-(grid.points / 0.2) ** 2)
     model = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds=(0.0, -20.0)), V=V)
-    with pytest.raises(UnsupportedModelError, match="vanishing diagonal"):
+    with pytest.raises(ModelError, match="vanishing diagonal"):
         feshbach_reference(model, 32.0)
 
 

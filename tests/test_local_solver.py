@@ -42,6 +42,8 @@ from demonscatter.local_solver import (
 from demonscatter.optimize import PAPER_POINT, PARAM_BOX, design_grid
 from demonscatter.units import SUPPORT_REL, RabiProfile, default_grid, make_grid, rabi_eval
 
+from oracles import PAPER_DELTA, PAPER_PROFILE
+
 
 def barrier_model(v0, width, n, half_box=1.5):
     """Rectangular barrier with edges on grid nodes (half-value there)."""
@@ -166,9 +168,6 @@ def superlu_smatrix(model, E):
     )
 
 
-PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
-
-
 def test_free_particle():
     grid = make_grid(-1.5, 1.5, 501)
     model = LocalPotentialModel(
@@ -214,14 +213,14 @@ def test_two_level_zero_coupling_is_free():
 
 
 def test_two_level_hermitian_iff_gamma_zero():
-    herm = build_two_level_model(PAPER_PROFILE, 91.211)
+    herm = build_two_level_model(PAPER_PROFILE, PAPER_DELTA)
     assert herm.hermitian_flag
-    lossy = build_two_level_model(PAPER_PROFILE, 91.211, gamma=1.0)
+    lossy = build_two_level_model(PAPER_PROFILE, PAPER_DELTA, gamma=1.0)
     assert not lossy.hermitian_flag
 
 
 def test_hermitian_flag_cannot_be_declared():
-    model = build_two_level_model(PAPER_PROFILE, 91.211)
+    model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA)
     for flag in (True, False, None):
         with pytest.raises(TypeError):
             LocalPotentialModel(grid=model.grid, channels=model.channels,
@@ -268,7 +267,7 @@ def test_model_samples_are_a_read_only_view_of_the_callers_array():
 
 
 def test_paper_model_half_demon_values():
-    model = build_two_level_model(PAPER_PROFILE, 91.211)
+    model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA)
     sol = solve_local(model, 32.0)
     t2, r2, tt2, rt2 = extract_channel(sol.S, 0).probabilities
     assert t2 == pytest.approx(0.5, abs=0.02)
@@ -281,7 +280,7 @@ def test_paper_model_half_demon_values():
 def test_paper_model_self_convergence():
     probs = []
     for n in (1001, 2001, 4001):
-        model = build_two_level_model(PAPER_PROFILE, 91.211, grid=make_grid(-1.5, 1.5, n))
+        model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA, grid=make_grid(-1.5, 1.5, n))
         probs.append(np.abs(solve_local(model, 32.0).S.full()) ** 2)
     diffs = [np.max(np.abs(b - a)) for a, b in zip(probs, probs[1:])]
     assert all(d < 1e-3 for d in diffs)
@@ -406,8 +405,8 @@ def oracle_cases():
     rng = np.random.default_rng(11)
     grid = make_grid(-1.5, 1.5, 2001)
     cases = [(random_hermitian_model(rng, grid), 30.0) for _ in range(100)]
-    cases.append((build_two_level_model(PAPER_PROFILE, 91.211), 32.0))
-    cases.append((build_two_level_model(PAPER_PROFILE, 91.211, gamma=3.0), 32.0))
+    cases.append((build_two_level_model(PAPER_PROFILE, PAPER_DELTA), 32.0))
+    cases.append((build_two_level_model(PAPER_PROFILE, PAPER_DELTA, gamma=3.0), 32.0))
     return cases
 
 
@@ -586,7 +585,7 @@ def test_solve_on_the_barrier_support_matches_the_full_grid_solve():
 
 
 def test_paper_model_factors_only_its_support(monkeypatch):
-    model = build_two_level_model(PAPER_PROFILE, 91.211)
+    model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA)
     lo, hi = model.support
     assert hi - lo < 0.7 * model.grid.n
     shapes = []
@@ -622,7 +621,7 @@ def test_closed_channel_0_is_rejected_before_factorization(monkeypatch):
 
 
 def test_singular_factorization_raises_solver_error(monkeypatch):
-    model = build_two_level_model(PAPER_PROFILE, 91.211, grid=make_grid(-1.5, 1.5, 401))
+    model = build_two_level_model(PAPER_PROFILE, PAPER_DELTA, grid=make_grid(-1.5, 1.5, 401))
     real_zgbtrf = local_solver.zgbtrf
 
     def singular(*args, **kw):

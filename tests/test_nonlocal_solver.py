@@ -24,9 +24,8 @@ from demonscatter.nonlocal_solver import (
 from demonscatter.symmetry import SymmetryClass
 from demonscatter.units import SUPPORT_REL, RabiProfile, make_grid
 
+from oracles import PAPER_DELTA, PAPER_PROFILE
 from test_symmetry import paper_kernel, random_bordered, random_smooth, symmetrized
-
-PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
 
 
 def smooth_envelope(x):
@@ -136,7 +135,7 @@ def test_transpose_symmetric_kernel_reciprocity():
 def test_paper_kernel_half_demon():
     grid = make_grid(-1.5, 1.5, 2001)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     a = solve_nonlocal(build_kernel(params, grid), 8.0)
     t2, r2, tt2, rt2 = a.probabilities
@@ -147,7 +146,7 @@ def test_paper_kernel_half_demon():
 
 def test_quadrature_order_at_least_two():
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     amps = {}
     for n in (751, 1501, 3001):
@@ -414,7 +413,7 @@ def test_support_solve_matches_full_solve_on_criterion_2_draws():
 def test_support_solve_matches_full_solve_on_paper_kernel(gamma):
     grid = make_grid(-1.5, 1.5, 2001)
     params = OpticalParameters(
-        delta=91.211, gamma=gamma, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=gamma, profile=PAPER_PROFILE, E=32.0
     )
     assert amplitude_gap(build_kernel(params, grid), 8.0) <= 1e-14
 
@@ -462,7 +461,7 @@ def test_paper_kernel_factors_only_its_support(monkeypatch):
     monkeypatch.setattr(module, "lu_factor", recording)
     grid = make_grid(-1.5, 1.5, 2001)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     solve_nonlocal(build_kernel(params, grid), 8.0)
     assert shapes == [(1348, 1348)]
@@ -471,7 +470,7 @@ def test_paper_kernel_factors_only_its_support(monkeypatch):
 def test_kernel_construction_makes_no_n_by_n_temporary():
     grid = make_grid(-1.5, 1.5, 2001)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     K = build_kernel(params, grid).K
     tracemalloc.start()

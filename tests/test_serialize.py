@@ -9,6 +9,7 @@ from demonscatter.demon import DemonReport, dzero_bounds
 from demonscatter.errors import ConfigError, GridError
 from demonscatter.kernels import OpticalParameters, build_kernel
 from demonscatter.nonlocal_solver import NonlocalKernel
+from demonscatter.optimize import PAPER_POINT
 from demonscatter.serialize import (
     CSV_FMT,
     model_from_dict,
@@ -20,9 +21,9 @@ from demonscatter.serialize import (
     write_smatrix,
     write_sweep_csv,
 )
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.units import make_grid
 
-from oracles import haar_unitary, smatrix_from_full
+from oracles import PAPER_DELTA, PAPER_PROFILE, haar_unitary, smatrix_from_full
 
 
 def write_model(path, model):
@@ -150,8 +151,7 @@ def test_kernel_csv(tmp_path):
     grid = make_grid(-1.5, 1.5, 21)
     kernel = build_kernel(
         OpticalParameters(
-            delta=91.211, gamma=0.0,
-            profile=RabiProfile(b=165.874, c=103.876, x0=0.16455), E=32.0,
+            delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0,
         ),
         grid,
     )
@@ -196,8 +196,7 @@ def csv_writer_reference(path, header, rows):
 
 def test_tables_are_the_bytes_csv_writer_writes(tmp_path):
     kernel = build_kernel(OpticalParameters(
-        delta=91.211, gamma=0.0, profile=RabiProfile(b=165.874, c=103.876, x0=0.16455),
-        E=32.0), make_grid(-2.0, 2.0, 41))
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0), make_grid(-2.0, 2.0, 41))
     # zeros of each sign pair at the ends, where argK reads signed zeros
     K = kernel.K.copy()
     K[0, :4] = K[-1, -4:] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
@@ -207,7 +206,7 @@ def test_tables_are_the_bytes_csv_writer_writes(tmp_path):
         (8.0, (np.sqrt(0.5), 0, 0, np.sqrt(0.5))), (np.float64(2.5), (0.3, 0.6j, 1e-7, -0.4)),
         (3, (1.0, 0, 0, 0))]]
     regions = [(t2, rt2, dzero_bounds(t2, rt2)) for t2, rt2 in [(1.0, 0.0), (0.25, 0.5)]]
-    log = [(1, (165.874, 103.876, 0.16455, 91.211), 7.04e-4), (2, (0.0, 400.0, 0.5, 1e-9), 2.0)]
+    log = [(1, PAPER_POINT, 7.04e-4), (2, (0.0, 400.0, 0.5, 1e-9), 2.0)]
     cases = [
         (write_kernel_csv, (kernel,), ["x", "y", "absK", "argK"],
          [(x[i], x[j], np.abs(K[i])[j], np.angle(K[i])[j]) for i in range(41) for j in range(41)]),

@@ -23,11 +23,9 @@ from demonscatter.symmetry import (
     predicted_relations,
     verify_predictions,
 )
-from demonscatter.units import RabiProfile, make_grid
+from demonscatter.units import SUPPORT_REL, RabiProfile, make_grid
 
-from oracles import transform
-
-PAPER_PROFILE = RabiProfile(b=165.874, c=103.876, x0=0.16455)
+from oracles import PAPER_DELTA, PAPER_PROFILE, transform
 
 
 def random_smooth(grid, rng, nbumps=4, scale=3.0):
@@ -81,7 +79,7 @@ def test_symmetrized_kernels_have_zero_residual():
 
 def test_paper_kernel_trivial_only():
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     kernel = build_kernel(params, GRID)
     report = classify(kernel)
@@ -225,6 +223,32 @@ def test_residual_at_tol_is_satisfied(node, imag):
     assert at.residuals["TimeReversal"] == below.residuals["TimeReversal"] == r
 
 
+def test_time_reversal_residual_is_twice_the_largest_imaginary_part():
+    # K - conj(K) = 2i Im K holds bit for bit on finite K: x - x is 0 and
+    # y - (-y) is 2y, so max |K - conj(K)| is exactly 2 max |Im K|
+    for cls in SymmetryClass:
+        K = symmetrized(BASE, cls)
+        residual = classify(NonlocalKernel(grid=GRID, K=K)).residuals["TimeReversal"]
+        assert residual == 2.0 * np.max(np.abs(K.imag)), cls
+    # real on the off-centre support [20, 120) with kmax = 1, so tol = rel_tol;
+    # imaginary parts below SUPPORT_REL everywhere, the largest off the hull
+    # [20, 281), where only the whole-kernel rescan reads it
+    n, lo, hi = 301, 20, 120
+    rng = np.random.default_rng(33)
+    K = random_bordered(n, rng).imag * 1j * (0.1 * SUPPORT_REL)
+    K[lo:hi, lo:hi] += rng.uniform(-0.5, 0.5, (hi - lo, hi - lo))
+    K[lo, lo] = 1.0
+    K[5, 290] = 0.75j * SUPPORT_REL
+    kernel = NonlocalKernel(grid=make_grid(-1.5, 1.5, n), K=K)
+    assert kernel.kmax == 1.0 and kernel.support == (lo, hi)
+    r = 2.0 * float(np.max(np.abs(K.imag)))
+    assert r == 1.5 * SUPPORT_REL
+    at = classify(kernel, r)
+    assert at.residuals["TimeReversal"] == r and at.verdicts["TimeReversal"] is True
+    below = classify(kernel, float(np.nextafter(r, 0.0)))
+    assert below.verdicts["TimeReversal"] is False
+
+
 def test_closure_hermiticity_and_tr():
     A = BASE
     K = symmetrized(symmetrized(A, SymmetryClass.Hermiticity), SymmetryClass.TimeReversal)
@@ -249,7 +273,7 @@ def test_verify_predictions_per_class(cls):
 def test_verify_predictions_paper_kernel():
     grid = make_grid(-1.5, 1.5, 2001)
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     kernel = build_kernel(params, grid)
     rep = verify_predictions(kernel, 8.0)
@@ -288,7 +312,7 @@ def random_bordered(n, rng):
 
 def paper_kernel(n):
     params = OpticalParameters(
-        delta=91.211, gamma=0.0, profile=PAPER_PROFILE, E=32.0
+        delta=PAPER_DELTA, gamma=0.0, profile=PAPER_PROFILE, E=32.0
     )
     return build_kernel(params, make_grid(-1.5, 1.5, n))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demonscatter.errors import GridError, NegativeVelocityError, ResolutionWarning
+from demonscatter.errors import GridError, ResolutionWarning
 from demonscatter.units import (
     DEFAULT_WIDTH,
     RabiProfile,
@@ -94,7 +94,7 @@ def test_velocity_to_energy():
     assert velocity_to_energy(8.0) == 32.0
     assert velocity_to_energy(0.0) == 0.0
     assert velocity_to_energy(1.0) == 0.5
-    with pytest.raises(NegativeVelocityError):
+    with pytest.raises(ValueError, match=r"velocity must be >= 0, got -1\.0"):
         velocity_to_energy(-1.0)
 
 
