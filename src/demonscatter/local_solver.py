@@ -14,12 +14,13 @@ and end values to the grid ends (Arnold, Ehrhardt & Sofronov, Commun. Math.
 Sci. 1, 501 (2003)).  One function, `_bloch`, gives the boundary rows, the
 incidence source and the gradient that dispersion without cancellation, so
 they keep full precision just above a channel threshold.  The system is block
-tridiagonal, so it is assembled straight into LAPACK band storage and
-factored once per (model, E); only the incidences a caller reads are
-back-substituted (all of them in `solve_local`, channel 0's two in
-`solve_channel`).  A boundary-value solve cannot overflow on strongly closed
-channels, unlike naive marching, and scalar checks on h, the model's vmax =
-max|V| and |E - eps_j| show the band finite before it is built (`_factor`).
+tridiagonal, so a stack of models on one grid at one E is assembled at once
+into LAPACK band storage, then factored and back-substituted member by member
+for only the incidences a caller reads (all of them in `solve_local`, channel
+0's two in `solve_channel`; both are stacks of one).  A boundary-value solve
+cannot overflow on strongly closed channels, unlike naive marching, and scalar
+checks on h, the model's vmax = max|V| and |E - eps_j| show the band finite
+before it is built (`_factor`).
 
 `solve_channel_jacobian` adds the exact derivatives of channel 0's
 amplitudes with respect to parameters of V and of the thresholds of channels
@@ -42,7 +43,6 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .channels import (
     ChannelAmplitudes,
-    ChannelKinematics,
     ChannelSet,
     SMatrix,
     kinematics,
@@ -55,9 +55,9 @@ from .units import (
     Grid,
     RabiProfile,
     _check_end_decay,
+    _rabi,
     check_resolution,
     default_grid,
-    rabi_eval,
     rabi_gradient,
 )
 
@@ -154,35 +154,41 @@ def build_two_level_model(
     A spacing above sqrt(2) w, which a lobe's core g >= e^{-1/2} can miss,
     raises GridError; a profile with b or c nonzero that vanishes on the grid, ModelError.
     """
+    return _two_level_models([profile], [delta], gamma, grid)[0][0]
+
+
+def _two_level_models(profiles, deltas, gamma: float = 0.0, grid: Optional[Grid] = None):
+    """build_two_level_model of each (profile, delta), sampled in one pass, and their lobes."""
     if gamma < 0:
         raise ValueError(f"decay rate must be >= 0, got gamma={gamma}")
     if grid is None:
         grid = default_grid()
-    if grid.spacing > math.sqrt(2.0) * profile.w:
-        raise GridError(f"spacing h={grid.spacing:.4g} exceeds sqrt(2) times the profile "
-                        f"width w={profile.w:.4g}; refine the grid")
-    eps2 = -(2.0 * delta + 1j * gamma) / 2.0
-    channels = ChannelSet(thresholds=(0.0, eps2))
     # incidence-axis orientation: the -i*b lobe sits at +x0 (downstream of
     # left incidence), which makes the reference design left-transmitting
-    omega = rabi_eval(profile, -grid.points)
-    V = np.zeros((2, 2, grid.n), dtype=complex)  # channel-major, as _assemble reads it
-    np.divide(omega, 2.0, out=V[0, 1])
-    np.divide(np.conj(omega, out=omega), 2.0, out=V[1, 0])
-    model = LocalPotentialModel(grid=grid, channels=channels, V=V.transpose(2, 0, 1))
-    if model.vmax == 0 and (profile.b or profile.c):
-        raise ModelError(f"profile (x0={profile.x0:.4g}, w={profile.w:.4g}) vanishes on the grid")
-    return model
+    omega, lobes = _rabi(profiles, -grid.points)
+    V = np.zeros((len(profiles), 2, 2, grid.n), dtype=complex)  # channel-major, for _assemble
+    np.divide(omega, 2.0, out=V[:, 0, 1])
+    np.divide(np.conj(omega, out=omega), 2.0, out=V[:, 1, 0])
+    models = []
+    for p, delta, v in zip(profiles, deltas, V):
+        if grid.spacing > math.sqrt(2.0) * p.w:
+            raise GridError(f"spacing h={grid.spacing:.4g} exceeds sqrt(2) times the profile "
+                            f"width w={p.w:.4g}; refine the grid")
+        channels = ChannelSet(thresholds=(0.0, -(2.0 * delta + 1j * gamma) / 2.0))
+        models.append(LocalPotentialModel(grid=grid, channels=channels, V=v.transpose(2, 0, 1)))
+        if models[-1].vmax == 0 and (p.b or p.c):
+            raise ModelError(f"profile (x0={p.x0:.4g}, w={p.w:.4g}) vanishes on the grid")
+    return models, lobes
 
 
-def two_level_derivatives(profile: RabiProfile, grid: Grid):
+def two_level_derivatives(profile: RabiProfile, lobes):
     """(dV, deps): the derivatives of build_two_level_model(profile, delta,
-    gamma, grid) with respect to p = (b, c, x0, delta), as
-    solve_channel_jacobian reads them.  Only the coupling V_12 = Omega/2,
-    V_21 = Omega*/2 depends on b, c and x0, and only the threshold
-    eps_2 = -delta - i gamma/2 on delta."""
-    d_coupling = np.zeros((4, grid.n), dtype=complex)
-    np.multiply(rabi_gradient(profile, -grid.points), 0.5, out=d_coupling[:3])
+    gamma, grid) with respect to p = (b, c, x0, delta), as solve_channel_jacobian
+    reads them, from the profile's lobes (_two_level_models).  Only the coupling
+    V_12 = Omega/2, V_21 = Omega*/2 depends on b, c and x0, and only the
+    threshold eps_2 = -delta - i gamma/2 on delta."""
+    d_coupling = np.zeros((4,) + lobes.shape[1:], dtype=complex)
+    np.multiply(rabi_gradient(profile, lobes), 0.5, out=d_coupling[:3])
     deps = np.zeros((4, 2))
     deps[3, 1] = -1.0
     return {(0, 1): d_coupling, (1, 0): d_coupling.conj()}, deps
@@ -213,42 +219,41 @@ def _bloch(k: np.ndarray, h: float):
         return lam, s, h * h * (6.0 + d) ** 2 / (36j * s * lam)
 
 
-def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support):
-    """Numerov system on the node interval support = (lo, hi), in zgbtrf's
-    band storage, and the per-channel dispersion _bloch(k, h), at energy E
-    where the channel wavenumbers are k.
+def _assemble(models, E: float, k: np.ndarray, supports):
+    """Numerov systems of a stack of models on one grid, member i's on the
+    node interval supports[i] = (lo, hi) at energy E where its channel
+    wavenumbers are k[i], in zgbtrf's band storage, and _bloch(k, h).
 
-    Returns (u, ab, bloch): the system has u = 2 nch - 1 sub- and
-    super-diagonals, and ab[2u + i - j, j] holds its entry A[i, j] (rows
-    0..u-1 are the LU's fill-in space).  Its unknowns are the nodes
-    lo..hi-1, renumbered 0..n-1 with n = hi - lo.
+    Returns (u, bands, bloch): each system has u = 2 nch - 1 sub- and
+    super-diagonals, and bands[i][2u + r - c, c] holds member i's A[r, c]
+    (rows 0..u-1 are the LU's fill-in space), its unknowns the nodes lo..hi-1
+    renumbered 0..n-1.  The members' nodes run one after another in one buffer.
     """
-    grid, channels = model.grid, model.channels
-    (lo, hi), nch = support, channels.n_channels
-    n, h = hi - lo, grid.spacing
-    eps = np.array(channels.thresholds, dtype=complex)
-
-    # W = 2 V + 2 diag(eps - E), channel-major: W[a, b] runs over the nodes
-    W = np.multiply(model.V[lo:hi].transpose(1, 2, 0), 2.0,
-                    out=np.empty((nch, nch, n), dtype=complex))
-    W.reshape(nch * nch, n)[::nch + 1] += (2.0 * (eps - E))[:, None]
-    bloch = _bloch(k, h)
-
+    grid, nch = models[0].grid, models[0].channels.n_channels
+    h, sizes = grid.spacing, [hi - lo for lo, hi in supports]
+    *first, n = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
     # column c nch + b of A holds, in rows (c - 1) nch .. (c + 2) nch - 1,
     # entry (a, b) of P[c] = I - (h^2/12) W[c], Q[c] = -2 I - (10 h^2/12) W[c]
-    # and P[c]: cols[b, t nch + a, c] for t = 0, 1, 2.  Row nodes 0 and n - 1
-    # are the boundary rows psi_j(1) - psi_j(0)/lam_j, psi_j(n-2) - psi_j(n-1)/lam_j
+    # and P[c], W = 2 V + 2 diag(eps - E): cols[b, t nch + a, c] for t = 0, 1, 2
     cols = np.empty((nch, 3 * nch, n), dtype=complex)
     P, Q, P2 = (cols[:, t * nch:(t + 1) * nch].transpose(1, 0, 2) for t in range(3))
-    np.multiply(W, -h * h / 12.0, out=P)
-    np.multiply(W, -10.0 * h * h / 12.0, out=Q)
     diagonals = cols.reshape(3 * nch * nch, n)  # row b 3 nch + t nch + a
+    eps = np.array([model.channels.thresholds for model in models], dtype=complex)
+    for model, (lo, hi), i, e in zip(models, supports, first, 2.0 * (eps - E)):  # W, in P
+        np.multiply(model.V[lo:hi].transpose(1, 2, 0), 2.0, out=P[..., i:i + hi - lo])
+        diagonals[::3 * nch + 1, i:i + hi - lo] += e[:, None]
+    np.multiply(P, -10.0 * h * h / 12.0, out=Q)
+    np.multiply(P, -h * h / 12.0, out=P)
     diagonals[::3 * nch + 1] += 1.0     # P's diagonal
     diagonals[nch::3 * nch + 1] -= 2.0  # Q's diagonal
     P2[...] = P
-    P[..., 0] = P2[..., -1] = 0.0  # rows outside A
-    P[..., 1] = P2[..., -2] = np.eye(nch)
-    Q[..., 0] = Q[..., -1] = np.diag(-1.0 / bloch[0])
+    # a member's first and last nodes are the boundary rows
+    # psi_j(1) - psi_j(0)/lam_j and psi_j(n-2) - psi_j(n-1)/lam_j
+    bloch = _bloch(k, h)
+    for i, size, lam in zip(first, sizes, bloch[0]):  # its end nodes i, i + size - 1
+        P[..., i] = P2[..., i + size - 1] = 0.0  # rows outside A
+        P[..., i + 1] = P2[..., i + size - 2] = np.eye(nch)
+        Q[..., i] = Q[..., i + size - 1] = np.diag(-1.0 / lam)
 
     u = 2 * nch - 1
     rows = 3 * u + 1
@@ -257,14 +262,14 @@ def _assemble(model: LocalPotentialModel, E: float, k: np.ndarray, support):
     band = np.ndarray(cols.shape, dtype=complex, buffer=ab, offset=(2 * u - nch) * ab.itemsize,
                       strides=tuple(ab.itemsize * s for s in (rows - 1, 1, rows * nch)))
     band[...] = cols
-    return u, ab, bloch
+    return u, [ab[:, i * nch:(i + size) * nch] for i, size in zip(first, sizes)], bloch
 
 
-def _factor(model: LocalPotentialModel, E: float, support):
-    """Kinematics at E and the banded LU (u, lu, piv, bloch, support) of the
-    Numerov system on the node interval support = (lo, hi).
+def _factor(models, E: float, supports):
+    """Kinematics at E of a stack of models on one grid and the banded LUs (u, lus,
+    bloch, supports) of their Numerov systems on supports[i] = (lo, hi), one zgbtrf each.
 
-    Scalar checks show the band finite before it is built, or raise a
+    Scalar checks show each band finite before it is built, or raise a
     ValueError with no numpy warning.  A Numerov-row entry is at most
     2 + 2 max(1, h^2) (vmax + max_j |E - eps_j|): ModelError above BAND_LIMIT.
     A boundary row holds 1 and -1/lambda_j, and _bloch divides by 1 - y/12,
@@ -273,62 +278,63 @@ def _factor(model: LocalPotentialModel, E: float, support):
     (GridError between).  Then |1 - y/12| >= max(1/2, |y|/24), |c - 1| <= 12
     and 1/27 <= |lambda_j| <= 1.
     """
-    h = model.grid.spacing
-    gaps = [complex(E) - eps for eps in model.channels.thresholds]  # no numpy, no warning
-    e = [math.hypot(d.real, d.imag) for d in gaps]
-    if max(h * h, 1.0) * (model.vmax + max(e)) > BAND_LIMIT:
-        raise ModelError(f"Numerov band would overflow: max|V| = {model.vmax:.3g}, "
-                         f"max|E - eps_j| = {max(e):.3g}, h = {h:.4g}")
-    if any(6.0 < 2.0 * h * h * ej < 24.0 and not (d.imag == 0.0 and d.real > 0.0)
-           for d, ej in zip(gaps, e)):
-        raise GridError(f"spacing h={h:.4g} puts a closed channel's |k| h between "
-                        f"sqrt(6) and 2 sqrt(6); refine the grid")
-    kin = kinematics(model.channels, E)
-    check_resolution(max(kin.k_open.tolist()), h)
-    u, ab, bloch = _assemble(model, E, kin.k, support)
-    lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
-    if info > 0:
+    h, kins = models[0].grid.spacing, []
+    for model in models:
+        gaps = [complex(E) - eps for eps in model.channels.thresholds]  # no numpy, no warning
+        e = [math.hypot(d.real, d.imag) for d in gaps]
+        if max(h * h, 1.0) * (model.vmax + max(e)) > BAND_LIMIT:
+            raise ModelError(f"Numerov band would overflow: max|V| = {model.vmax:.3g}, "
+                             f"max|E - eps_j| = {max(e):.3g}, h = {h:.4g}")
+        if any(6.0 < 2.0 * h * h * ej < 24.0 and not (d.imag == 0.0 and d.real > 0.0)
+               for d, ej in zip(gaps, e)):
+            raise GridError(f"spacing h={h:.4g} puts a closed channel's |k| h between "
+                            f"sqrt(6) and 2 sqrt(6); refine the grid")
+        kins.append(kinematics(model.channels, E))
+        check_resolution(max(kins[-1].k_open.tolist()), h)
+    u, bands, bloch = _assemble(models, E, np.array([kin.k for kin in kins]), supports)
+    lus = [zgbtrf(band, u, u, overwrite_ab=1) for band in bands]
+    if any(info > 0 for _lu, _piv, info in lus):
         raise SolverError("singular linear system: singular matrix")
-    return kin, (u, lu, piv, bloch, support)
+    return kins, (u, lus, bloch, supports)
 
 
-def _columns(model: LocalPotentialModel, kin: ChannelKinematics, factors, m: int):
-    """Amplitudes out[end, j, c] of the open channels j at the left (0) and
-    right (1) ends, under the left (c < m) and then the right incidences of
-    the first m open channels; psi on the band's nodes lo..hi-1 ((hi - lo) nch
-    x 2m), back-substituting only those incidences; and amplitudes(v), the map
-    from end values v[..., end, j, c] (incident wave removed) to amplitudes."""
-    u, lu, piv, (lam, s, _g), (lo, hi) = factors
-    grid, nch = model.grid, model.channels.n_channels
-    top = (hi - lo - 1) * nch
-    open_idx, k_open = kin.open_indices, kin.k_open
-    n_open, inc = len(open_idx), open_idx[:m]
-    both = np.arange(2 * m)  # columns: left incidences, then right ones
+def _columns(kins, factors, grid: Grid, m: int):
+    """Amplitudes out[i, end, j, c] of member i's open channels j (the same for all)
+    at the left (0) and right (1) ends, under the left (c < m) and then the right
+    incidences of the first m; each member's psi on its band ((hi - lo) nch x 2m),
+    from one zgbtrs; and amplitudes(v), from end values v[..., i, end, j, c]."""
+    u, lus, (lam, s, _g), supports = factors
+    open_idx, nch = kins[0].open_indices, lam.shape[1]
+    k_open = np.array([kin.k_open for kin in kins])
     sqrt_k = np.sqrt(k_open)
-    # off the band the solution is free discrete waves lambda^j: f[end, j]
+    # off the band the solution is free discrete waves lambda^j: f[i, end, j]
     # carries channel j between the band's end node and the grid's (1 at 0, n)
-    f = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
-    src = 2j * s[inc] / sqrt_k[:m]  # lambda - 1/lambda
-    B = np.zeros(((hi - lo) * nch, 2 * m), dtype=complex, order="F")
-    # left incidence in the bottom BC row, right incidence in the top one
-    B[np.concatenate((inc, top + inc)), both] = (src * f[:, :m]).reshape(-1)
-    psi, _info = zgbtrs(lu, u, u, B, piv, overwrite_b=1)
-    if not np.isfinite(psi).all():
-        raise SolverError("non-finite solution; near-singular linear system")
+    f = lam[:, None, open_idx] ** np.array([(lo, grid.n - hi) for lo, hi in supports])[..., None]
+    inc, both = open_idx[:m], np.arange(2 * m)  # columns: left incidences, then right ones
+    src = 2j * s[:, inc] / sqrt_k[:, :m]  # lambda - 1/lambda
+    ends, psi, step = np.empty((len(lam), 2, len(open_idx), 2 * m), dtype=complex), [], 2 * m + 1
+    for (lu, piv, _info), (lo, hi), b, out in zip(lus, supports, src[:, None] * f[..., :m], ends):
+        B, top = np.zeros(((hi - lo) * nch, 2 * m), dtype=complex, order="F"), (hi - lo - 1) * nch
+        # left incidence in the bottom BC row, right incidence in the top one
+        B[np.concatenate((inc, top + inc)), both] = b.reshape(-1)
+        psi.append(zgbtrs(lu, u, u, B, piv, overwrite_b=1)[0])
+        if not np.isfinite(psi[-1]).all():
+            raise SolverError("non-finite solution; near-singular linear system")
+        out.reshape(-1, 2 * m)[...] = psi[-1][np.concatenate((open_idx, top + open_idx))]
 
     # outgoing coefficients at the left (0) and right (1) ends, incident wave
-    # removed (ends[j, j] and ends[n_open + j, m + j], j < m), carried to the
-    # grid's ends by f, flux normalized and converted to e^{+ikx} / e^{-ikx} waves
-    ends = psi[np.concatenate((open_idx, top + open_idx))]
-    flat, step, incident = ends.reshape(-1), 2 * m + 1, 1.0 / sqrt_k[:m]
-    flat[:m * step:step] -= incident * f[0, :m]
-    flat[2 * m * n_open + m:][:m * step:step] -= incident * f[1, :m]
-    phase = np.exp(1j * np.multiply.outer((grid.x_min, -grid.x_max), k_open))
+    # removed (ends[i, e, j, e m + j], j < m), carried to the grid's ends by f,
+    # flux normalized and converted to e^{+ikx} / e^{-ikx} waves
+    flat, incident = ends.reshape(len(lam), 2, -1), 1.0 / sqrt_k[:, None, :m] * f[:, :, :m]
+    flat[:, 0, :m * step:step] -= incident[:, 0]
+    flat[:, 1, m:][:, :m * step:step] -= incident[:, 1]
+    phase = np.exp(1j * (np.array((grid.x_min, -grid.x_max))[:, None] * k_open[:, None]))
 
     def amplitudes(v):
-        return v * sqrt_k[:, None] * (phase * f)[:, :, None] * phase[:, :m].reshape(2 * m)
+        return (v * sqrt_k[:, None, :, None] * (phase * f)[..., None]
+                * phase[..., :m].reshape(-1, 1, 1, 2 * m))
 
-    return amplitudes(ends.reshape(2, n_open, 2 * m)), psi, amplitudes
+    return amplitudes(ends), psi, amplitudes
 
 
 #: (end, incidence) of T, R, Tt and Rt in _columns' out[end, j, c]; 0 is left, 1 right.
@@ -338,9 +344,9 @@ _ENDS, _INCIDENCES = zip(*_AMPLITUDES)
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
-    kin, factors = _factor(model, E, model.support)
-    m = kin.n_open
-    out = _columns(model, kin, factors, m)[0]
+    kins, factors = _factor([model], E, [model.support])
+    m = kins[0].n_open
+    out = _columns(kins, factors, model.grid, m)[0][0]
     S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)
@@ -350,8 +356,15 @@ def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
     """extract_channel(solve_local(model, E).S, 0), bit for bit, from only
     channel 0's two incidences: no rest of S and no unitarity defect.
     Channel 0, the incident channel, must be open at E (see kinematics)."""
-    kin, factors = _factor(model, E, model.support)
-    return ChannelAmplitudes(*_columns(model, kin, factors, 1)[0][_ENDS, 0, _INCIDENCES].tolist())
+    return _solve_channels([model], E)[0]
+
+
+def _solve_channels(models, E: float):
+    """[solve_channel(model, E) for model in models] bit for bit, from one assembly and
+    a zgbtrf and zgbtrs per member; the models share a grid and open channels at E."""
+    kins, factors = _factor(models, E, [model.support for model in models])
+    out = _columns(kins, factors, models[0].grid, 1)[0]
+    return [ChannelAmplitudes(*a) for a in out[:, _ENDS, 0, _INCIDENCES].tolist()]
 
 
 def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps: np.ndarray):
@@ -376,14 +389,11 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
     deps = np.asarray(deps, dtype=complex)  # a real @ complex matmul would leave BLAS
     if deps[:, 0].any():
         raise ValueError("deps[:, 0] moves channel 0's threshold, which must stay fixed")
-    support = model.support
-    for d in dV.values():
-        modulus = np.abs(d)
-        moves = modulus > END_DECAY_REL * modulus.max(axis=1, keepdims=True)
-        support = _covering(moves.any(axis=0), *support)
-    kin, factors = _factor(model, E, support)
-    out, psi, amplitudes = _columns(model, kin, factors, 1)
-    u, lu, piv, (_lam, _s, g), (lo, hi) = factors
+    modulus = np.abs(list(dV.values())).reshape(-1, model.grid.n)  # every dV_ab/dp_q
+    moves = modulus > END_DECAY_REL * modulus.max(axis=1, keepdims=True)
+    kins, factors = _factor([model], E, [_covering(moves.any(axis=0), *model.support)])
+    (out,), (psi,), amplitudes = _columns(kins, factors, model.grid, 1)
+    u, ((lu, piv, _info),), (_lam, _s, (g,)), ((lo, hi),) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = hi - lo, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")

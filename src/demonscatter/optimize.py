@@ -7,9 +7,9 @@ random draws from PARAM_BOX by their cost; L-BFGS-B (box-bounded
 quasi-Newton; Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1190
 (1995)) then descends from the best of them, with restarts, confined to
 PARAM_BOX.  Every evaluation builds the two-level model and reads channel 0
-alone from the coupled-channel solve: a screening evaluation through
-`solve_channel`, a descent evaluation through `solve_channel_jacobian`,
-which adds the exact gradient by the adjoint method on the same LU.
+alone from the coupled-channel solve: screening draws SCREEN_CHUNK at a time
+as one stack, a descent evaluation through `solve_channel_jacobian`, which
+adds the exact gradient by the adjoint method on the same LU.
 
 The search runs on a design grid derived from the physics (`design_grid`):
 the caller's box, with only as many points as the shortest local wavelength
@@ -31,8 +31,9 @@ import numpy as np
 from .demon import demon_parameter
 from .errors import ModelError
 from .local_solver import (
+    _solve_channels,
+    _two_level_models,
     build_two_level_model,
-    solve_channel,
     solve_channel_jacobian,
     two_level_derivatives,
 )
@@ -52,6 +53,9 @@ DESIGN_POINTS_PER_WAVELENGTH = 50
 #: At v0 = 8 (n = 362, not 723), seeds 1-8 x TARGETS x 200 draws: same top 10 in
 #: 24/24 rankings, same full order in 22/24 (ranks 50, 111 differ), costs within 1.4e-5.
 SCREEN_POINTS_PER_WAVELENGTH = 25
+
+#: Screening draws solved as one stack; at n = 362, 10 beat 1, 5 and 25 per draw.
+SCREEN_CHUNK = 10
 
 #: Largest target weight: with |p - t| <= 1, the cost and its gradient stay
 #: finite (the same margin to the float range as local_solver.BAND_LIMIT).
@@ -149,24 +153,30 @@ def _resolved(grid: Grid, v0: float, w: float, points_per_wavelength: int) -> Gr
 
 def _evaluate(params, target: DeviceTarget, v0: float, w: float, grid: Grid,
               gradient: bool = False):
-    """Cost at params, its channel-0 amplitudes and, if gradient, d cost/d params
-    (else None); callers check v0 and w once."""
-    b, c, x0, delta = (float(p) for p in params)
-    profile = RabiProfile(b=b, c=c, x0=x0, w=w)
-    model = build_two_level_model(profile, delta, grid=grid)
+    """(cost, channel-0 amplitudes, d cost/d params if gradient else None) at params."""
+    return _evaluations([params], target, v0, w, grid, gradient)[0]
+
+
+def _evaluations(points, target: DeviceTarget, v0: float, w: float, grid: Grid,
+                 gradient: bool = False):
+    """_evaluate at each of points, bit for bit, from one model stack and, without
+    gradient, one stacked solve; callers check v0 and w once."""
+    profiles = [RabiProfile(*map(float, params[:3]), w=w) for params in points]
+    models, lobes = _two_level_models(profiles, [float(p[3]) for p in points], grid=grid)
     E = velocity_to_energy(v0)
-    if gradient:
-        amps, jac = solve_channel_jacobian(model, E, *two_level_derivatives(profile, grid))
-    else:
-        amps = solve_channel(model, E)
-    deviations = list(zip(target.weights, amps.probabilities, target.probabilities))
-    cost_ = float(sum(wt * (a - t) ** 2 for wt, a, t in deviations))
-    if not gradient:
-        return cost_, amps, None
-    # d|a_k|^2/dp = 2 Re(conj(a_k) da_k/dp)
-    a = np.array([amps.T, amps.R, amps.Tt, amps.Rt])
-    weights = np.array([2.0 * wt * (p - t) for wt, p, t in deviations])
-    return cost_, amps, weights @ (2.0 * (a.conj()[:, None] * jac).real)
+    solved = ([solve_channel_jacobian(model, E, *two_level_derivatives(profile, own))
+               for model, profile, own in zip(models, profiles, lobes.swapaxes(0, 1))]
+              if gradient else [(amps, None) for amps in _solve_channels(models, E)])
+    out = []
+    for amps, jac in solved:
+        deviations = list(zip(target.weights, amps.probabilities, target.probabilities))
+        cost_, grad = float(sum(wt * (a - t) ** 2 for wt, a, t in deviations)), None
+        if gradient:  # d|a_k|^2/dp = 2 Re(conj(a_k) da_k/dp)
+            a = np.array([amps.T, amps.R, amps.Tt, amps.Rt])
+            weights = np.array([2.0 * wt * (p - t) for wt, p, t in deviations])
+            grad = weights @ (2.0 * (a.conj()[:, None] * jac).real)
+        out.append((cost_, amps, grad))
+    return out
 
 
 def _result(params, cost_: float, amps, evaluations: int, **extra) -> OptimizationResult:
@@ -243,18 +253,21 @@ def optimize(
     log = []
     best = (np.inf, None, None)   # cost, normalized point, amplitudes
 
-    # the search runs in box-normalized coordinates u in [0, 1]^4, so all
-    # four parameters carry comparable step sizes
+    # the search runs in box-normalized coordinates u in [0, 1]^4 (a point, or rows solved
+    # SCREEN_CHUNK at a time), so all four parameters carry comparable step sizes
     def f(u, gradient=False, on=grid):
         nonlocal best
         if len(log) >= limit:
             raise _BudgetSpent
-        p = lo + u * span
-        c, amps, grad = _evaluate(p, target, v0, w, on, gradient)
-        log.append((len(log) + 1, tuple(float(v) for v in p), c))
-        if on is grid and c < best[0]:
-            best = (c, np.array(u, dtype=float), amps)
-        return (c, grad * span) if gradient else c
+        us = np.reshape(u, (-1, 4))
+        points = lo + us * span
+        out = sum((_evaluations(points[i:i + SCREEN_CHUNK], target, v0, w, on, gradient)
+                   for i in range(0, len(us), SCREEN_CHUNK)), [])
+        for row, p, (c, amps, _grad) in zip(us, points, out):
+            log.append((len(log) + 1, tuple(float(v) for v in p), c))
+            if on is grid and c < best[0]:
+                best = (c, np.array(row, dtype=float), amps)
+        return (out[0][0], out[0][2] * span) if gradient else [c for c, _a, _g in out]
 
     def run(u0, maxfev):
         # L-BFGS-B checks its maxfun only between iterations, so a line
@@ -269,8 +282,8 @@ def optimize(
 
     # cheap screening pass ranks random draws; the restarts descend from the
     # most promising ones (the landscape is multimodal)
-    ranked = sorted(rng.random((min(budget // 4, 25 * restarts), 4)),
-                    key=lambda u: f(u, on=screen))
+    draws = rng.random((min(budget // 4, 25 * restarts), 4))
+    ranked = draws[np.argsort(f(draws, on=screen), kind="stable")]
     starts = []
     if init is not None:
         starts.append((np.asarray(init, dtype=float) - lo) / span)

@@ -131,30 +131,32 @@ def check_width(w: float):
         raise ValueError(f"width must be finite and positive with a normal square, got w={w}")
 
 
-def _lobes(profile: RabiProfile, t_plus, t_minus):
-    """The unit lobes g+-(x) = exp(-t^2/w^2) at t = t_plus = x + x0, t_minus = x - x0."""
+def _rabi(profiles, x):
+    """(Omega, lobes) of a stack of profiles at x; lobes stacks t+- = x +- x0, exp(-t+-^2/w^2)."""
+    x = np.asarray(x, dtype=float)
+    b, c, x0, scale = np.array([(p.b, p.c, p.x0, -p.w**2)
+                                for p in profiles]).T[(...,) + (None,) * x.ndim]
+    lobes = np.empty((4, len(profiles)) + x.shape)
+    np.add(x, (x0, -x0), out=lobes[:2])  # t+-
     with np.errstate(over="ignore"):  # a square that overflows gives g = exact 0
-        return tuple(np.exp(np.square(t) / -profile.w**2) for t in (t_plus, t_minus))
+        np.exp(np.square(lobes[:2]) / scale, out=lobes[2:])
+    return -1j * b * lobes[2] + c * lobes[3], lobes
 
 
 def rabi_eval(profile: RabiProfile, x):
     """Evaluate Omega(x); accepts scalars or arrays, returns complex."""
-    x = np.asarray(x, dtype=float)
-    g_plus, g_minus = _lobes(profile, x + profile.x0, x - profile.x0)
-    omega = -1j * profile.b * g_plus + profile.c * g_minus
+    omega = _rabi([profile], x)[0][0]
     return complex(omega) if np.ndim(omega) == 0 else omega
 
 
-def rabi_gradient(profile: RabiProfile, x: np.ndarray) -> np.ndarray:
-    """dOmega/d(b, c, x0) at the points x, shape (3,) + x.shape.
+def rabi_gradient(profile: RabiProfile, lobes) -> np.ndarray:
+    """dOmega/d(b, c, x0) from the profile's member of _rabi's lobes, shape (3,) + lobes[0].shape.
 
     g'(t) = -2 t/w^2 g(t), and x0 enters the b lobe as +x0 and the c lobe
     as -x0.
     """
-    x = np.asarray(x, dtype=float)
-    t_plus, t_minus = x + profile.x0, x - profile.x0
-    g_plus, g_minus = _lobes(profile, t_plus, t_minus)
-    grad = np.zeros((3,) + x.shape, dtype=complex)
+    t_plus, t_minus, g_plus, g_minus = lobes
+    grad = np.zeros((3,) + t_plus.shape, dtype=complex)
     np.negative(g_plus, out=grad[0].imag)
     grad[1].real = g_minus
     np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)

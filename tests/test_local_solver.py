@@ -40,7 +40,8 @@ from demonscatter.local_solver import (
     two_level_derivatives,
 )
 from demonscatter.optimize import PAPER_POINT, PARAM_BOX, design_grid
-from demonscatter.units import SUPPORT_REL, RabiProfile, default_grid, make_grid, rabi_eval
+from demonscatter.units import (SUPPORT_REL, RabiProfile, _rabi, default_grid, make_grid,
+                                rabi_eval)
 
 from oracles import PAPER_DELTA, PAPER_PROFILE
 
@@ -422,8 +423,8 @@ def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
     assert model.support != (0, 41)
-    u, ab, (lam, _s, _g) = _assemble(model, 30.0, kinematics(model.channels, 30.0).k,
-                                       model.support)
+    u, (ab,), (lam, _s, _g) = _assemble([model], 30.0, kinematics(model.channels, 30.0).k[None],
+                                         [model.support])
     A, lam_ref = coo_numerov_matrix(model, 30.0, model.support)
     A = A.toarray()
     i, j = np.indices(A.shape)
@@ -431,7 +432,7 @@ def test_band_storage_matches_coo_matrix():
     assert np.array_equal(ab[(2 * u + i - j)[inside], j[inside]], A[inside])
     assert not A[~inside].any()
     assert not ab[:u].any()  # zgbtrf's fill-in rows start empty
-    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(lam[0], lam_ref)
 
 
 def solve_banded_solution(model, E, nodes):
@@ -448,7 +449,7 @@ def solve_banded_solution(model, E, nodes):
     n = hi - lo
     kin = kinematics(channels, E)
     open_idx, k_open = kin.open_indices, kin.k_open
-    u, ab, (lam, sin_kh, _g) = _assemble(model, E, kin.k, nodes)
+    u, (ab,), ((lam,), (sin_kh,), _g) = _assemble([model], E, kin.k[None], [nodes])
     n_open = len(open_idx)
     f_left, f_right = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
@@ -705,7 +706,7 @@ def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
         warnings.simplefilter("error")
         admitted = model(inside)
         kin = kinematics(admitted.channels, E)
-        _u, ab, (lam, _s, _g) = _assemble(admitted, E, kin.k, admitted.support)
+        _u, (ab,), (lam, _s, _g) = _assemble([admitted], E, kin.k[None], [admitted.support])
         assert np.isfinite(ab).all() and np.all(np.abs(lam) >= 1.0 / 27.0)
         if kind != "potential":
             assert all(map(cmath.isfinite, solve_channel(admitted, E).probabilities))
@@ -779,6 +780,11 @@ def adjoint_reference(model, E, dV, deps, nodes):
     return -(G[:, [2, 0, 1, 3]] * scale).T
 
 
+def derivatives(profile, grid):
+    """two_level_derivatives of profile on grid, from its lobes there."""
+    return two_level_derivatives(profile, _rabi([profile], -grid.points)[1][:, 0])
+
+
 def with_non_hermitian_coupling(model, rng):
     """The model with a bump added to V_01 alone."""
     x = model.grid.points
@@ -789,11 +795,12 @@ def with_non_hermitian_coupling(model, rng):
 
 @pytest.mark.parametrize("nch", [1, 2, 3, 4])
 def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
-    """_assemble's band equals the oracle's (signed zeros aside), and the
-    Jacobian matches the oracle's adjoint to 1e-14 relative, for Hermitian,
-    lossy and non-Hermitian models, at E = 30 and just above thresholds,
-    both on the model's support; dV moves V only where V is above
-    SUPPORT_REL vmax."""
+    """Each member's band of _assemble on a stack of the Hermitian,
+    non-Hermitian and lossy models (bands padded to the longest support)
+    equals the oracle's (signed zeros aside), and the Jacobian matches the
+    oracle's adjoint to 1e-14 relative, for each model, at E = 30 and just
+    above thresholds, both on the model's support; dV moves V only where V
+    is above SUPPORT_REL vmax."""
     rng = np.random.default_rng(40 + nch)
     grid = make_grid(-1.5, 1.5, 301)
     for _ in range(2):
@@ -805,9 +812,10 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
             moved = np.abs(model.V).max(axis=(1, 2)) > SUPPORT_REL * model.vmax
             eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
             for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
-                k = kinematics(model.channels, E).k
-                assert np.array_equal(_assemble(model, E, k, model.support)[1],
-                                      strided_band_assembly(model, E, k, model.support)[1])
+                k = np.array([kinematics(m.channels, E).k for m in models])
+                bands = _assemble(models, E, k, [m.support for m in models])[1]
+                for m, k_m, band in zip(models, k, bands):
+                    assert np.array_equal(band, strided_band_assembly(m, E, k_m, m.support)[1])
                 p = 3
                 dV = {(a, b): (rng.normal(size=(p, grid.n)) + 1j * rng.normal(size=(p, grid.n)))
                       * moved for a in range(nch) for b in range(nch) if rng.random() < 0.7}
@@ -897,7 +905,7 @@ def test_jacobian_is_finite_with_a_channel_exactly_at_threshold():
 
     profile = RabiProfile(*params)
     model = build_two_level_model(profile, -32.0, grid=grid)
-    dV, deps = two_level_derivatives(profile, grid)
+    dV, deps = derivatives(profile, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ThresholdSingularityError, match="channel 1 is exactly at threshold"):
@@ -923,16 +931,16 @@ def test_jacobian_matches_the_whole_grid_adjoint_at_the_box_corners(monkeypatch)
     bands = []
     real_factor = local_solver._factor
 
-    def recording(model, E, support):
-        bands.append(support)
-        return real_factor(model, E, support)
+    def recording(models, E, supports):
+        bands.extend(supports)
+        return real_factor(models, E, supports)
 
     monkeypatch.setattr(local_solver, "_factor", recording)
     widened = []
     for b, c, x0, delta in [PAPER_POINT, *itertools.product(*PARAM_BOX)]:
         profile = RabiProfile(b, c, x0)
         model = build_two_level_model(profile, delta, grid=grid)
-        dV, deps = two_level_derivatives(profile, grid)
+        dV, deps = derivatives(profile, grid)
         amps, jac = solve_channel_jacobian(model, 32.0, dV, deps)
         ref = adjoint_reference(model, 32.0, dV, deps, (0, grid.n))
         assert np.max(np.abs(jac - ref)) <= 1e-9 * np.max(np.abs(ref)), (b, c, x0, delta)
@@ -946,31 +954,21 @@ def test_jacobian_matches_the_whole_grid_adjoint_at_the_box_corners(monkeypatch)
     assert sorted(widened) == [(0.0, 400.0, 0.5)] * 2 + [(400.0, 0.0, 0.5)] * 2
 
 
-def cut_rabi_eval(profile, x):
-    """rabi_eval as it was before the cut at |x| = 1.5 was removed, kept as
-    its oracle: exact zero wherever |x| >= 1.5, whatever the grid."""
+def cut_rabi(profiles, x):
+    """_rabi as it was before the cut at |x| = 1.5 was removed, kept as its
+    oracle: both lobes, and so Omega and its gradient, exact zero wherever
+    |x| >= 1.5, whatever the grid."""
     x = np.asarray(x, dtype=float)
     outside = np.abs(x) >= 1.5
     t = np.where(outside, 0.0, x)
-    g_plus = np.exp(np.square(t + profile.x0) / -profile.w**2)
-    g_minus = np.exp(np.square(t - profile.x0) / -profile.w**2)
-    return np.where(outside, 0.0 + 0.0j, -1j * profile.b * g_plus + profile.c * g_minus)
-
-
-def cut_rabi_gradient(profile, x):
-    """rabi_gradient with the same cut, kept as its oracle."""
-    x = np.asarray(x, dtype=float)
-    outside = np.abs(x) >= 1.5
-    t = np.where(outside, 0.0, x)
-    t_plus, t_minus = t + profile.x0, t - profile.x0
-    g_plus = np.exp(np.square(t_plus) / -profile.w**2)
-    g_minus = np.exp(np.square(t_minus) / -profile.w**2)
-    grad = np.zeros((3,) + x.shape, dtype=complex)
-    np.negative(g_plus, out=grad[0].imag)
-    grad[1].real = g_minus
-    np.multiply((2.0 * profile.c / profile.w**2) * t_minus, g_minus, out=grad[2].real)
-    np.multiply((2.0 * profile.b / profile.w**2) * t_plus, g_plus, out=grad[2].imag)
-    return np.where(outside, 0.0 + 0.0j, grad)
+    lobes = np.zeros((4, len(profiles)) + x.shape)
+    omega = np.zeros((len(profiles),) + x.shape, dtype=complex)
+    for i, profile in enumerate(profiles):
+        lobes[:2, i] = t + profile.x0, t - profile.x0
+        lobes[2:, i] = np.exp(np.square(lobes[:2, i]) / -profile.w**2)
+        lobes[2:, i, outside] = 0.0
+        omega[i] = -1j * profile.b * lobes[2, i] + profile.c * lobes[3, i]
+    return omega, lobes
 
 
 def test_uncut_profile_gives_the_cut_profiles_bits_on_the_default_box(monkeypatch):
@@ -990,14 +988,14 @@ def test_uncut_profile_gives_the_cut_profiles_bits_on_the_default_box(monkeypatc
         grid = make_grid(-1.5, 1.5, 723)
         for p in draws:
             profile = RabiProfile(*p[:3])
-            model = build_two_level_model(profile, p[3], grid=grid)
-            amps, jac = solve_channel_jacobian(model, 32.0, *two_level_derivatives(profile, grid))
+            (model,), lobes = local_solver._two_level_models([profile], [p[3]], grid=grid)
+            amps, jac = solve_channel_jacobian(model, 32.0,
+                                               *two_level_derivatives(profile, lobes[:, 0]))
             out += [np.array([amps.T, amps.R, amps.Tt, amps.Rt]), jac]
         return out
 
     uncut = results()
-    monkeypatch.setattr(local_solver, "rabi_eval", cut_rabi_eval)
-    monkeypatch.setattr(local_solver, "rabi_gradient", cut_rabi_gradient)
+    monkeypatch.setattr(local_solver, "_rabi", cut_rabi)
     cut = results()
     assert all(np.array_equal(u, c_) for u, c_ in zip(uncut, cut))
 

@@ -12,10 +12,12 @@ from demonscatter.local_solver import build_two_level_model, solve_local
 from demonscatter.optimize import (
     PAPER_POINT,
     PARAM_BOX,
+    SCREEN_CHUNK,
     SCREEN_POINTS_PER_WAVELENGTH,
     TARGETS,
     DeviceTarget,
     _evaluate,
+    _evaluations,
     _resolved,
     cost,
     design_grid,
@@ -203,18 +205,18 @@ def test_refine_off_design_velocity_costs_more():
 def solve_calls(monkeypatch):
     """Count factorizations of the Numerov system, one per solve.
 
-    A screening evaluation solves through solve_channel and a descent
-    evaluation through solve_channel_jacobian; both factor once with
-    local_solver._factor.
+    A screening evaluation solves as a member of a stack of draws, a descent
+    evaluation through solve_channel_jacobian; local_solver._factor factors
+    each member of a stack once with zgbtrf.
     """
     calls = []
-    real_factor = local_solver._factor
+    real_zgbtrf = local_solver.zgbtrf
 
-    def counting(model, E, support):
-        calls.append(E)
-        return real_factor(model, E, support)
+    def counting(ab, *args, **kwargs):
+        calls.append(ab.shape)
+        return real_zgbtrf(ab, *args, **kwargs)
 
-    monkeypatch.setattr(local_solver, "_factor", counting)
+    monkeypatch.setattr(local_solver, "zgbtrf", counting)
     return calls
 
 
@@ -310,6 +312,72 @@ def test_screening_rows_hold_screening_costs_and_never_become_the_result():
         on, gradient = (screen, False) if i < screened else (grid, True)
         assert c == _evaluate(p, target, 8.0, DEFAULT_WIDTH, on, gradient)[0], i
     assert r.cost == min(c for _, _, c in r.log[screened:])
+
+
+def draws(seed, count):
+    """count seeded uniform points of PARAM_BOX."""
+    u = np.random.default_rng(seed).random((count, 4))
+    return PARAM_BOX[:, 0] + u * np.ptp(PARAM_BOX, axis=1)
+
+
+def test_stacked_screening_gives_each_draw_its_own_bits():
+    """Draws with x0 over [0, 0.5], so members of different supports share one
+    band buffer, in chunks of SCREEN_CHUNK with a ragged last chunk: each
+    member's cost and amplitudes are its batch-of-one evaluation's bit for bit,
+    and reversing the order of the draws changes no bit."""
+    grid = screen_grid(default_grid())
+    target = DeviceTarget.named("half-demon")
+    count = 2 * SCREEN_CHUNK + 3
+    points = draws(7, count)
+    points[:, 2] = np.linspace(0.0, 0.5, count)
+    models = [build_two_level_model(RabiProfile(*p[:3]), p[3], grid=grid) for p in points]
+    assert len({model.support for model in models}) > count // 2
+    alone = [_evaluate(p, target, 8.0, DEFAULT_WIDTH, grid)[:2] for p in points]
+    for order in (slice(None), slice(None, None, -1)):
+        chunks = [points[order][i:i + SCREEN_CHUNK] for i in range(0, count, SCREEN_CHUNK)]
+        stacked = [r[:2] for chunk in chunks
+                   for r in _evaluations(chunk, target, 8.0, DEFAULT_WIDTH, grid)]
+        assert stacked == alone[order]
+
+
+@pytest.mark.parametrize("x0, message", [(1.4, "potential not negligible at grid ends"),
+                                         (50.0, "vanishes on the grid")],
+                         ids=["end-decay", "vanishing-lobe"])
+def test_a_failing_stack_member_raises_as_it_does_alone(x0, message):
+    """A draw whose lobe reaches the box ends, or lies off the grid, in the
+    middle of a stack raises the exception its own evaluation raises."""
+    grid = screen_grid(default_grid())
+    target = DeviceTarget.named("half-demon")
+    points = draws(8, 5)
+    points[2, 2] = x0
+    with pytest.raises(ModelError, match=message) as alone:
+        _evaluate(points[2], target, 8.0, DEFAULT_WIDTH, grid)
+    with pytest.raises(ModelError) as stacked:
+        _evaluations(points, target, 8.0, DEFAULT_WIDTH, grid)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_screening_assembles_once_per_chunk(solve_calls, monkeypatch):
+    """The screening draws are assembled SCREEN_CHUNK at a time, and each is
+    factored once; every descent evaluation is a stack of one."""
+    assembled = []
+    assemble = local_solver._assemble
+
+    def counting(models, *args):
+        assembled.append(len(models))
+        return assemble(models, *args)
+
+    monkeypatch.setattr(local_solver, "_assemble", counting)
+    budget, restarts = 150, 1
+    r = optimize(DeviceTarget.named("half-demon"), budget=budget, restarts=restarts,
+                 grid=make_grid(-1.5, 1.5, 401))
+    screened = min(budget // 4, 25 * restarts)
+    full, rest = divmod(screened, SCREEN_CHUNK)
+    chunks = [SCREEN_CHUNK] * full + [rest] * (rest > 0)
+    assert assembled[:len(chunks)] == chunks
+    assert assembled[len(chunks):] == [1] * (r.evaluations - screened)
+    assert len(solve_calls) == r.evaluations
 
 
 def test_design_grid_keeps_box_and_grows_with_velocity_and_narrow_width():
