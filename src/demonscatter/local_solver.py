@@ -14,10 +14,10 @@ and end values to the grid ends (Arnold, Ehrhardt & Sofronov, Commun. Math.
 Sci. 1, 501 (2003)).  One function, `_bloch`, gives the boundary rows, the
 incidence source and the gradient that dispersion without cancellation, so
 they keep full precision just above a channel threshold.  The system is block
-tridiagonal, so a stack of models on one grid at one E is assembled at once
-into LAPACK band storage, then factored and back-substituted member by member
-for only the incidences a caller reads (all of them in `solve_local`, channel
-0's two in `solve_channel`; both are stacks of one).  A boundary-value solve
+tridiagonal, so a stack of models on one grid at one E is one block-diagonal
+band, assembled at once and solved by one zgbtrf and one zgbtrs for only the
+incidences a caller reads (all open channels' in `solve_local`, channel 0's
+two in `solve_channel`; both are stacks of one).  A boundary-value solve
 cannot overflow on strongly closed channels, unlike naive marching, and scalar
 checks on h, the model's vmax = max|V| and |E - eps_j| show the band finite
 before it is built (`_factor`).
@@ -222,16 +222,18 @@ def _bloch(k: np.ndarray, h: float):
 def _assemble(models, E: float, k: np.ndarray, supports):
     """Numerov systems of a stack of models on one grid, member i's on the
     node interval supports[i] = (lo, hi) at energy E where its channel
-    wavenumbers are k[i], in zgbtrf's band storage, and _bloch(k, h).
+    wavenumbers are k[i], as one block-diagonal system in zgbtrf's band
+    storage, and _bloch(k, h).
 
-    Returns (u, bands, bloch): each system has u = 2 nch - 1 sub- and
-    super-diagonals, and bands[i][2u + r - c, c] holds member i's A[r, c]
-    (rows 0..u-1 are the LU's fill-in space), its unknowns the nodes lo..hi-1
-    renumbered 0..n-1.  The members' nodes run one after another in one buffer.
+    Returns (u, ab, ends, bloch): the system has u = 2 nch - 1 sub- and
+    super-diagonals, and ab[2u + r - c, c] holds A[r, c] (rows 0..u-1 are the
+    LU's fill-in space).  The members' nodes lo..hi-1 run one after another,
+    member i's from node ends[i][0] to ends[i][1]; no entry couples two members.
     """
     grid, nch = models[0].grid, models[0].channels.n_channels
     h, sizes = grid.spacing, [hi - lo for lo, hi in supports]
     *first, n = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    ends = [(i, i + size - 1) for i, size in zip(first, sizes)]
     # column c nch + b of A holds, in rows (c - 1) nch .. (c + 2) nch - 1,
     # entry (a, b) of P[c] = I - (h^2/12) W[c], Q[c] = -2 I - (10 h^2/12) W[c]
     # and P[c], W = 2 V + 2 diag(eps - E): cols[b, t nch + a, c] for t = 0, 1, 2
@@ -247,13 +249,13 @@ def _assemble(models, E: float, k: np.ndarray, supports):
     diagonals[::3 * nch + 1] += 1.0     # P's diagonal
     diagonals[nch::3 * nch + 1] -= 2.0  # Q's diagonal
     P2[...] = P
-    # a member's first and last nodes are the boundary rows
+    # a member's end nodes are the boundary rows
     # psi_j(1) - psi_j(0)/lam_j and psi_j(n-2) - psi_j(n-1)/lam_j
     bloch = _bloch(k, h)
-    for i, size, lam in zip(first, sizes, bloch[0]):  # its end nodes i, i + size - 1
-        P[..., i] = P2[..., i + size - 1] = 0.0  # rows outside A
-        P[..., i + 1] = P2[..., i + size - 2] = np.eye(nch)
-        Q[..., i] = Q[..., i + size - 1] = np.diag(-1.0 / lam)
+    for (i, j), lam in zip(ends, bloch[0]):
+        P[..., i] = P2[..., j] = 0.0  # rows outside the member
+        P[..., i + 1] = P2[..., j - 1] = np.eye(nch)
+        Q[..., i] = Q[..., j] = np.diag(-1.0 / lam)
 
     u = 2 * nch - 1
     rows = 3 * u + 1
@@ -262,12 +264,13 @@ def _assemble(models, E: float, k: np.ndarray, supports):
     band = np.ndarray(cols.shape, dtype=complex, buffer=ab, offset=(2 * u - nch) * ab.itemsize,
                       strides=tuple(ab.itemsize * s for s in (rows - 1, 1, rows * nch)))
     band[...] = cols
-    return u, [ab[:, i * nch:(i + size) * nch] for i, size in zip(first, sizes)], bloch
+    return u, ab, ends, bloch
 
 
 def _factor(models, E: float, supports):
-    """Kinematics at E of a stack of models on one grid and the banded LUs (u, lus,
-    bloch, supports) of their Numerov systems on supports[i] = (lo, hi), one zgbtrf each.
+    """Kinematics at E of a stack of models on one grid and the banded LU
+    (u, lu, piv, ends, k, bloch, supports) of their one Numerov system on
+    supports[i] = (lo, hi), from one zgbtrf; k[i] is member i's kinematics' k.
 
     Scalar checks show each band finite before it is built, or raise a
     ValueError with no numpy warning.  A Numerov-row entry is at most
@@ -291,50 +294,47 @@ def _factor(models, E: float, supports):
                             f"sqrt(6) and 2 sqrt(6); refine the grid")
         kins.append(kinematics(model.channels, E))
         check_resolution(max(kins[-1].k_open.tolist()), h)
-    u, bands, bloch = _assemble(models, E, np.array([kin.k for kin in kins]), supports)
-    lus = [zgbtrf(band, u, u, overwrite_ab=1) for band in bands]
-    if any(info > 0 for _lu, _piv, info in lus):
+    k = np.array([kin.k for kin in kins])
+    u, ab, ends, bloch = _assemble(models, E, k, supports)
+    lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
+    if info > 0:
         raise SolverError("singular linear system: singular matrix")
-    return kins, (u, lus, bloch, supports)
+    return kins, (u, lu, piv, ends, k, bloch, supports)
 
 
-def _columns(kins, factors, grid: Grid, m: int):
-    """Amplitudes out[i, end, j, c] of member i's open channels j (the same for all)
+def _columns(factors, grid: Grid, read):
+    """Amplitudes out[i, end, j, c] of member i's channels read[j] (open ones)
     at the left (0) and right (1) ends, under the left (c < m) and then the right
-    incidences of the first m; each member's psi on its band ((hi - lo) nch x 2m),
+    incidences of those m channels; the stack's psi (one column per incidence),
     from one zgbtrs; and amplitudes(v), from end values v[..., i, end, j, c]."""
-    u, lus, (lam, s, _g), supports = factors
-    open_idx, nch = kins[0].open_indices, lam.shape[1]
-    k_open = np.array([kin.k_open for kin in kins])
-    sqrt_k = np.sqrt(k_open)
+    u, lu, piv, ends, k, (lam, s, _g), supports = factors
+    m, k_read = len(read), k[:, read].real
+    sqrt_k = np.sqrt(k_read)
     # off the band the solution is free discrete waves lambda^j: f[i, end, j]
-    # carries channel j between the band's end node and the grid's (1 at 0, n)
-    f = lam[:, None, open_idx] ** np.array([(lo, grid.n - hi) for lo, hi in supports])[..., None]
-    inc, both = open_idx[:m], np.arange(2 * m)  # columns: left incidences, then right ones
-    src = 2j * s[:, inc] / sqrt_k[:, :m]  # lambda - 1/lambda
-    ends, psi, step = np.empty((len(lam), 2, len(open_idx), 2 * m), dtype=complex), [], 2 * m + 1
-    for (lu, piv, _info), (lo, hi), b, out in zip(lus, supports, src[:, None] * f[..., :m], ends):
-        B, top = np.zeros(((hi - lo) * nch, 2 * m), dtype=complex, order="F"), (hi - lo - 1) * nch
-        # left incidence in the bottom BC row, right incidence in the top one
-        B[np.concatenate((inc, top + inc)), both] = b.reshape(-1)
-        psi.append(zgbtrs(lu, u, u, B, piv, overwrite_b=1)[0])
-        if not np.isfinite(psi[-1]).all():
-            raise SolverError("non-finite solution; near-singular linear system")
-        out.reshape(-1, 2 * m)[...] = psi[-1][np.concatenate((open_idx, top + open_idx))]
+    # carries channel read[j] between the band's end node and the grid's (1 at 0, n)
+    f = lam[:, None, read] ** np.array([(lo, grid.n - hi) for lo, hi in supports])[..., None]
+    # member i's channel read[j] at its end node ends[i][end]: the boundary row
+    # that takes incidence c = end m + j, and the end value out[i, end, j]
+    rows = np.array(ends)[..., None] * lam.shape[1] + read
+    B = np.zeros((lu.shape[1], 2 * m), dtype=complex, order="F")
+    B[rows, np.arange(2 * m).reshape(2, m)] = (2j * s[:, read] / sqrt_k)[:, None] * f
+    psi = zgbtrs(lu, u, u, B, piv, overwrite_b=1)[0]
+    if not np.isfinite(psi).all():
+        raise SolverError("non-finite solution; near-singular linear system")
 
     # outgoing coefficients at the left (0) and right (1) ends, incident wave
-    # removed (ends[i, e, j, e m + j], j < m), carried to the grid's ends by f,
+    # removed (out[i, e, j, e m + j]), carried to the grid's ends by f,
     # flux normalized and converted to e^{+ikx} / e^{-ikx} waves
-    flat, incident = ends.reshape(len(lam), 2, -1), 1.0 / sqrt_k[:, None, :m] * f[:, :, :m]
-    flat[:, 0, :m * step:step] -= incident[:, 0]
-    flat[:, 1, m:][:, :m * step:step] -= incident[:, 1]
-    phase = np.exp(1j * (np.array((grid.x_min, -grid.x_max))[:, None] * k_open[:, None]))
+    flat, step = psi[rows].reshape(len(lam), 2, -1), 2 * m + 1
+    flat[:, 0, ::step] -= 1.0 / sqrt_k * f[:, 0]
+    flat[:, 1, m::step] -= 1.0 / sqrt_k * f[:, 1]
+    phase = np.exp(1j * (np.array((grid.x_min, -grid.x_max))[:, None] * k_read[:, None]))
 
     def amplitudes(v):
         return (v * sqrt_k[:, None, :, None] * (phase * f)[..., None]
-                * phase[..., :m].reshape(-1, 1, 1, 2 * m))
+                * phase.reshape(-1, 1, 1, 2 * m))
 
-    return amplitudes(ends), psi, amplitudes
+    return amplitudes(flat.reshape(-1, 2, m, 2 * m)), psi, amplitudes
 
 
 #: (end, incidence) of T, R, Tt and Rt in _columns' out[end, j, c]; 0 is left, 1 right.
@@ -346,7 +346,7 @@ def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
     kins, factors = _factor([model], E, [model.support])
     m = kins[0].n_open
-    out = _columns(kins, factors, model.grid, m)[0][0]
+    out = _columns(factors, model.grid, kins[0].open_indices)[0][0]
     S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)
@@ -360,10 +360,10 @@ def solve_channel(model: LocalPotentialModel, E: float) -> ChannelAmplitudes:
 
 
 def _solve_channels(models, E: float):
-    """[solve_channel(model, E) for model in models] bit for bit, from one assembly and
-    a zgbtrf and zgbtrs per member; the models share a grid and open channels at E."""
-    kins, factors = _factor(models, E, [model.support for model in models])
-    out = _columns(kins, factors, models[0].grid, 1)[0]
+    """[solve_channel(model, E) for model in models] bit for bit, from one assembly,
+    one zgbtrf and one zgbtrs; the models share a grid."""
+    factors = _factor(models, E, [model.support for model in models])[1]
+    out = _columns(factors, models[0].grid, [0])[0]
     return [ChannelAmplitudes(*a) for a in out[:, _ENDS, 0, _INCIDENCES].tolist()]
 
 
@@ -391,9 +391,9 @@ def solve_channel_jacobian(model: LocalPotentialModel, E: float, dV: dict, deps:
         raise ValueError("deps[:, 0] moves channel 0's threshold, which must stay fixed")
     modulus = np.abs(list(dV.values())).reshape(-1, model.grid.n)  # every dV_ab/dp_q
     moves = modulus > END_DECAY_REL * modulus.max(axis=1, keepdims=True)
-    kins, factors = _factor([model], E, [_covering(moves.any(axis=0), *model.support)])
-    (out,), (psi,), amplitudes = _columns(kins, factors, model.grid, 1)
-    u, ((lu, piv, _info),), (_lam, _s, (g,)), ((lo, hi),) = factors
+    factors = _factor([model], E, [_covering(moves.any(axis=0), *model.support)])[1]
+    (out,), psi, amplitudes = _columns(factors, model.grid, [0])
+    u, lu, piv, _ends, _k, (_lam, _s, (g,)), ((lo, hi),) = factors
     grid, nch = model.grid, model.channels.n_channels
     n, h = hi - lo, grid.spacing
     e = np.zeros((n * nch, 2), dtype=complex, order="F")

@@ -3,13 +3,15 @@
 The no-go verification (criteria 5 and 6, `test_nogo.py`) reads the channel
 inequalities, draws Haar unitaries, splits a full S-matrix into its blocks and
 builds explicit boundary S-matrices; the symmetry tests apply a class
-transform to a whole kernel.  None of this runs in the program, so it lives
-here rather than in `demonscatter`.
+transform to a whole kernel, and the local solver's tests mirror, conjugate or
+transpose a whole model.  None of this runs in the program, so it lives here
+rather than in `demonscatter`.
 """
 
 import numpy as np
 
-from demonscatter.channels import ChannelAmplitudes, SMatrix
+from demonscatter.channels import ChannelAmplitudes, ChannelSet, SMatrix
+from demonscatter.local_solver import LocalPotentialModel
 from demonscatter.optimize import PAPER_POINT
 from demonscatter.symmetry import SymmetryClass
 from demonscatter.units import RabiProfile
@@ -112,3 +114,26 @@ def transform(K: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     if conjugate:
         M = np.conj(M)
     return M
+
+
+def port_smatrix(S: SMatrix) -> np.ndarray:
+    """S in port order [[R, Tt], [T, Rt]]: rows the outgoing waves, columns the
+    incoming ones, the left end's channels first."""
+    return np.block([[S.R, S.Tt], [S.T, S.Rt]])
+
+
+def flipped(model: LocalPotentialModel) -> LocalPotentialModel:
+    """The model mirrored, V(-x), on a grid symmetric about x = 0."""
+    return LocalPotentialModel(grid=model.grid, channels=model.channels, V=model.V[::-1])
+
+
+def conjugated(model: LocalPotentialModel) -> LocalPotentialModel:
+    """The model with V and the thresholds complex conjugated."""
+    channels = ChannelSet(tuple(e.conjugate() for e in model.channels.thresholds))
+    return LocalPotentialModel(grid=model.grid, channels=channels, V=model.V.conj())
+
+
+def transposed(model: LocalPotentialModel) -> LocalPotentialModel:
+    """The model with V(x) transposed in the channel indices."""
+    return LocalPotentialModel(grid=model.grid, channels=model.channels,
+                               V=model.V.transpose(0, 2, 1))

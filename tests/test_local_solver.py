@@ -43,7 +43,7 @@ from demonscatter.optimize import PAPER_POINT, PARAM_BOX, design_grid
 from demonscatter.units import (SUPPORT_REL, RabiProfile, _rabi, default_grid, make_grid,
                                 rabi_eval)
 
-from oracles import PAPER_DELTA, PAPER_PROFILE
+from oracles import PAPER_DELTA, PAPER_PROFILE, conjugated, flipped, port_smatrix, transposed
 
 
 def barrier_model(v0, width, n, half_box=1.5):
@@ -423,8 +423,8 @@ def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
     assert model.support != (0, 41)
-    u, (ab,), (lam, _s, _g) = _assemble([model], 30.0, kinematics(model.channels, 30.0).k[None],
-                                         [model.support])
+    u, ab, _ends, (lam, _s, _g) = _assemble([model], 30.0, kinematics(model.channels, 30.0).k[None],
+                                             [model.support])
     A, lam_ref = coo_numerov_matrix(model, 30.0, model.support)
     A = A.toarray()
     i, j = np.indices(A.shape)
@@ -449,7 +449,7 @@ def solve_banded_solution(model, E, nodes):
     n = hi - lo
     kin = kinematics(channels, E)
     open_idx, k_open = kin.open_indices, kin.k_open
-    u, (ab,), ((lam,), (sin_kh,), _g) = _assemble([model], E, kin.k[None], [nodes])
+    u, ab, _ends, ((lam,), (sin_kh,), _g) = _assemble([model], E, kin.k[None], [nodes])
     n_open = len(open_idx)
     f_left, f_right = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
@@ -515,6 +515,95 @@ def test_solve_channel_matches_full_smatrix_channel_0():
                     n_lossy += not m.hermitian_flag
                     assert solve_channel(m, E) == extract_channel(S, 0)
     assert n_closed >= 20 and n_lossy == 18
+
+
+def test_a_stack_of_draws_is_one_lapack_pair(monkeypatch):
+    """_solve_channels factors a stack of ten two-level draws with one zgbtrf
+    and back-substitutes it with one zgbtrs, since the members' systems are one
+    block-diagonal band, and gives each draw solve_channel's bits."""
+    points = PARAM_BOX[:, 0] + np.random.default_rng(11).random((10, 4)) * np.ptp(PARAM_BOX, axis=1)
+    models = [build_two_level_model(RabiProfile(*p[:3]), p[3]) for p in points]
+    alone = [solve_channel(model, 32.0) for model in models]
+    calls = []
+
+    def recording(name):
+        real = getattr(local_solver, name)
+
+        def call(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+        return call
+
+    for name in ("zgbtrf", "zgbtrs"):
+        monkeypatch.setattr(local_solver, name, recording(name))
+    assert local_solver._solve_channels(models, 32.0) == alone
+    assert calls == ["zgbtrf", "zgbtrs"]
+
+
+@pytest.mark.parametrize("nch", [3, 4])
+def test_stack_members_get_the_bits_of_their_own_solve(nch):
+    """Stacks of 2 to 7 random models of different supports, each Hermitian,
+    non-Hermitian or lossy, whose open channels at E differ from member to
+    member: _solve_channels gives each member solve_channel's bits alone (the
+    one zgbtrf and zgbtrs of the block-diagonal band are each member's own)."""
+    rng = np.random.default_rng(70 + nch)
+    grid, E = make_grid(-1.5, 1.5, 301), 4.0
+    open_sets, supports = set(), set()
+    for size in range(2, 8):
+        models = []
+        for _ in range(size):
+            thresholds = (0.0, *sorted(rng.uniform(-5.0, 10.0, nch - 1)))
+            base = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds),
+                                       V=random_hermitian_model(rng, grid, nch).V)
+            variants = (base, with_non_hermitian_coupling(base, rng), with_lossy_last_channel(base))
+            models.append(variants[rng.integers(3)])
+            open_sets.add(tuple(kinematics(models[-1].channels, E).open_indices))
+            supports.add(models[-1].support)
+        assert local_solver._solve_channels(models, E) == [solve_channel(m, E) for m in models]
+    assert len(open_sets) > 2 and len(supports) > 10
+
+
+def physics_cases(n):
+    """Twelve random local models on the default box at n nodes, nch 2 to 4:
+    the odd ones non-Hermitian, every fourth with a lossy last channel.  The
+    same seeds give the same models at any n."""
+    box = default_grid()
+    for seed in range(12):
+        rng = np.random.default_rng(90 + seed)
+        model = random_hermitian_model(rng, make_grid(box.x_min, box.x_max, n), 2 + seed % 3)
+        model = with_non_hermitian_coupling(model, rng) if seed % 2 else model
+        yield with_lossy_last_channel(model) if seed % 4 == 3 else model
+
+
+def test_mirrored_and_conjugated_models_give_their_smatrix_relations():
+    """Every entry of S in port order against the exact relations of the
+    discrete system, at E = 30 above every threshold: the mirrored model
+    V(-x) gives P S P, P swapping the two ends, and the conjugated model V*
+    (real thresholds only) gives (S*)^-1.  Each gap was ~1e-13."""
+    E, lossy = 30.0, 0
+    for model in physics_cases(601):
+        S = port_smatrix(solve_local(model, E).S)
+        P = np.roll(np.eye(len(S)), len(S) // 2, axis=0)
+        assert np.max(np.abs(port_smatrix(solve_local(flipped(model), E).S) - P @ S @ P)) <= 1e-10
+        if all(e.imag == 0 for e in model.channels.thresholds):
+            gap = port_smatrix(solve_local(conjugated(model), E).S) - np.linalg.inv(S.conj())
+            assert np.max(np.abs(gap)) <= 1e-10
+        else:
+            lossy += 1
+    assert lossy == 3
+
+
+def test_transposed_model_gives_the_transposed_smatrix_to_fourth_order():
+    """The transposed model V^T gives S^T only up to Numerov's O(h^4): the
+    largest gap over the models falls by >= 12 (16 for h^4) from n = 601 to
+    n = 1201, and at n = 601 it stays below 3e-8, 3.5 times the 8.4e-9
+    measured."""
+    E, gaps = 30.0, []
+    for n in (601, 1201):
+        gaps.append(max(np.max(np.abs(port_smatrix(solve_local(transposed(model), E).S)
+                                      - port_smatrix(solve_local(model, E).S).T))
+                        for model in physics_cases(n)))
+    assert gaps[0] <= 3e-8 and gaps[0] >= 12.0 * gaps[1], gaps
 
 
 @pytest.mark.parametrize("entries, support", [
@@ -706,7 +795,7 @@ def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
         warnings.simplefilter("error")
         admitted = model(inside)
         kin = kinematics(admitted.channels, E)
-        _u, (ab,), (lam, _s, _g) = _assemble([admitted], E, kin.k[None], [admitted.support])
+        _u, ab, _ends, (lam, _s, _g) = _assemble([admitted], E, kin.k[None], [admitted.support])
         assert np.isfinite(ab).all() and np.all(np.abs(lam) >= 1.0 / 27.0)
         if kind != "potential":
             assert all(map(cmath.isfinite, solve_channel(admitted, E).probabilities))
@@ -796,8 +885,8 @@ def with_non_hermitian_coupling(model, rng):
 @pytest.mark.parametrize("nch", [1, 2, 3, 4])
 def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
     """Each member's band of _assemble on a stack of the Hermitian,
-    non-Hermitian and lossy models (bands padded to the longest support)
-    equals the oracle's (signed zeros aside), and the Jacobian matches the
+    non-Hermitian and lossy models (the one buffer split at the members'
+    end nodes) equals the oracle's (signed zeros aside), and the Jacobian matches the
     oracle's adjoint to 1e-14 relative, for each model, at E = 30 and just
     above thresholds, both on the model's support; dV moves V only where V
     is above SUPPORT_REL vmax."""
@@ -813,7 +902,8 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
             eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
             for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
                 k = np.array([kinematics(m.channels, E).k for m in models])
-                bands = _assemble(models, E, k, [m.support for m in models])[1]
+                ab, ends = _assemble(models, E, k, [m.support for m in models])[1:3]
+                bands = [ab[:, i * nch:(j + 1) * nch] for i, j in ends]
                 for m, k_m, band in zip(models, k, bands):
                     assert np.array_equal(band, strided_band_assembly(m, E, k_m, m.support)[1])
                 p = 3

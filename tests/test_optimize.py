@@ -203,20 +203,21 @@ def test_refine_off_design_velocity_costs_more():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Count factorizations of the Numerov system, one per solve.
+    """Count the models whose Numerov systems are factored, one per solve.
 
     A screening evaluation solves as a member of a stack of draws, a descent
     evaluation through solve_channel_jacobian; local_solver._factor factors
-    each member of a stack once with zgbtrf.
+    every member of a stack once, in one zgbtrf.
     """
     calls = []
-    real_zgbtrf = local_solver.zgbtrf
+    real_factor = local_solver._factor
 
-    def counting(ab, *args, **kwargs):
-        calls.append(ab.shape)
-        return real_zgbtrf(ab, *args, **kwargs)
+    def counting(models, *args):
+        factors = real_factor(models, *args)
+        calls.extend(models)
+        return factors
 
-    monkeypatch.setattr(local_solver, "zgbtrf", counting)
+    monkeypatch.setattr(local_solver, "_factor", counting)
     return calls
 
 
