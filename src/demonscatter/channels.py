@@ -15,8 +15,7 @@ the solvers.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,38 +45,16 @@ class ChannelSet:
         return len(self.thresholds)
 
 
-@dataclass(frozen=True)
-class ChannelKinematics:
-    """Wavenumbers and open/closed status of every channel at energy E.
-
-    k_j = sqrt(2 (E - eps_j)) with the branch Im k_j >= 0; open channels
-    have real k_j > 0, closed ones purely imaginary k_j.  Channel 0 is open.
-    """
-
-    k: np.ndarray = field(repr=False)
-    open_mask: np.ndarray = field(repr=False)
-
-    @property
-    def n_open(self) -> int:
-        return int(np.count_nonzero(self.open_mask))
-
-    @cached_property
-    def open_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.open_mask)
-
-    @cached_property
-    def k_open(self) -> np.ndarray:
-        return self.k[self.open_mask].real
-
-
 def branch_sqrt(z):
     """sqrt with branch Im >= 0 (and Re >= 0 on the real line)."""
     r = np.sqrt(np.asarray(z, dtype=complex))  # Re r >= 0, as C99's csqrt
     return np.where(r.imag < 0, -r, r)
 
 
-def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:
-    """Channel wavenumbers and open/closed flags at total energy E.
+def kinematics(channels: ChannelSet, E: float):
+    """(k, open) at total energy E: k_j = sqrt(2 (E - eps_j)) with the branch
+    Im k_j >= 0, and the indices of the open channels, those with real k_j > 0
+    (closed ones have purely imaginary k_j).
 
     Channel 0 is the incident channel, the one whose amplitudes the demon
     parameter D describes, so it must be open: NonPositiveEnergyError unless
@@ -98,7 +75,7 @@ def kinematics(channels: ChannelSet, E: float) -> ChannelKinematics:
             f"channel 0 is lossy (threshold {eps0}) and never open" if eps0.imag
             else f"energy must exceed the channel-0 threshold {eps0.real}, got E={E}"
         )
-    return ChannelKinematics(k=branch_sqrt(2.0 * (E - eps)), open_mask=open_mask)
+    return branch_sqrt(2.0 * (E - eps)), np.flatnonzero(open_mask)
 
 
 @dataclass(frozen=True)

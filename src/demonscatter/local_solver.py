@@ -268,9 +268,9 @@ def _assemble(models, E: float, k: np.ndarray, supports):
 
 
 def _factor(models, E: float, supports):
-    """Kinematics at E of a stack of models on one grid and the banded LU
+    """Open channels at E of a stack of models on one grid and the banded LU
     (u, lu, piv, ends, k, bloch, supports) of their one Numerov system on
-    supports[i] = (lo, hi), from one zgbtrf; k[i] is member i's kinematics' k.
+    supports[i] = (lo, hi), from one zgbtrf; member i's kinematics is (k[i], opens[i]).
 
     Scalar checks show each band finite before it is built, or raise a
     ValueError with no numpy warning.  A Numerov-row entry is at most
@@ -293,13 +293,14 @@ def _factor(models, E: float, supports):
             raise GridError(f"spacing h={h:.4g} puts a closed channel's |k| h between "
                             f"sqrt(6) and 2 sqrt(6); refine the grid")
         kins.append(kinematics(model.channels, E))
-        check_resolution(max(kins[-1].k_open.tolist()), h)
-    k = np.array([kin.k for kin in kins])
+        k, open = kins[-1]
+        check_resolution(max(k[open].real.tolist()), h)
+    k = np.array([k for k, _open in kins])
     u, ab, ends, bloch = _assemble(models, E, k, supports)
     lu, piv, info = zgbtrf(ab, u, u, overwrite_ab=1)
     if info > 0:
         raise SolverError("singular linear system: singular matrix")
-    return kins, (u, lu, piv, ends, k, bloch, supports)
+    return [open for _k, open in kins], (u, lu, piv, ends, k, bloch, supports)
 
 
 def _columns(factors, grid: Grid, read):
@@ -344,9 +345,9 @@ _ENDS, _INCIDENCES = zip(*_AMPLITUDES)
 
 def solve_local(model: LocalPotentialModel, E: float) -> ScatterSolution:
     """Flux-normalized S-matrix at total energy E, with its unitarity defect."""
-    kins, factors = _factor([model], E, [model.support])
-    m = kins[0].n_open
-    out = _columns(factors, model.grid, kins[0].open_indices)[0][0]
+    (read,), factors = _factor([model], E, [model.support])
+    m = len(read)
+    out = _columns(factors, model.grid, read)[0][0]
     S = SMatrix(*(out[end, :, inc * m:(inc + 1) * m] for end, inc in _AMPLITUDES))
     defect = unitarity_defect(S) if model.hermitian_flag else float("nan")
     return ScatterSolution(S=S, unitarity_defect=defect)

@@ -191,4 +191,6 @@ def velocity_to_energy(v: float) -> float:
         raise ValueError(f"velocity must be >= 0, got {v}")
     if not math.isfinite(float(v) * float(v)):
         raise ValueError(f"velocity must have a finite square, got {v}")
+    if v > 0 and 0.5 * v * v == 0.0:
+        raise ValueError(f"velocity {v} is so small that its energy v^2/2 underflows to 0")
     return 0.5 * v * v

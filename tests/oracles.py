@@ -4,11 +4,12 @@ The no-go verification (criteria 5 and 6, `test_nogo.py`) reads the channel
 inequalities, draws Haar unitaries, splits a full S-matrix into its blocks and
 builds explicit boundary S-matrices; the symmetry tests apply a class
 transform to a whole kernel, and the local solver's tests mirror, conjugate or
-transpose a whole model.  None of this runs in the program, so it lives here
-rather than in `demonscatter`.
+transpose a whole model and integrate its equations adaptively.  None of this
+runs in the program, so it lives here rather than in `demonscatter`.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from demonscatter.channels import ChannelAmplitudes, ChannelSet, SMatrix
 from demonscatter.local_solver import LocalPotentialModel
@@ -137,3 +138,46 @@ def transposed(model: LocalPotentialModel) -> LocalPotentialModel:
     """The model with V(x) transposed in the channel indices."""
     return LocalPotentialModel(grid=model.grid, channels=model.channels,
                                V=model.V.transpose(0, 2, 1))
+
+
+def ode_smatrix(V, thresholds, E, x_min, x_max) -> SMatrix:
+    """Flux-normalized S at total energy E of psi'' = 2 (V(x) + diag eps - E) psi
+    on [x_min, x_max], free outside, with phase origin x = 0: an oracle that
+    shares no code with the Numerov solve, not even its wavenumbers or open set.
+
+    V(x) returns the nch x nch matrix at x in closed form.  One DOP853 run
+    from x_max to x_min per start column: e^{i k_j x} in every channel
+    (outgoing, or decaying for a closed one), then e^{-i k_j x} in every open
+    one.  At x_min each channel splits into its e^{+-i k x} parts from (psi,
+    psi'), and each incidence is one nch x nch solve for a unit incident wave
+    and no incoming (open) or left-growing (closed) wave on the left.  A closed
+    channel with kappa (x_max - x_min) above ~30 makes that solve ill-conditioned.
+    """
+    eps = np.asarray(thresholds, dtype=complex)
+    nch = len(eps)
+    k = np.sqrt(2.0 * (E - eps))
+    k = np.where(k.imag < 0, -k, k)
+    opened = np.flatnonzero((eps.imag == 0) & (eps.real < E))
+    starts = [(j, 1) for j in range(nch)] + [(j, -1) for j in opened]
+    W = np.diag(eps - E)
+
+    def rhs(x, y):
+        return np.concatenate([y[nch:], 2.0 * (V(x) + W) @ y[:nch]])
+
+    # the e^{+ikx} (A) and e^{-ikx} (B) coefficients at x_min of each start column
+    A, B = (np.empty((nch, len(starts)), dtype=complex) for _ in range(2))
+    for c, (j, sign) in enumerate(starts):
+        y0 = np.zeros(2 * nch, dtype=complex)
+        y0[j] = np.exp(sign * 1j * k[j] * x_max)
+        y0[nch + j] = sign * 1j * k[j] * y0[j]
+        y = solve_ivp(rhs, (x_max, x_min), y0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+        A[:, c] = (y[:nch] + y[nch:] / (1j * k)) / 2.0 * np.exp(-1j * k * x_min)
+        B[:, c] = (y[:nch] - y[nch:] / (1j * k)) / 2.0 * np.exp(1j * k * x_min)
+    sqrt_k = np.sqrt(k[opened].real)
+    out, inc = A[:, :nch], np.eye(nch)[:, opened] / sqrt_k
+    left = np.linalg.solve(out, inc)                  # outgoing weights, left incidence
+    right = np.linalg.solve(out, -A[:, nch:] / sqrt_k)  # right incidence
+    return SMatrix(T=left[opened] * sqrt_k[:, None],
+                   R=(B[:, :nch] @ left)[opened] * sqrt_k[:, None],
+                   Tt=(B[:, :nch] @ right + B[:, nch:] / sqrt_k)[opened] * sqrt_k[:, None],
+                   Rt=right[opened] * sqrt_k[:, None])

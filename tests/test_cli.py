@@ -495,6 +495,21 @@ def test_range_flag_next_to_velocities_is_config_error(flag, tmp_path, monkeypat
     assert run(["sweep", "--config", "cfg.json", "--vmin", "1", "--nv", "10"]) == 0
 
 
+@pytest.mark.parametrize("argv, v", [
+    (["scatter", *PAPER_FLAGS, "--n", "201", "--v", "1e-300"], "1e-300"),
+    (["kernel", *PAPER_FLAGS, "--n", "41", "--v", "1e-200"], "1e-200"),
+    (["sweep", *PAPER_FLAGS, "--n", "201", "--velocities", "1e-300"], "1e-300"),
+    (["optimize", "--budget", "100", "--restarts", "1", "--n", "41", "--v0", "1e-200"], "1e-200"),
+], ids=["scatter", "kernel", "sweep", "optimize"])
+def test_velocity_whose_energy_underflows_is_named(argv, v, tmp_path, monkeypatch, capsys):
+    # not "energy must exceed the channel-0 threshold 0.0, got E=0.0"
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and v in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cfg, flags", [
     ({"target": "T/A"}, ["--probabilities", "0.5", "0", "0", "0.5"]),
     ({"probabilities": [0.5, 0.0, 0.0, 0.5]}, ["--target", "A/R"]),

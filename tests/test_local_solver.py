@@ -43,7 +43,8 @@ from demonscatter.optimize import PAPER_POINT, PARAM_BOX, design_grid
 from demonscatter.units import (SUPPORT_REL, RabiProfile, _rabi, default_grid, make_grid,
                                 rabi_eval)
 
-from oracles import PAPER_DELTA, PAPER_PROFILE, conjugated, flipped, port_smatrix, transposed
+from oracles import (PAPER_DELTA, PAPER_PROFILE, conjugated, flipped, ode_smatrix, port_smatrix,
+                     transposed)
 
 
 def barrier_model(v0, width, n, half_box=1.5):
@@ -423,7 +424,7 @@ def test_band_storage_matches_coo_matrix():
     # seed 3 draws a 3-channel model: band width u = 5
     model = random_hermitian_model(np.random.default_rng(3), make_grid(-1.5, 1.5, 41))
     assert model.support != (0, 41)
-    u, ab, _ends, (lam, _s, _g) = _assemble([model], 30.0, kinematics(model.channels, 30.0).k[None],
+    u, ab, _ends, (lam, _s, _g) = _assemble([model], 30.0, kinematics(model.channels, 30.0)[0][None],
                                              [model.support])
     A, lam_ref = coo_numerov_matrix(model, 30.0, model.support)
     A = A.toarray()
@@ -447,9 +448,9 @@ def solve_banded_solution(model, E, nodes):
     grid, channels = model.grid, model.channels
     (lo, hi), nch = nodes, channels.n_channels
     n = hi - lo
-    kin = kinematics(channels, E)
-    open_idx, k_open = kin.open_indices, kin.k_open
-    u, ab, _ends, ((lam,), (sin_kh,), _g) = _assemble([model], E, kin.k[None], [nodes])
+    k, open_idx = kinematics(channels, E)
+    k_open = k[open_idx].real
+    u, ab, _ends, ((lam,), (sin_kh,), _g) = _assemble([model], E, k[None], [nodes])
     n_open = len(open_idx)
     f_left, f_right = lam[open_idx] ** np.array([[lo], [grid.n - hi]])
     B = np.zeros((n * nch, 2 * n_open), dtype=complex)
@@ -557,7 +558,7 @@ def test_stack_members_get_the_bits_of_their_own_solve(nch):
                                        V=random_hermitian_model(rng, grid, nch).V)
             variants = (base, with_non_hermitian_coupling(base, rng), with_lossy_last_channel(base))
             models.append(variants[rng.integers(3)])
-            open_sets.add(tuple(kinematics(models[-1].channels, E).open_indices))
+            open_sets.add(tuple(kinematics(models[-1].channels, E)[1]))
             supports.add(models[-1].support)
         assert local_solver._solve_channels(models, E) == [solve_channel(m, E) for m in models]
     assert len(open_sets) > 2 and len(supports) > 10
@@ -604,6 +605,76 @@ def test_transposed_model_gives_the_transposed_smatrix_to_fourth_order():
                                       - port_smatrix(solve_local(model, E).S).T))
                         for model in physics_cases(n)))
     assert gaps[0] <= 3e-8 and gaps[0] >= 12.0 * gaps[1], gaps
+
+
+def paper_coupling(x):
+    """build_two_level_model's V at PAPER_POINT in closed form: the coupling
+    Omega(-x)/2 and its conjugate, Omega(x) = -i b g(x + x0) + c g(x - x0)."""
+    p = PAPER_PROFILE
+    omega = -1j * p.b * np.exp(-((p.x0 - x) / p.w) ** 2) + p.c * np.exp(-((-x - p.x0) / p.w) ** 2)
+    return np.array([[0.0, omega / 2.0], [np.conj(omega) / 2.0, 0.0]])
+
+
+def test_criterion_1_model_matches_the_ode_oracle():
+    """Criterion 1's S on the default grid against the adaptive integration of
+    its continuous equations, which shares no code with the Numerov solve
+    (3.0e-8 measured); channel 0's four probabilities agree to 1e-6."""
+    S = solve_local(build_two_level_model(PAPER_PROFILE, PAPER_DELTA), 32.0).S
+    grid = default_grid()
+    exact = ode_smatrix(paper_coupling, (0.0, -PAPER_DELTA), 32.0, grid.x_min, grid.x_max)
+    assert np.max(np.abs(S.full() - exact.full())) <= 1e-7
+    assert np.allclose(extract_channel(S, 0).probabilities,
+                       extract_channel(exact, 0).probabilities, rtol=0.0, atol=1e-6)
+
+
+def gaussian_model(rng, nch, non_hermitian):
+    """random_hermitian_model's Gaussian bumps (without its cut at |x| > 1.45,
+    where the envelope is e^-198) as (V, thresholds), V(x) in closed form;
+    non_hermitian adds a bump to V_0,nch-1 alone, as with_non_hermitian_coupling."""
+    # bump i is M[i] exp(-((x - cx[i]) / w[i])^2) times the envelope
+    M, cx, w = [], [], []
+    for a in range(nch):
+        for b in range(a, nch):
+            cx.append(rng.uniform(-0.5, 0.5))
+            w.append(rng.uniform(0.2, 0.5))
+            M.append(np.zeros((nch, nch), dtype=complex))
+            M[-1][a, b] = rng.normal() * 5 + (1j * rng.normal() * 5 if b != a else 0)
+            M[-1][b, a] = np.conj(M[-1][a, b])
+    thresholds = tuple(sorted(rng.uniform(-5.0, 5.0, nch)))
+    if non_hermitian:
+        M.append(np.zeros((nch, nch), dtype=complex))
+        M[-1][0, nch - 1] = (rng.normal() + 1j * rng.normal()) * 3.0
+        cx.append(0.0)
+        w.append(0.25)
+    M, cx, w = np.array(M).reshape(len(M), -1), np.array(cx), np.array(w)
+
+    def V(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return (np.exp(-(((x - cx) / w) ** 2) - (x / 0.6) ** 6) @ M).reshape(x.shape[:-1] + (nch, nch))
+
+    return V, thresholds
+
+
+def test_random_models_match_the_ode_oracle_to_fourth_order():
+    """Every entry of S for six Gaussian models (nch 2, 3, 4, twice; the
+    second three with non-Hermitian coupling) at E = eps_0 + U(1, 12), one
+    with a closed channel, against the adaptive integration of their
+    continuous equations: below 3e-8 at n = 601 (1.4e-9 to 8.7e-9 measured),
+    and falling by >= 12 (16 for h^4) to n = 1201 on every draw."""
+    rng = np.random.default_rng(2036)
+    box, closed = default_grid(), 0
+    for i, nch in enumerate((2, 3, 4, 2, 3, 4)):
+        V, thresholds = gaussian_model(rng, nch, non_hermitian=i >= 3)
+        E = thresholds[0] + rng.uniform(1.0, 12.0)
+        exact = ode_smatrix(V, thresholds, E, box.x_min, box.x_max).full()
+        gaps = []
+        for n in (601, 1201):
+            grid = make_grid(box.x_min, box.x_max, n)
+            model = LocalPotentialModel(grid=grid, channels=ChannelSet(thresholds), V=V(grid.points))
+            gaps.append(np.max(np.abs(solve_local(model, E).S.full() - exact)))
+        assert gaps[0] <= 3e-8 and gaps[0] >= 12.0 * gaps[1], (i, gaps)
+        closed += len(exact) < 2 * nch
+    assert closed > 0
 
 
 @pytest.mark.parametrize("entries, support", [
@@ -656,7 +727,7 @@ def test_solve_on_the_support_matches_the_full_grid_solve():
         extra.append((model, eps[0] + 0.5))
         extra.append((with_lossy_last_channel(model), 30.0))
         extra += [(model, e + offset) for e in eps for offset in (1e-9, 1e-7)]
-    assert sum(kinematics(m.channels, E).n_open < m.channels.n_channels for m, E in extra) >= 20
+    assert sum(len(kinematics(m.channels, E)[1]) < m.channels.n_channels for m, E in extra) >= 20
     worst = 0.0
     for model, E in cases + extra:
         assert model.support != (0, model.grid.n)
@@ -696,7 +767,7 @@ def test_closed_channel_0_is_rejected_before_factorization(monkeypatch):
     model = random_hermitian_model(np.random.default_rng(5), make_grid(-1.5, 1.5, 401), 3)
     eps = model.channels.thresholds
     E = eps[0].real + 0.1
-    assert kinematics(model.channels, E).n_open < 3
+    assert len(kinematics(model.channels, E)[1]) < 3
     # thresholds reversed: channel 0 is closed at E while the lowest one is open
     reversed_model = LocalPotentialModel(
         grid=model.grid, channels=ChannelSet(thresholds=eps[::-1]), V=model.V[:, ::-1, ::-1])
@@ -794,8 +865,8 @@ def test_guard_admits_its_edge_with_a_finite_band(kind, inside, outside):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         admitted = model(inside)
-        kin = kinematics(admitted.channels, E)
-        _u, ab, _ends, (lam, _s, _g) = _assemble([admitted], E, kin.k[None], [admitted.support])
+        k, _open = kinematics(admitted.channels, E)
+        _u, ab, _ends, (lam, _s, _g) = _assemble([admitted], E, k[None], [admitted.support])
         assert np.isfinite(ab).all() and np.all(np.abs(lam) >= 1.0 / 27.0)
         if kind != "potential":
             assert all(map(cmath.isfinite, solve_channel(admitted, E).probabilities))
@@ -838,7 +909,7 @@ def adjoint_reference(model, E, dV, deps, nodes):
     (lo, hi), h = nodes, grid.spacing
     n = hi - lo
     top = (n - 1) * nch
-    k = kinematics(model.channels, E).k
+    k, _open = kinematics(model.channels, E)
     u, ab = strided_band_assembly(model, E, k, nodes)
     lam, s, g = _bloch(k, h)
     f_left, f_right = lam[0] ** np.array([lo, grid.n - hi])
@@ -901,7 +972,7 @@ def test_band_and_adjoint_match_the_arithmetic_they_replaced(nch):
             moved = np.abs(model.V).max(axis=(1, 2)) > SUPPORT_REL * model.vmax
             eps = sorted(e.real for e in model.channels.thresholds if e.imag == 0)
             for E in (30.0, eps[0] + 1e-9, eps[-1] + 1e-7):
-                k = np.array([kinematics(m.channels, E).k for m in models])
+                k = np.array([kinematics(m.channels, E)[0] for m in models])
                 ab, ends = _assemble(models, E, k, [m.support for m in models])[1:3]
                 bands = [ab[:, i * nch:(j + 1) * nch] for i, j in ends]
                 for m, k_m, band in zip(models, k, bands):

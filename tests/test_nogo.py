@@ -116,8 +116,8 @@ def test_feshbach_kernels_obey_the_demon_bound(seed, E, scale):
     assert min(check_bounds(amps)[0]) >= -CODE_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="second-order Nystroem error: the slacks of "
-                   "a closed eliminated channel reach -9e-6 at n = 601")
+@pytest.mark.xfail(strict=True, reason="second-order Nystroem error: with its eliminated "
+                   "channel closed, this kernel's smallest slack is -3.33e-6 at n = 601")
 def test_feshbach_kernel_slacks_hold_to_1e_8():
     slacks, _ = check_bounds(solve_nonlocal(feshbach_kernel(0, 2.0), 2.0))
     assert min(slacks) >= -TOL, slacks

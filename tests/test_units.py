@@ -98,6 +98,11 @@ def test_velocity_to_energy():
     assert velocity_to_energy(1.0) == 0.5
     with pytest.raises(ValueError, match=r"velocity must be >= 0, got -1\.0"):
         velocity_to_energy(-1.0)
+    # 0.5 v^2 rounds to 0: E = 0 would be blamed on a threshold, not on v
+    for v in (1e-300, 2e-162):
+        with pytest.raises(ValueError, match=f"^velocity {v} is so small that its energy"):
+            velocity_to_energy(v)
+    assert 0.0 < velocity_to_energy(1e-155) < 2.3e-308  # subnormal, kept
 
 
 def test_default_grid_symmetric():
@@ -139,7 +144,11 @@ def test_rabi_profile_rejects_non_finite_field(b, c, x0, w, field, bad):
 
 @given(v=st.floats(min_value=0.0, max_value=1e100))
 def test_velocity_to_energy_finite(v):
-    assert velocity_to_energy(v) == 0.5 * v * v
+    if v > 0 and 0.5 * v * v == 0.0:
+        with pytest.raises(ValueError, match=f"^velocity {v} is so small"):
+            velocity_to_energy(v)
+    else:
+        assert velocity_to_energy(v) == 0.5 * v * v
 
 
 @given(bad=NON_FINITE)
